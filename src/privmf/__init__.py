@@ -7,14 +7,17 @@ gradients for unrated items indistinguishable from real ones, with
 per-round differential-privacy budgets calibrated in closed form.
 """
 
-from .bpr import PairwiseSample, bpr_errors, bpr_margin, bpr_step, sd_bpr_client_iteration
+from .bpr import bpr_errors, bpr_margin, bpr_step, sd_bpr_client_iteration
 from .codec import (
+    ClientUpdate,
     CodecError,
     FinishMessage,
     GradientMessage,
     Handshake,
     decode_message,
+    decode_updates,
     encode_message,
+    encode_updates,
     iter_messages,
 )
 from .data import (
@@ -42,8 +45,6 @@ from .fakegrad import (
 from .metrics import auc, isgld_perturb, rmse
 from .protocol import (
     ClientState,
-    MemoryTransport,
-    ByteTransport,
     ProtocolError,
     ServerState,
     TrainingResult,

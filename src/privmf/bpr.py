@@ -13,22 +13,15 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from . import randresp
-from .codec import FinishMessage, GradientMessage, Message
+from .codec import ClientUpdate
 from .rng import TAG_CLIENT_ROUND, derive_rng
 from .sgld import Hyperparams, learning_rate
 
 logger = logging.getLogger(__name__)
-
-
-class PairwiseSample(NamedTuple):
-    user: int
-    pos_item: int  # rated
-    neg_item: int  # unrated
 
 
 def sigma_bar(x: float) -> float:
@@ -79,7 +72,7 @@ def bpr_step(
     return du, dpos, dneg
 
 
-def sd_bpr_client_iteration(state, v_snapshot: np.ndarray, t: int) -> list[Message]:
+def sd_bpr_client_iteration(state, v_snapshot: np.ndarray, t: int) -> ClientUpdate:
     """One-class client round over the randomized send-set.
 
     A selected rated item pairs with a fresh uniform unrated partner and
@@ -96,28 +89,26 @@ def sd_bpr_client_iteration(state, v_snapshot: np.ndarray, t: int) -> list[Messa
 
     send = randresp.irr(state.bits_prime, state.rr.p, state.rr.q, rng)
 
-    messages: list[Message] = []
+    selected = np.flatnonzero(send)
+    deltas = np.empty((len(selected), hp.k), dtype=np.float64)
+    keep = np.ones(len(selected), dtype=bool)
     du_acc = np.zeros(hp.k, dtype=np.float64)
-    pairs = 0
-    for j in np.flatnonzero(send):
-        j = int(j)
+    for pos, j in enumerate(selected):
         if state.bits[j]:
             if len(state.unrated) == 0:
                 logger.warning(
                     "client %d has rated every item; cannot sample a pair partner", state.client_id
                 )
+                keep[pos] = False
                 continue
-            partner = int(state.unrated[rng.integers(len(state.unrated))])
-            du, dpos, _ = bpr_step(state.u, v_snapshot[j], v_snapshot[partner], eta, hp, rng)
-            messages.append(GradientMessage(j, dpos))
+            partner = state.unrated[rng.integers(len(state.unrated))]
+            du, deltas[pos], _ = bpr_step(state.u, v_snapshot[j], v_snapshot[partner], eta, hp, rng)
         else:
-            partner = int(state.items[rng.integers(state.h)])
-            du, _, dneg = bpr_step(state.u, v_snapshot[partner], v_snapshot[j], eta, hp, rng)
-            messages.append(GradientMessage(j, dneg))
+            partner = state.items[rng.integers(state.h)]
+            du, _, deltas[pos] = bpr_step(state.u, v_snapshot[partner], v_snapshot[j], eta, hp, rng)
         du_acc += du
-        pairs += 1
-    messages.append(FinishMessage(state.client_id))
 
+    pairs = int(keep.sum())
     if pairs:
         state.u += du_acc / pairs
-    return messages
+    return ClientUpdate(state.client_id, selected[keep], deltas[keep])

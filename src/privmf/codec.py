@@ -56,6 +56,16 @@ class Handshake:
 Message = GradientMessage | FinishMessage | Handshake
 
 
+@dataclass(frozen=True, eq=False)
+class ClientUpdate:
+    """One client's round: a delta row per sent item, ids ascending. On the
+    wire it is a gradient frame per row, then the client's finish frame."""
+
+    client_id: int
+    item_ids: np.ndarray = field(repr=False)  # (n,) int64
+    deltas: np.ndarray = field(repr=False)  # (n, k) float64
+
+
 def encode_message(msg: Message) -> bytes:
     if isinstance(msg, GradientMessage):
         delta = np.ascontiguousarray(msg.delta, dtype="<f8")
@@ -114,3 +124,36 @@ def iter_messages(data: bytes, expect_k: int | None = None):
     while offset < len(data):
         msg, offset = _decode_at(data, offset, expect_k)
         yield msg
+
+
+def encode_updates(updates, handshake: Handshake | None = None) -> bytes:
+    """Frames for a round's updates, in order, each client's gradient frames
+    followed by its finish frame; the handshake, when given, goes first."""
+    frames = [] if handshake is None else [encode_message(handshake)]
+    for update in updates:
+        for item_id, delta in zip(update.item_ids, update.deltas):
+            frames.append(encode_message(GradientMessage(int(item_id), delta)))
+        frames.append(encode_message(FinishMessage(update.client_id)))
+    return b"".join(frames)
+
+
+def decode_updates(data: bytes, k: int, n_items: int) -> list[ClientUpdate]:
+    """Regroup a round's frames into updates, one per finish frame.
+
+    Rejects a handshake that differs from the session's ``(k, n_items)``
+    and gradient frames that no finish frame closes.
+    """
+    updates, ids, rows = [], [], []
+    for msg in iter_messages(data, expect_k=k):
+        if isinstance(msg, GradientMessage):
+            ids.append(msg.item_id)
+            rows.append(msg.delta)
+        elif isinstance(msg, FinishMessage):
+            deltas = np.array(rows, dtype=np.float64).reshape(len(ids), k)
+            updates.append(ClientUpdate(msg.client_id, np.array(ids, dtype=np.int64), deltas))
+            ids, rows = [], []
+        elif (msg.k, msg.n_items) != (k, n_items):
+            raise CodecError(f"handshake mismatch: {msg} vs session ({k}, {n_items})")
+    if ids:
+        raise CodecError(f"{len(ids)} gradient frame(s) without a finish frame")
+    return updates

@@ -2,10 +2,13 @@
 
 Each round the server broadcasts the item factors, every client locally
 updates its user factor from its own ratings, draws a randomized send-set,
-and transmits one gradient message per selected item (real gradients for
-rated items, fake-error gradients for unrated ones) followed by a finish
-marker. The server only ever sees gradient/finish frames: ratings, rated-
-item bit vectors, and user factors never leave the client.
+and returns one ``ClientUpdate``: a delta row per selected item (real
+gradients for rated items, fake-error gradients for unrated ones), sent as
+one gradient frame per row followed by a finish frame. The server only ever
+sees gradient/finish frames: ratings, rated-item bit vectors, and user
+factors never leave the client. With ``transport="bytes"`` each round's
+updates go through ``codec.encode_updates`` and ``codec.decode_updates``;
+in memory they go straight to ``server_collect``.
 
 The server applies ``V <- V + (sum of deltas per item) / (total message
 count)`` once all clients have finished, so the reduction is a commutative
@@ -16,13 +19,12 @@ from __future__ import annotations
 
 import logging
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fakegrad, randresp
-from .codec import FinishMessage, GradientMessage, Handshake, Message, encode_message, iter_messages
+from .codec import ClientUpdate, Handshake, decode_updates, encode_updates
 from .data import RatingDataset
 from .rng import TAG_CLIENT_INIT, TAG_CLIENT_ROUND, derive_rng
 from .sgld import (
@@ -77,7 +79,6 @@ class ServerState:
     k: int
     t: int = 1
     accumulator: np.ndarray | None = None
-    count: int = 0
     # off by default: divide each item's delta sum by that item's own
     # message count instead of the round's global count
     per_item_average: bool = False
@@ -133,14 +134,12 @@ def client_init(
     )
 
 
-def client_iteration(
-    state: ClientState, v_snapshot: np.ndarray, t: int
-) -> list[Message]:
-    """One client round: local user update, send-set draw, gradient messages.
+def client_iteration(state: ClientState, v_snapshot: np.ndarray, t: int) -> ClientUpdate:
+    """One client round: local user update, send-set draw, item deltas.
 
-    Messages are emitted in ascending item-id order with the finish marker
-    last; the user factor is updated in place after emission, from the
-    per-rated-item deltas averaged over the number of ratings.
+    The update lists the sent items in ascending id order; the user factor
+    is updated in place afterwards, from the per-rated-item deltas averaged
+    over the number of ratings.
     """
     if t < 1:
         raise ValueError(f"round index must be >= 1, got {t}")
@@ -149,9 +148,7 @@ def client_iteration(
     rng = derive_rng(state.master_seed, TAG_CLIENT_ROUND, state.client_id, t)
 
     errs = prediction_errors(state.u, v_snapshot, state.items, state.ratings)
-    du = np.zeros(hp.k, dtype=np.float64)
-    for pos in range(state.h):
-        du += user_step(state.u, errs[pos], v_snapshot[state.items[pos]], eta, hp, rng)
+    du = user_step(state.u, errs, v_snapshot[state.items], eta, hp, rng).sum(axis=0)
 
     stats = fakegrad.error_stats(errs)
     alpha = np.inf
@@ -169,143 +166,88 @@ def client_iteration(
 
     send = randresp.irr(state.bits_prime, state.rr.p, state.rr.q, rng)
 
-    pos_of = np.full(len(v_snapshot), -1, dtype=np.int64)
-    pos_of[state.items] = np.arange(state.h)
-
     selected = np.flatnonzero(send)
-    n_fake = int(np.sum(state.bits[selected] == 0))
-    fakes: np.ndarray | None = None
-    if n_fake:
+    rated = state.bits[selected] == 1
+    e = np.empty(len(selected), dtype=np.float64)
+    e[rated] = errs[np.searchsorted(state.items, selected[rated])]
+    fake = np.flatnonzero(~rated)
+    if len(fake):
         try:
             # one batched rejection run for the round; same truncated
             # distribution as drawing each item's error separately
-            fakes = fakegrad.sample_fake_errors(stats.mu, sample_sigma, alpha, n_fake, rng)
+            e[fake] = fakegrad.sample_fake_errors(stats.mu, sample_sigma, alpha, len(fake), rng)
         except fakegrad.DegenerateBoundError:
-            fakes = None  # fall back to per-item draws below, skipping failures
-
-    messages: list[Message] = []
-    fake_pos = 0
-    for j in selected:
-        j = int(j)
-        if state.bits[j]:
-            e = errs[pos_of[j]]
-        elif fakes is not None:
-            e = fakes[fake_pos]
-            fake_pos += 1
-        else:
-            try:
-                e = fakegrad.sample_fake_error(stats.mu, sample_sigma, alpha, rng)
-            except fakegrad.DegenerateBoundError as exc:
-                logger.warning("client %d skipping item %d: %s", state.client_id, j, exc)
-                continue
-        delta = item_step(v_snapshot[j], e, state.u, eta, hp, rng)
-        messages.append(GradientMessage(j, delta))
-    messages.append(FinishMessage(state.client_id))
+            # per-item draws, skipping the items that fail
+            keep = np.ones(len(selected), dtype=bool)
+            for pos in fake:
+                try:
+                    e[pos] = fakegrad.sample_fake_error(stats.mu, sample_sigma, alpha, rng)
+                except fakegrad.DegenerateBoundError as exc:
+                    logger.warning("client %d skipping item %d: %s", state.client_id, selected[pos], exc)
+                    keep[pos] = False
+            selected, e = selected[keep], e[keep]
+    deltas = item_step(v_snapshot[selected], e, state.u, eta, hp, rng)
 
     state.u += du / state.h
-    return messages
-
-
-class MemoryTransport:
-    """In-process queue of decoded messages, delivered in emission order."""
-
-    def __init__(self):
-        self._queue: deque[Message] = deque()
-
-    def send(self, msg: Message) -> None:
-        self._queue.append(msg)
-
-    def drain(self):
-        while self._queue:
-            yield self._queue.popleft()
-
-
-class ByteTransport:
-    """Loopback byte-stream transport: every message crosses the wire
-    format, so a full run exercises the codec end to end."""
-
-    def __init__(self, k: int, n_items: int):
-        self.k = k
-        self.n_items = n_items
-        self._buf = bytearray(encode_message(Handshake(k, n_items)))
-
-    def send(self, msg: Message) -> None:
-        self._buf += encode_message(msg)
-
-    def drain(self):
-        data = bytes(self._buf)
-        self._buf = bytearray()
-        for msg in iter_messages(data, expect_k=self.k):
-            if isinstance(msg, Handshake):
-                if (msg.k, msg.n_items) != (self.k, self.n_items):
-                    raise ProtocolError(f"handshake mismatch: {msg} vs session ({self.k}, {self.n_items})")
-                continue
-            yield msg
+    return ClientUpdate(state.client_id, selected, deltas)
 
 
 def server_begin_round(server: ServerState) -> np.ndarray:
     """Broadcast snapshot of the item factors; accumulator reset to zero."""
     server.accumulator = np.zeros_like(server.v)
-    server.count = 0
+    server.item_counts = np.zeros(server.n_items, dtype=np.int64)
     snapshot = server.v.copy()
     snapshot.setflags(write=False)
     return snapshot
 
 
-def server_collect(server: ServerState, messages, n_clients: int) -> int:
-    """Consume one round's message stream until every client finished.
+def server_collect(server: ServerState, updates: list[ClientUpdate], n_clients: int) -> int:
+    """Reduce one round's client updates into the accumulator.
 
-    Returns the number of gradient messages received. Raises ProtocolError
-    if the stream ends with finish markers outstanding (aborted round).
+    Returns the number of gradients received. Raises ProtocolError for a
+    gradient to an item outside ``[0, n_items)``, or when updates from
+    fewer than ``n_clients`` distinct clients arrived (aborted round).
     """
-    finished: set[int] = set()
-    round_deltas: list[tuple[int, np.ndarray]] = []
-    for msg in messages:
-        if isinstance(msg, GradientMessage):
-            if not (0 <= msg.item_id < server.n_items):
-                raise ProtocolError(f"gradient for unknown item {msg.item_id}")
-            round_deltas.append((msg.item_id, np.asarray(msg.delta, dtype=np.float64)))
-        elif isinstance(msg, FinishMessage):
-            finished.add(msg.client_id)
-            if len(finished) == n_clients:
-                break
-        else:
-            raise ProtocolError(f"unexpected frame {type(msg).__name__} in round")
-    if len(finished) != n_clients:
-        raise ProtocolError(
-            f"round aborted: finish received from {len(finished)}/{n_clients} clients"
-        )
-    acc, count = reduce_item_deltas(round_deltas, server.n_items, server.k)
-    server.accumulator = acc
-    server.count = count
-    counts = np.zeros(server.n_items, dtype=np.int64)
-    for item, _ in round_deltas:
-        counts[item] += 1
-    server.item_counts = counts
-    return count
+    for update in updates:
+        unknown = update.item_ids[(update.item_ids < 0) | (update.item_ids >= server.n_items)]
+        if len(unknown):
+            raise ProtocolError(f"gradient for unknown item {unknown[0]}")
+    finished = len({update.client_id for update in updates})
+    if finished != n_clients:
+        raise ProtocolError(f"round aborted: finish received from {finished}/{n_clients} clients")
+    server.accumulator, server.item_counts = reduce_item_deltas(
+        [(update.item_ids, update.deltas) for update in updates], server.n_items, server.k
+    )
+    return int(server.item_counts.sum())
 
 
 def server_end_round(server: ServerState) -> None:
     """Apply the averaged item deltas; a round with no messages is a no-op."""
-    if server.count > 0:
+    count = int(server.item_counts.sum())
+    if count > 0:
         if server.per_item_average:
             divisor = np.maximum(server.item_counts, 1)[:, None]
             server.v += server.accumulator / divisor
         else:
-            server.v += server.accumulator / server.count
+            server.v += server.accumulator / count
     server.accumulator = None
     server.item_counts = None
     server.t += 1
 
 
-def server_round(server: ServerState, clients, transport, step_fn=None) -> int:
-    """Run one synchronous round over all clients; returns messages received."""
+def server_round(server: ServerState, clients, step_fn=None, transport: str = "memory") -> int:
+    """Run one synchronous round over all clients; returns messages received.
+
+    With ``transport="bytes"`` the updates cross the wire format; the
+    session's first round opens with the handshake.
+    """
     step = step_fn or client_iteration
     snapshot = server_begin_round(server)
-    for client in clients:
-        for msg in step(client, snapshot, server.t):
-            transport.send(msg)
-    n_grad = server_collect(server, transport.drain(), n_clients=len(clients))
+    updates = [step(client, snapshot, server.t) for client in clients]
+    if transport == "bytes":
+        handshake = Handshake(server.k, server.n_items) if server.t == 1 else None
+        updates = decode_updates(encode_updates(updates, handshake), server.k, server.n_items)
+    n_grad = server_collect(server, updates, n_clients=len(clients))
     server_end_round(server)
     return n_grad
 
@@ -350,6 +292,8 @@ def run_training(
         raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
     if task not in ("numerical", "one-class"):
         raise ValueError(f"unknown task {task!r}")
+    if transport not in ("memory", "bytes"):
+        raise ValueError(f"unknown transport {transport!r}")
     master = hp.seed if master_seed is None else master_seed
 
     if budget is not None and z_target is None:
@@ -379,13 +323,12 @@ def run_training(
     server = ServerState(
         v=model0.v.copy(), n_items=train.n_items, k=hp.k, per_item_average=per_item_average
     )
-    channel = ByteTransport(hp.k, train.n_items) if transport == "bytes" else MemoryTransport()
 
     curve: list[RoundRecord] = []
     for _ in range(n_rounds):
         started = time.perf_counter()
         t = server.t
-        n_grad = server_round(server, clients, channel, step_fn)
+        n_grad = server_round(server, clients, step_fn, transport)
         metric = None
         if evaluator is not None:
             metric = float(evaluator(assemble_model(model0, clients, server)))

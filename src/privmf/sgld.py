@@ -130,48 +130,65 @@ def prediction_errors(
     return out
 
 
+def _step(x, e, other, lam, eta_t, hp, rng) -> np.ndarray:
+    delta = eta_t * (np.asarray(e)[..., None] * other - lam * x)
+    if hp.noise_enabled:
+        # one (n, k) draw consumes the stream exactly as n draws of k
+        delta += np.sqrt(eta_t) * rng.standard_normal(delta.shape)
+    return delta
+
+
 def user_step(
     u: np.ndarray,
-    e: float,
+    e: float | np.ndarray,
     v: np.ndarray,
     eta_t: float,
     hp: Hyperparams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Additive delta for a user factor from one rated item."""
-    delta = eta_t * (e * v - hp.lambda_u * u)
-    if hp.noise_enabled:
-        delta += np.sqrt(eta_t) * rng.standard_normal(hp.k)
-    return delta
+    """Additive delta for a user factor from one rated item; with a vector
+    of n errors and an (n, k) block of item rows, the (n, k) block of
+    deltas, one per rated item."""
+    return _step(u, e, v, hp.lambda_u, eta_t, hp, rng)
 
 
 def item_step(
     v: np.ndarray,
-    e: float,
+    e: float | np.ndarray,
     u: np.ndarray,
     eta_t: float,
     hp: Hyperparams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Additive delta for an item factor from one (real or fake) error."""
-    delta = eta_t * (e * u - hp.lambda_v * v)
-    if hp.noise_enabled:
-        delta += np.sqrt(eta_t) * rng.standard_normal(hp.k)
-    return delta
+    """Additive delta for an item factor from one (real or fake) error; with
+    an (n, k) block of item rows and n errors, the (n, k) block of deltas."""
+    return _step(v, e, u, hp.lambda_v, eta_t, hp, rng)
 
 
-def reduce_item_deltas(
-    deltas: list[tuple[int, np.ndarray]], n_items: int, k: int
-) -> tuple[np.ndarray, int]:
-    """Order-independent reduction of a round's (item, delta) pairs.
+def reduce_item_deltas(blocks, n_items: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Order-independent reduction of a round's ``(item_ids, deltas)`` blocks.
 
-    Pairs are summed in a canonical order (item id, then delta bytes), so
-    any permutation of the same multiset reduces to bitwise-identical sums.
+    Returns per-item delta sums ``(n_items, k)`` and row counts ``(n_items,)``.
+    Rows are summed in a canonical order (item id, then delta bytes), so any
+    permutation of the same multiset of rows, across or within blocks,
+    reduces to bitwise-identical sums.
     """
-    acc = np.zeros((n_items, k), dtype=np.float64)
-    for item, delta in sorted(deltas, key=lambda p: (p[0], p[1].tobytes())):
-        acc[item] += delta
-    return acc, len(deltas)
+    n = sum(len(ids) for ids, _ in blocks)
+    # one row per delta: big-endian item id, then the delta's bytes, so a
+    # bytewise sort of the rows is the canonical order
+    rows = np.empty((n, 8 + 8 * k), dtype=np.uint8)
+    at = 0
+    for ids, deltas in blocks:
+        m = len(ids)
+        rows[at : at + m, :8] = np.asarray(ids, dtype=">i8").reshape(m, 1).view(np.uint8)
+        rows[at : at + m, 8:] = np.ascontiguousarray(deltas, dtype=np.float64).view(np.uint8)
+        at += m
+    # rows with equal keys are identical, so any sort kind gives the same order
+    rows.view(np.dtype((np.void, rows.shape[1]))).sort(axis=0)
+    items = rows[:, :8].view(">i8")[:, 0].astype(np.int64)
+    sums = np.zeros((n_items, k), dtype=np.float64)
+    np.add.at(sums, items, rows[:, 8:].view(np.float64))
+    return sums, np.bincount(items, minlength=n_items)
 
 
 def centralized_train(train, hp: Hyperparams, n_rounds: int) -> FactorModel:
@@ -189,24 +206,21 @@ def centralized_train(train, hp: Hyperparams, n_rounds: int) -> FactorModel:
 
     for t in range(1, n_rounds + 1):
         eta = learning_rate(t, hp)
-        round_deltas: list[tuple[int, np.ndarray]] = []
+        blocks = []
         for i in range(train.n_users):
             items, ratings = user_data[i]
             h = len(items)
             if h == 0:
                 continue
             u = model.u[i]
+            v_rows = model.v[items]
             errs = prediction_errors(u, model.v, items, ratings)
-            du = np.zeros(hp.k, dtype=np.float64)
-            for pos in range(h):
-                du += user_step(u, errs[pos], model.v[items[pos]], eta, hp, rng)
-            for pos in range(h):
-                round_deltas.append(
-                    (int(items[pos]), item_step(model.v[items[pos]], errs[pos], u, eta, hp, rng))
-                )
+            du = user_step(u, errs, v_rows, eta, hp, rng).sum(axis=0)
+            blocks.append((items, item_step(v_rows, errs, u, eta, hp, rng)))
             # user factors move only after this round's item deltas are computed
             model.u[i] = u + du / h
-        acc, count = reduce_item_deltas(round_deltas, train.n_items, hp.k)
-        if count:
-            model.v += acc / count
+        sums, counts = reduce_item_deltas(blocks, train.n_items, hp.k)
+        total = int(counts.sum())
+        if total:
+            model.v += sums / total
     return model

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from privmf.bpr import bpr_errors, bpr_margin, bpr_step, sd_bpr_client_iteration, sigma_bar
-from privmf.codec import FinishMessage, GradientMessage
+from privmf.codec import FinishMessage, encode_updates, iter_messages
 from privmf.protocol import client_init
 from privmf.randresp import RRParams
 from privmf.rng import TAG_CLIENT_ROUND, derive_rng
@@ -130,9 +130,8 @@ class TestClientIteration:
         state = make_bpr_client(hp, seed=master)
         v = np.random.default_rng(5).normal(size=(10, hp.k))
         u_before = state.u.copy()
-        msgs = sd_bpr_client_iteration(state, v, 1)
-        grads = [m for m in msgs if isinstance(m, GradientMessage)]
-        assert [g.item_id for g in grads] == [1, 4, 7]
+        update = sd_bpr_client_iteration(state, v, 1)
+        assert list(update.item_ids) == [1, 4, 7]
 
         # reference: same send-set and pairing stream, plain numpy updates
         rng = derive_rng(master, TAG_CLIENT_ROUND, 0, 1)
@@ -147,31 +146,28 @@ class TestClientIteration:
             s = math.exp(-x) / (1.0 + math.exp(-x)) if x >= 0 else 1.0 / (1.0 + math.exp(x))
             du_acc += -eta * (s * (-v[j] + v[partner]) + hp.lambda_u * u_before)
             expected.append(-eta * (-s * u_before + hp.lambda_v * v[j]))
-        for g, exp in zip(grads, expected):
-            np.testing.assert_array_equal(g.delta, exp)
+        np.testing.assert_array_equal(update.deltas, np.array(expected))
         np.testing.assert_array_equal(state.u, u_before + du_acc / 3)
 
     def test_single_rated_item_sends_one_gradient(self):
         hp = make_hp(k=2, seed=2)
         state = make_bpr_client(hp, items=(4,), seed=9)
-        msgs = sd_bpr_client_iteration(state, np.zeros((10, hp.k)), 1)
-        grads = [m for m in msgs if isinstance(m, GradientMessage)]
-        assert len(grads) == 1 and grads[0].item_id == 4
-        assert isinstance(msgs[-1], FinishMessage)
+        update = sd_bpr_client_iteration(state, np.zeros((10, hp.k)), 1)
+        assert len(update.item_ids) == 1 and update.item_ids[0] == 4
+        assert list(iter_messages(encode_updates([update])))[-1] == FinishMessage(state.client_id)
 
     def test_unrated_selection_sends_negative_role_delta(self):
         hp = make_hp(k=2, eta0=0.2, seed=3)
         state = make_bpr_client(hp, items=(0,), seed=11)
         # force the send-set to pick only an unrated item
         state.rr = RRParams(f=0.0, p=1.0, q=0.0, p_star=1.0, q_star=0.0, h=1, z=9.0)
-        msgs = sd_bpr_client_iteration(state, np.random.default_rng(1).normal(size=(10, hp.k)), 1)
-        grads = [m for m in msgs if isinstance(m, GradientMessage)]
-        assert [g.item_id for g in grads] == list(range(1, 10))
+        update = sd_bpr_client_iteration(state, np.random.default_rng(1).normal(size=(10, hp.k)), 1)
+        assert list(update.item_ids) == list(range(1, 10))
 
     def test_all_items_rated_warns_and_skips(self, caplog):
         hp = make_hp(k=2, seed=4)
         state = make_bpr_client(hp, n_items=3, items=(0, 1, 2), seed=13)
         with caplog.at_level(logging.WARNING):
-            msgs = sd_bpr_client_iteration(state, np.zeros((3, hp.k)), 1)
+            update = sd_bpr_client_iteration(state, np.zeros((3, hp.k)), 1)
         assert "cannot sample a pair partner" in caplog.text
-        assert len([m for m in msgs if isinstance(m, GradientMessage)]) == 0
+        assert len(update.item_ids) == 0 and update.deltas.shape == (0, hp.k)

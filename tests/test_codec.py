@@ -4,12 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privmf.codec import (
+    ClientUpdate,
     CodecError,
     FinishMessage,
     GradientMessage,
     Handshake,
     decode_message,
+    decode_updates,
     encode_message,
+    encode_updates,
     iter_messages,
 )
 
@@ -73,6 +76,39 @@ class TestRoundTrips:
         assert list(iter_messages(blob)) == msgs
 
 
+def sample_updates():
+    return [
+        ClientUpdate(4, np.array([1, 9]), np.array([[1.5, -2.5, 0.0], [0.25, 0.5, 4.0]])),
+        ClientUpdate(2, np.empty(0, dtype=np.int64), np.empty((0, 3))),
+        ClientUpdate(7, np.array([0]), np.array([[-0.0, 1e-300, 3.0]])),
+    ]
+
+
+def assert_updates_equal(got, expected):
+    assert [u.client_id for u in got] == [u.client_id for u in expected]
+    for a, b in zip(got, expected):
+        assert np.array_equal(a.item_ids, b.item_ids)
+        assert a.deltas.shape == b.deltas.shape
+        assert np.array_equal(a.deltas.view(np.uint64), b.deltas.view(np.uint64))
+
+
+class TestUpdates:
+    def test_updates_are_frame_sequences(self):
+        updates = sample_updates()
+        frames = [Handshake(3, 10)]
+        for up in updates:
+            frames += [GradientMessage(int(j), d) for j, d in zip(up.item_ids, up.deltas)]
+            frames.append(FinishMessage(up.client_id))
+        expected = b"".join(encode_message(m) for m in frames)
+        assert encode_updates(updates, Handshake(3, 10)) == expected
+        assert encode_updates(updates) == expected[len(encode_message(Handshake(3, 10))):]
+
+    def test_updates_roundtrip(self):
+        updates = sample_updates()
+        assert_updates_equal(decode_updates(encode_updates(updates, Handshake(3, 10)), 3, 10), updates)
+        assert_updates_equal(decode_updates(encode_updates(updates), 3, 10), updates)
+
+
 class TestErrors:
     def test_truncated_frames(self):
         full = encode_message(GradientMessage(1, np.array([1.0, 2.0])))
@@ -90,3 +126,14 @@ class TestErrors:
             decode_message(frame, expect_k=2)
         decoded, _ = decode_message(frame, expect_k=3)
         assert decoded.item_id == 1
+
+    def test_handshake_mismatch_with_session(self):
+        for handshake in (Handshake(2, 10), Handshake(3, 11)):
+            data = encode_updates(sample_updates(), handshake)
+            with pytest.raises(CodecError, match="handshake mismatch"):
+                decode_updates(data, 3, 10)
+
+    def test_gradients_without_finish(self):
+        data = encode_updates(sample_updates()) + encode_message(GradientMessage(1, np.zeros(3)))
+        with pytest.raises(CodecError, match="without a finish frame"):
+            decode_updates(data, 3, 10)

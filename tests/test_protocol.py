@@ -4,11 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from privmf.codec import FinishMessage, GradientMessage
+from privmf import fakegrad
+from privmf.codec import (
+    ClientUpdate,
+    FinishMessage,
+    GradientMessage,
+    Handshake,
+    decode_updates,
+    encode_message,
+    encode_updates,
+    iter_messages,
+)
 from privmf.data import RatingTriple, build_dataset, synthetic_dataset
 from privmf.protocol import (
-    ByteTransport,
-    MemoryTransport,
     ProtocolError,
     ServerState,
     client_init,
@@ -17,7 +25,6 @@ from privmf.protocol import (
     server_begin_round,
     server_collect,
     server_end_round,
-    server_round,
 )
 from privmf.randresp import PrivacyBudget, RRParams, effective_probs, solve_f
 from privmf.sgld import Hyperparams, centralized_train, init_model
@@ -33,6 +40,14 @@ def make_client(hp, n_items=12, items=(1, 4, 7), budget=None, z_target=None, see
     ratings = np.linspace(2.0, 4.0, len(items))
     u0 = np.full(hp.k, 0.05)
     return client_init(cid, items, ratings, u0, n_items, hp, budget, z_target, seed)
+
+
+def update(cid, item_ids, deltas):
+    return ClientUpdate(cid, np.array(item_ids, dtype=np.int64), np.array(deltas, dtype=np.float64))
+
+
+def frames_of(update):
+    return list(iter_messages(encode_updates([update])))
 
 
 class TestClientInit:
@@ -63,18 +78,19 @@ class TestClientIteration:
     def test_disabled_privacy_sends_exactly_rated_items(self):
         hp = make_hp()
         state = make_client(hp, items=(1, 4, 7))
-        msgs = client_iteration(state, np.full((12, hp.k), 0.1), 1)
-        grads = [m for m in msgs if isinstance(m, GradientMessage)]
-        assert [g.item_id for g in grads] == [1, 4, 7]
-        assert isinstance(msgs[-1], FinishMessage)
+        up = client_iteration(state, np.full((12, hp.k), 0.1), 1)
+        assert list(up.item_ids) == [1, 4, 7]
+        assert up.deltas.shape == (3, hp.k)
+        assert frames_of(up)[-1] == FinishMessage(state.client_id)
 
     def test_empty_send_set_still_updates_user(self):
         hp = make_hp()
         state = make_client(hp)
         state.rr = RRParams(f=0.0, p=0.0, q=0.0, p_star=0.0, q_star=0.0, h=state.h, z=0.0)
         before = state.u.copy()
-        msgs = client_iteration(state, np.full((12, hp.k), 0.1), 1)
-        assert len(msgs) == 1 and isinstance(msgs[0], FinishMessage)
+        up = client_iteration(state, np.full((12, hp.k), 0.1), 1)
+        assert len(up.item_ids) == 0 and up.deltas.shape == (0, hp.k)
+        assert frames_of(up) == [FinishMessage(state.client_id)]
         assert not np.array_equal(before, state.u)
 
     def test_message_count_matches_conditional_law(self):
@@ -90,17 +106,34 @@ class TestClientIteration:
         v = np.full((n_items, hp.k), 0.1)
         total = 0
         for t in range(1, rounds + 1):
-            msgs = client_iteration(state, v, t)
-            total += len(msgs) - 1
+            total += len(client_iteration(state, v, t).item_ids)
         mean = total / rounds
         assert abs(mean - expected) < 3 * math.sqrt(var / rounds)
+
+    def test_degenerate_fake_bound_skips_fake_items(self, caplog, monkeypatch):
+        hp = make_hp(k=2)
+        budget = PrivacyBudget(eps_i=2.0, eps_g=1.0)
+        state = make_client(hp, n_items=60, items=tuple(range(0, 30, 2)), budget=budget, z_target=10.0)
+
+        def degenerate(*args):
+            raise fakegrad.DegenerateBoundError("no mass inside the bound")
+
+        monkeypatch.setattr(fakegrad, "sample_fake_errors", degenerate)
+        monkeypatch.setattr(fakegrad, "sample_fake_error", degenerate)
+        with caplog.at_level(logging.WARNING):
+            up = client_iteration(state, np.full((60, hp.k), 0.1), 1)
+        skipped = [r.args[1] for r in caplog.records if "skipping item" in r.getMessage()]
+        assert skipped and all(state.bits[j] == 0 for j in skipped)
+        assert caplog.records[0].getMessage().startswith("client 0 skipping item ")
+        assert np.all(state.bits[up.item_ids] == 1)
+        assert up.deltas.shape == (len(up.item_ids), hp.k)
 
 
 class TestServer:
     def test_round_with_no_messages_is_noop(self):
         server = ServerState(v=np.ones((5, 2)), n_items=5, k=2)
         server_begin_round(server)
-        server_collect(server, [FinishMessage(0)], n_clients=1)
+        server_collect(server, [update(0, [], np.empty((0, 2)))], n_clients=1)
         server_end_round(server)
         assert np.array_equal(server.v, np.ones((5, 2)))
         assert server.t == 2
@@ -108,22 +141,29 @@ class TestServer:
     def test_single_message_updates_one_row(self):
         server = ServerState(v=np.zeros((5, 2)), n_items=5, k=2)
         server_begin_round(server)
-        server_collect(server, [GradientMessage(3, np.array([1.0, 2.0])), FinishMessage(0)], 1)
+        server_collect(server, [update(0, [3], [[1.0, 2.0]])], 1)
         server_end_round(server)
         assert np.array_equal(server.v[3], [1.0, 2.0])
         assert np.array_equal(server.v[[0, 1, 2, 4]], np.zeros((4, 2)))
 
     def test_permuted_delivery_gives_identical_factors(self):
         rng = np.random.default_rng(0)
-        msgs = [GradientMessage(int(rng.integers(0, 8)), rng.normal(size=2)) for _ in range(50)]
-        msgs.append(FinishMessage(0))
+        item_ids = rng.integers(0, 8, size=50)
+        deltas = rng.normal(size=(50, 2))
         results = []
         for order_seed in (1, 2, 3):
             server = ServerState(v=np.zeros((8, 2)), n_items=8, k=2)
             server_begin_round(server)
-            perm = np.random.default_rng(order_seed).permutation(len(msgs) - 1)
-            shuffled = [msgs[i] for i in perm] + [msgs[-1]]
-            server_collect(server, shuffled, 1)
+            order = np.random.default_rng(order_seed)
+            # rows shuffled across four clients' updates, updates shuffled too
+            perm = order.permutation(50)
+            cuts = np.sort(order.choice(np.arange(1, 50), size=3, replace=False))
+            updates = [
+                update(cid, item_ids[rows], deltas[rows])
+                for cid, rows in enumerate(np.split(perm, cuts))
+            ]
+            shuffled = [updates[i] for i in order.permutation(len(updates))]
+            server_collect(server, shuffled, 4)
             server_end_round(server)
             results.append(server.v.copy())
         assert np.array_equal(results[0], results[1])
@@ -133,27 +173,33 @@ class TestServer:
         server = ServerState(v=np.zeros((5, 2)), n_items=5, k=2)
         server_begin_round(server)
         with pytest.raises(ProtocolError, match="round aborted"):
-            server_collect(server, [GradientMessage(1, np.zeros(2))], n_clients=2)
+            server_collect(server, [update(0, [1], np.zeros((1, 2)))], n_clients=2)
 
     def test_per_item_average_mode(self):
         server = ServerState(v=np.zeros((4, 1)), n_items=4, k=1, per_item_average=True)
         server_begin_round(server)
-        msgs = [
-            GradientMessage(0, np.array([2.0])),
-            GradientMessage(0, np.array([4.0])),
-            GradientMessage(2, np.array([9.0])),
-            FinishMessage(0),
-        ]
-        server_collect(server, msgs, 1)
+        server_collect(server, [update(0, [0, 0, 2], [[2.0], [4.0], [9.0]])], 1)
         server_end_round(server)
         assert np.array_equal(server.v[:, 0], [3.0, 0.0, 9.0, 0.0])
+
+    def test_unknown_item_rejected(self):
+        server = ServerState(v=np.zeros((5, 2)), n_items=5, k=2)
+        server_begin_round(server)
+        with pytest.raises(ProtocolError, match="unknown item 5"):
+            server_collect(server, [update(0, [1, 5], np.zeros((2, 2)))], n_clients=1)
+
+    def test_unknown_item_rejected_from_bytes(self):
+        server = ServerState(v=np.zeros((5, 2)), n_items=5, k=2)
+        server_begin_round(server)
+        data = encode_message(GradientMessage(5, np.zeros(2))) + encode_message(FinishMessage(0))
+        with pytest.raises(ProtocolError, match="unknown item 5"):
+            server_collect(server, decode_updates(data, 2, 5), n_clients=1)
 
 
 class TestInformationFlow:
     def test_server_sees_only_gradient_and_finish_frames(self):
         ds = synthetic_dataset(6, 10, seed=1, mean_ratings_per_user=4)
         hp = make_hp(seed=2)
-        transport = MemoryTransport()
         model0 = init_model(ds.n_users, ds.n_items, hp)
         clients = []
         for i in range(ds.n_users):
@@ -161,13 +207,12 @@ class TestInformationFlow:
             clients.append(client_init(i, items, ratings, model0.u[i], ds.n_items, hp, None, None, 7))
         server = ServerState(v=model0.v.copy(), n_items=ds.n_items, k=hp.k)
         snapshot = server_begin_round(server)
-        seen = []
-        for c in clients:
-            for m in client_iteration(c, snapshot, 1):
-                seen.append(m)
-                transport.send(m)
-        assert all(isinstance(m, (GradientMessage, FinishMessage)) for m in seen)
-        server_collect(server, transport.drain(), len(clients))
+        updates = [client_iteration(c, snapshot, 1) for c in clients]
+        data = encode_updates(updates, Handshake(hp.k, ds.n_items))
+        seen = list(iter_messages(data, expect_k=hp.k))
+        assert seen[0] == Handshake(hp.k, ds.n_items)
+        assert all(isinstance(m, (GradientMessage, FinishMessage)) for m in seen[1:])
+        server_collect(server, decode_updates(data, hp.k, ds.n_items), len(clients))
         server_end_round(server)
 
 
@@ -231,3 +276,8 @@ class TestRunTraining:
         ds = synthetic_dataset(5, 6, seed=0, mean_ratings_per_user=3)
         with pytest.raises(ValueError, match="unknown task"):
             run_training(ds, make_hp(), 1, task="ranking")
+
+    def test_unknown_transport_rejected(self):
+        ds = synthetic_dataset(5, 6, seed=0, mean_ratings_per_user=3)
+        with pytest.raises(ValueError, match="unknown transport"):
+            run_training(ds, make_hp(), 1, transport="byte")

@@ -13,6 +13,7 @@ from privmf.sgld import (
     predict,
     prediction_errors,
     rating_error,
+    reduce_item_deltas,
     user_step,
 )
 
@@ -105,6 +106,84 @@ class TestSteps:
         draws = np.array([user_step(u, e, v, eta, hp, rng) - clean for _ in range(10_000)])
         assert draws.var(axis=0) == pytest.approx(eta, rel=0.05)
         assert draws.mean(axis=0) == pytest.approx(0.0, abs=4 * np.sqrt(eta / 10_000))
+
+
+class TestBlockSteps:
+    """The distributed and centralized paths draw a round's steps as one
+    block; their bitwise parity rests on these equalities."""
+
+    def test_block_steps_equal_stacked_row_calls(self):
+        hp = make_hp(k=4, noise=True, lam=0.03)
+        data = np.random.default_rng(1)
+        u = data.normal(size=4)
+        v_rows = data.normal(size=(7, 4))
+        errs = data.normal(size=7)
+        eta = 0.07
+
+        def assert_same(block_call, row_call):
+            block_rng, row_rng = np.random.default_rng(5), np.random.default_rng(5)
+            block = block_call(block_rng)
+            rows = np.stack([row_call(i, row_rng) for i in range(7)])
+            assert block.shape == (7, 4)
+            assert np.array_equal(block.view(np.uint64), rows.view(np.uint64))
+            assert block_rng.random() == row_rng.random()  # same stream position
+
+        assert_same(
+            lambda r: user_step(u, errs, v_rows, eta, hp, r),
+            lambda i, r: user_step(u, errs[i], v_rows[i], eta, hp, r),
+        )
+        assert_same(
+            lambda r: item_step(v_rows, errs, u, eta, hp, r),
+            lambda i, r: item_step(v_rows[i], errs[i], u, eta, hp, r),
+        )
+
+
+def sorted_loop_reduce(blocks, n_items, k):
+    """The reduction as a sort of (item, delta bytes) and a running sum."""
+    pairs = [(int(j), d) for ids, deltas in blocks for j, d in zip(ids, deltas)]
+    acc = np.zeros((n_items, k))
+    counts = np.zeros(n_items, dtype=np.int64)
+    for item, delta in sorted(pairs, key=lambda p: (p[0], p[1].tobytes())):
+        acc[item] += delta
+        counts[item] += 1
+    return acc, counts
+
+
+def random_blocks(rng, n_items=6, k=3):
+    blocks = []
+    for m in (0, 9, 1, 23, 14):
+        ids = rng.integers(0, n_items, size=m)
+        deltas = rng.normal(size=(m, k)) * 10.0 ** rng.integers(-8, 8, size=(m, 1))
+        blocks.append((ids, deltas))
+    # repeated rows and signed zeros
+    repeated = [[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, -0.0, 1.0], [3.0, 1e300, -1e-300]]
+    blocks.append((np.array([2, 2, 2, 5]), np.array(repeated)))
+    return blocks
+
+
+class TestReduceItemDeltas:
+    def test_matches_sorted_loop_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            blocks = random_blocks(rng)
+            sums, counts = reduce_item_deltas(blocks, 6, 3)
+            ref_sums, ref_counts = sorted_loop_reduce(blocks, 6, 3)
+            assert np.array_equal(sums.view(np.uint64), ref_sums.view(np.uint64))
+            assert np.array_equal(counts, ref_counts)
+
+    def test_invariant_to_shuffling_rows_across_blocks(self):
+        rng = np.random.default_rng(12)
+        blocks = random_blocks(rng)
+        ids = np.concatenate([b[0] for b in blocks])
+        deltas = np.concatenate([b[1] for b in blocks])
+        sums, counts = reduce_item_deltas(blocks, 6, 3)
+        for _ in range(5):
+            perm = rng.permutation(len(ids))
+            cuts = np.sort(rng.choice(np.arange(1, len(ids)), size=4, replace=False))
+            shuffled = [(ids[rows], deltas[rows]) for rows in np.split(perm, cuts)]
+            other_sums, other_counts = reduce_item_deltas(shuffled, 6, 3)
+            assert np.array_equal(sums.view(np.uint64), other_sums.view(np.uint64))
+            assert np.array_equal(counts, other_counts)
 
 
 def finite_difference_grad(loss, x, step=1e-6):
