@@ -53,22 +53,32 @@ def bpr_step(
     hp: Hyperparams,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Additive deltas (du, dv_pos, dv_neg) for one sampled pair.
+    """Additive deltas (du, dv_pos, dv_neg) for one sampled pair; with
+    ``(n, k)`` blocks of positive and negative item rows, ``(n, k)`` blocks
+    of deltas, one row per pair.
 
     With noise off these descend the pairwise log-loss
     ``-ln sigmoid(x) + 0.5 u' diag(lambda_u) u + 0.5 v' diag(lambda_v) v``
     (both item terms), each step optionally carrying N(0, eta_t I) noise.
     """
-    x = bpr_margin(u, v_pos, v_neg)
-    s = sigma_bar(x)
+    if v_pos.ndim == 1:
+        s = sigma_bar(bpr_margin(u, v_pos, v_neg))
+    else:
+        if not (v_pos.shape == v_neg.shape and v_pos.shape[1:] == u.shape):
+            raise ValueError("dimension mismatch between factors")
+        # np.vecdot takes one BLAS dot per row, so margins round as in
+        # bpr_margin; np.exp would not round as math.exp does
+        x = np.vecdot(v_pos, u) - np.vecdot(v_neg, u)
+        s = np.array([sigma_bar(xi) for xi in x.tolist()])[:, None]
     du = -eta_t * (s * (-v_pos + v_neg) + hp.lambda_u * u)
     dpos = -eta_t * (-s * u + hp.lambda_v * v_pos)
     dneg = -eta_t * (s * u + hp.lambda_v * v_neg)
     if hp.noise_enabled:
-        scale = np.sqrt(eta_t)
-        du = du + scale * rng.standard_normal(hp.k)
-        dpos = dpos + scale * rng.standard_normal(hp.k)
-        dneg = dneg + scale * rng.standard_normal(hp.k)
+        # per pair: du, dpos, dneg noise, so a block draws as n pair calls do
+        noise = np.sqrt(eta_t) * rng.standard_normal(v_pos.shape[:-1] + (3, hp.k))
+        du = du + noise[..., 0, :]
+        dpos = dpos + noise[..., 1, :]
+        dneg = dneg + noise[..., 2, :]
     return du, dpos, dneg
 
 
@@ -77,9 +87,10 @@ def sd_bpr_client_iteration(state, v_snapshot: np.ndarray, t: int) -> ClientUpda
 
     A selected rated item pairs with a fresh uniform unrated partner and
     sends its positive-role delta; a selected unrated item pairs with a
-    uniform rated partner and sends its negative-role delta. The user
-    factor applies the average of all pair deltas once per round. No fake
-    errors are needed, so the fake-gradient budget is unused.
+    uniform rated partner and sends its negative-role delta. All partners
+    are drawn first, then every pair steps as one block. The user factor
+    applies the average of all pair deltas once per round. No fake errors
+    are needed, so the fake-gradient budget is unused.
     """
     if t < 1:
         raise ValueError(f"round index must be >= 1, got {t}")
@@ -90,25 +101,23 @@ def sd_bpr_client_iteration(state, v_snapshot: np.ndarray, t: int) -> ClientUpda
     send = randresp.irr(state.bits_prime, state.rr.p, state.rr.q, rng)
 
     selected = np.flatnonzero(send)
-    deltas = np.empty((len(selected), hp.k), dtype=np.float64)
-    keep = np.ones(len(selected), dtype=bool)
-    du_acc = np.zeros(hp.k, dtype=np.float64)
-    for pos, j in enumerate(selected):
-        if state.bits[j]:
-            if len(state.unrated) == 0:
-                logger.warning(
-                    "client %d has rated every item; cannot sample a pair partner", state.client_id
-                )
-                keep[pos] = False
-                continue
-            partner = state.unrated[rng.integers(len(state.unrated))]
-            du, deltas[pos], _ = bpr_step(state.u, v_snapshot[j], v_snapshot[partner], eta, hp, rng)
-        else:
-            partner = state.items[rng.integers(state.h)]
-            du, _, deltas[pos] = bpr_step(state.u, v_snapshot[partner], v_snapshot[j], eta, hp, rng)
-        du_acc += du
-
-    pairs = int(keep.sum())
-    if pairs:
-        state.u += du_acc / pairs
-    return ClientUpdate(state.client_id, selected[keep], deltas[keep])
+    if len(state.unrated) == 0 and len(selected):
+        # every selected item is rated and has no unrated partner
+        logger.warning(
+            "client %d has rated every item; cannot sample a pair partner", state.client_id
+        )
+        return ClientUpdate(state.client_id, selected[:0], np.empty((0, hp.k)))
+    rated = state.bits[selected].astype(bool)
+    # one draw per pair, in send-set order: the stream of per-pair scalar draws
+    draws = rng.integers(0, np.where(rated, len(state.unrated), state.h))
+    partner = np.empty_like(selected)
+    partner[rated] = state.unrated[draws[rated]]
+    partner[~rated] = state.items[draws[~rated]]
+    own, other = v_snapshot[selected], v_snapshot[partner]
+    role = rated[:, None]
+    du, dpos, dneg = bpr_step(
+        state.u, np.where(role, own, other), np.where(role, other, own), eta, hp, rng
+    )
+    if len(selected):
+        state.u += du.sum(axis=0) / len(selected)
+    return ClientUpdate(state.client_id, selected, np.where(role, dpos, dneg))

@@ -8,6 +8,12 @@ Frames are self-delimiting:
 
 All integers are little-endian unsigned 32-bit; reals are little-endian
 IEEE-754 doubles. decode(encode(m)) == m exactly.
+
+A gradient frame has a fixed size, 9 + 8k bytes, so a run of them is one
+packed record array ``[u1 type, <u4 item, <u4 k, (k,)<f8 delta]``:
+``encode_updates`` writes each client's rows with one ``tobytes`` and
+``decode_updates`` reads each run of gradient frames with one
+``frombuffer``. The bytes are those of frame-by-frame ``encode_message``.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ TYPE_FINISH = 0x02
 
 _HEAD = struct.Struct("<BI")
 _U32 = struct.Struct("<I")
+_U32_MAX = 2**32 - 1
 
 
 class CodecError(ValueError):
@@ -126,34 +133,80 @@ def iter_messages(data: bytes, expect_k: int | None = None):
         yield msg
 
 
+def _gradient_dtype(k: int) -> np.dtype:
+    """A gradient frame as one packed record: 9 + 8k bytes, no padding."""
+    return np.dtype([("type", "u1"), ("item", "<u4"), ("k", "<u4"), ("delta", "<f8", (k,))])
+
+
+def _check_u32(values, what: str) -> None:
+    values = np.asarray(values)
+    if values.size and (values.min() < 0 or values.max() > _U32_MAX):
+        raise CodecError(f"{what} outside [0, 2**32)")
+
+
 def encode_updates(updates, handshake: Handshake | None = None) -> bytes:
     """Frames for a round's updates, in order, each client's gradient frames
-    followed by its finish frame; the handshake, when given, goes first."""
+    followed by its finish frame; the handshake, when given, goes first.
+
+    A client's gradient frames are one packed record array."""
     frames = [] if handshake is None else [encode_message(handshake)]
     for update in updates:
-        for item_id, delta in zip(update.item_ids, update.deltas):
-            frames.append(encode_message(GradientMessage(int(item_id), delta)))
+        _check_u32(update.client_id, f"client id {update.client_id}")
+        _check_u32(update.item_ids, f"client {update.client_id}: item id")
+        deltas = update.deltas
+        records = np.empty(len(deltas), dtype=_gradient_dtype(deltas.shape[1]))
+        records["type"] = TYPE_GRADIENT
+        records["item"] = update.item_ids
+        records["k"] = deltas.shape[1]
+        records["delta"] = deltas
+        frames.append(records.tobytes())
         frames.append(encode_message(FinishMessage(update.client_id)))
     return b"".join(frames)
+
+
+def _gradient_run(data: bytes, offset: int, records: np.dtype, k: int) -> np.ndarray:
+    """The whole gradient frames of dimension ``k`` from ``offset`` on, up to
+    the first other frame, as packed records; scanned in doubling windows."""
+    n_max = (len(data) - offset) // records.itemsize
+    n, window = 0, 64
+    while n < n_max:
+        m = min(window, n_max - n)
+        block = np.frombuffer(data, records, count=m, offset=offset + n * records.itemsize)
+        ok = (block["type"] == TYPE_GRADIENT) & (block["k"] == k)
+        if not ok.all():
+            n += int(np.argmin(ok))
+            break
+        n, window = n + m, 2 * window
+    return np.frombuffer(data, records, count=n, offset=offset)
 
 
 def decode_updates(data: bytes, k: int, n_items: int) -> list[ClientUpdate]:
     """Regroup a round's frames into updates, one per finish frame.
 
-    Rejects a handshake that differs from the session's ``(k, n_items)``
-    and gradient frames that no finish frame closes.
+    Each run of gradient frames is read as one packed record array; the
+    frame that ends a run is decoded on its own, so a malformed one raises
+    the same ``CodecError`` as frame-by-frame decoding. Rejects a handshake
+    that differs from the session's ``(k, n_items)`` and gradient frames
+    that no finish frame closes.
     """
-    updates, ids, rows = [], [], []
-    for msg in iter_messages(data, expect_k=k):
-        if isinstance(msg, GradientMessage):
-            ids.append(msg.item_id)
-            rows.append(msg.delta)
-        elif isinstance(msg, FinishMessage):
-            deltas = np.array(rows, dtype=np.float64).reshape(len(ids), k)
-            updates.append(ClientUpdate(msg.client_id, np.array(ids, dtype=np.int64), deltas))
-            ids, rows = [], []
+    records = _gradient_dtype(k)
+    updates, runs = [], []
+    offset = 0
+    while offset < len(data):
+        run = _gradient_run(data, offset, records, k)
+        if len(run):
+            runs.append(run)
+            offset += run.nbytes
+            if offset == len(data):
+                break
+        msg, offset = _decode_at(data, offset, k)
+        if isinstance(msg, FinishMessage):
+            run = np.concatenate(runs) if runs else np.empty(0, dtype=records)
+            deltas = run["delta"].astype(np.float64)
+            updates.append(ClientUpdate(msg.client_id, run["item"].astype(np.int64), deltas))
+            runs = []
         elif (msg.k, msg.n_items) != (k, n_items):
             raise CodecError(f"handshake mismatch: {msg} vs session ({k}, {n_items})")
-    if ids:
-        raise CodecError(f"{len(ids)} gradient frame(s) without a finish frame")
+    if runs:
+        raise CodecError(f"{sum(map(len, runs))} gradient frame(s) without a finish frame")
     return updates

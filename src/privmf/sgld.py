@@ -122,12 +122,11 @@ def prediction_errors(
     """Per-item prediction errors r - u.v for one user's rated items.
 
     Shared by the centralized trainer and the protocol clients so both
-    paths produce bitwise-identical error sequences.
+    paths produce bitwise-identical error sequences. ``np.vecdot`` takes
+    one BLAS dot per row, so each error rounds as ``r - np.dot(u, v)``; a
+    matvec would not.
     """
-    out = np.empty(len(items), dtype=np.float64)
-    for pos in range(len(items)):
-        out[pos] = ratings[pos] - np.dot(u, v_matrix[items[pos]])
-    return out
+    return ratings - np.vecdot(v_matrix[items], u)
 
 
 def _step(x, e, other, lam, eta_t, hp, rng) -> np.ndarray:

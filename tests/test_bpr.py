@@ -116,6 +116,33 @@ class TestStep:
         assert np.allclose(dpos, -dneg, atol=1e-12)
 
 
+class TestBlockSteps:
+    """The client steps all its pairs as one block; its parity with the
+    per-pair reference rests on these equalities."""
+
+    @pytest.mark.parametrize("noise", [False, True])
+    @pytest.mark.parametrize("k", [2, 4, 10, 50])
+    def test_block_step_equals_stacked_pair_calls(self, noise, k):
+        hp = make_hp(k=k, noise=noise, lam=0.03)
+        data = np.random.default_rng(k)
+        u = data.normal(size=k)
+        v_pos, v_neg = data.normal(size=(2, 7, k))
+        eta = 0.07
+        block_rng, row_rng = np.random.default_rng(5), np.random.default_rng(5)
+        block = bpr_step(u, v_pos, v_neg, eta, hp, block_rng)
+        rows = [bpr_step(u, v_pos[i], v_neg[i], eta, hp, row_rng) for i in range(7)]
+        for got, expected in zip(block, zip(*rows)):
+            expected = np.stack(expected)
+            assert got.shape == (7, k)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert block_rng.random() == row_rng.random()  # same stream position
+
+    def test_block_dimension_mismatch(self):
+        hp = make_hp(k=3)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            bpr_step(np.zeros(3), np.zeros((2, 3)), np.zeros((3, 3)), 0.1, hp, np.random.default_rng(0))
+
+
 def make_bpr_client(hp, n_items=10, items=(1, 4, 7), seed=42, cid=0):
     items = np.array(items)
     ratings = np.full(len(items), 1.0, dtype=float)
@@ -171,3 +198,21 @@ class TestClientIteration:
             update = sd_bpr_client_iteration(state, np.zeros((3, hp.k)), 1)
         assert "cannot sample a pair partner" in caplog.text
         assert len(update.item_ids) == 0 and update.deltas.shape == (0, hp.k)
+        # one warning per client round, not one per selected rated item
+        partner_warnings = [r for r in caplog.records if "cannot sample a pair partner" in r.getMessage()]
+        assert len(partner_warnings) == 1
+
+    def test_noise_on_round_is_deterministic(self):
+        hp = make_hp(k=3, eta0=0.2, seed=5, noise=True, lam=0.01)
+        v = np.random.default_rng(2).normal(size=(10, hp.k))
+        runs = []
+        for _ in range(2):
+            state = make_bpr_client(hp, items=(1, 4, 7), seed=17)
+            state.rr = RRParams(f=0.0, p=0.5, q=0.9, p_star=0.5, q_star=0.9, h=3, z=5.0)
+            update = sd_bpr_client_iteration(state, v, 2)
+            runs.append((update, state.u.copy()))
+        (a, u_a), (b, u_b) = runs
+        assert len(a.item_ids) > 0
+        assert np.array_equal(a.item_ids, b.item_ids)
+        assert np.array_equal(a.deltas.view(np.uint64), b.deltas.view(np.uint64))
+        assert np.array_equal(u_a.view(np.uint64), u_b.view(np.uint64))

@@ -109,6 +109,119 @@ class TestUpdates:
         assert_updates_equal(decode_updates(encode_updates(updates), 3, 10), updates)
 
 
+SPECIAL_DELTAS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072e-310, float("inf"), float("-inf")]
+
+
+@st.composite
+def update_lists(draw):
+    k = draw(st.integers(min_value=1, max_value=12))
+    delta = st.one_of(st.floats(allow_nan=False, width=64), st.sampled_from(SPECIAL_DELTAS))
+    updates = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        n = draw(st.integers(min_value=0, max_value=6))
+        ids = draw(st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=n, max_size=n))
+        values = draw(st.lists(delta, min_size=n * k, max_size=n * k))
+        client = draw(st.integers(min_value=0, max_value=2**32 - 1))
+        updates.append(
+            ClientUpdate(client, np.array(ids, dtype=np.int64), np.array(values).reshape(n, k))
+        )
+    return k, updates
+
+
+def frame_by_frame(updates, handshake=None):
+    frames = [] if handshake is None else [handshake]
+    for up in updates:
+        frames += [GradientMessage(int(j), d) for j, d in zip(up.item_ids, up.deltas)]
+        frames.append(FinishMessage(up.client_id))
+    return b"".join(encode_message(m) for m in frames)
+
+
+def decode_frame_by_frame(data, k, n_items):
+    """The per-frame decoder the batch decoder must agree with, errors included."""
+    updates, ids, rows = [], [], []
+    for msg in iter_messages(data, expect_k=k):
+        if isinstance(msg, GradientMessage):
+            ids.append(msg.item_id)
+            rows.append(msg.delta)
+        elif isinstance(msg, FinishMessage):
+            deltas = np.array(rows, dtype=np.float64).reshape(len(ids), k)
+            updates.append(ClientUpdate(msg.client_id, np.array(ids, dtype=np.int64), deltas))
+            ids, rows = [], []
+        elif (msg.k, msg.n_items) != (k, n_items):
+            raise CodecError(f"handshake mismatch: {msg} vs session ({k}, {n_items})")
+    if ids:
+        raise CodecError(f"{len(ids)} gradient frame(s) without a finish frame")
+    return updates
+
+
+def assert_same_decoding(data, k, n_items):
+    try:
+        expected = decode_frame_by_frame(data, k, n_items)
+    except CodecError as exc:
+        with pytest.raises(CodecError) as got:
+            decode_updates(data, k, n_items)
+        assert str(got.value) == str(exc)
+    else:
+        assert_updates_equal(decode_updates(data, k, n_items), expected)
+
+
+class TestBatchProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(case=update_lists(), n_items=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_batch_equals_frame_by_frame(self, case, n_items):
+        k, updates = case
+        handshake = Handshake(k, n_items)
+        for hs in (None, handshake):
+            data = encode_updates(updates, hs)
+            assert data == frame_by_frame(updates, hs)
+            assert_updates_equal(decode_updates(data, k, n_items), updates)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=update_lists(), cut=st.integers(min_value=0))
+    def test_truncated_streams_fail_like_frame_by_frame(self, case, cut):
+        k, updates = case
+        data = encode_updates(updates, Handshake(k, 10))
+        assert_same_decoding(data[: cut % (len(data) + 1)], k, 10)
+
+
+class TestBatchErrors:
+    def rows(self, n, k=3, item=0):
+        update = ClientUpdate(1, np.arange(item, item + n), np.ones((n, k)))
+        return encode_updates([update])[:-5]  # gradient frames only, no finish
+
+    def test_dimension_mismatch_inside_a_run(self):
+        bad = encode_message(GradientMessage(2, np.zeros(2)))
+        data = self.rows(70) + bad + self.rows(5) + encode_message(FinishMessage(1))
+        assert_same_decoding(data, 3, 10)
+        with pytest.raises(CodecError, match="gradient dimension 2 does not match session k=3"):
+            decode_updates(data, 3, 10)
+
+    def test_truncated_last_gradient_frame(self):
+        for cut in (1, 9, 20):
+            data = self.rows(4)[:-cut]
+            assert_same_decoding(data, 3, 10)
+            with pytest.raises(CodecError, match="truncated gradient frame"):
+                decode_updates(data, 3, 10)
+
+    def test_unknown_type_byte_after_a_run(self):
+        data = self.rows(3) + b"\x7f\x00\x00\x00\x00" + encode_message(FinishMessage(1))
+        assert_same_decoding(data, 3, 10)
+        with pytest.raises(CodecError, match="unknown frame type byte 0x7f"):
+            decode_updates(data, 3, 10)
+
+    @pytest.mark.parametrize("bad", [-1, 2**32])
+    def test_item_id_outside_u32(self, bad):
+        update = ClientUpdate(0, np.array([3, bad]), np.zeros((2, 3)))
+        with pytest.raises(CodecError, match="item id outside"):
+            encode_updates([update])
+
+    @pytest.mark.parametrize("bad", [-1, 2**32])
+    def test_client_id_outside_u32(self, bad):
+        update = ClientUpdate(bad, np.array([3]), np.zeros((1, 3)))
+        with pytest.raises(CodecError, match="client id .* outside"):
+            encode_updates([update])
+
+
 class TestErrors:
     def test_truncated_frames(self):
         full = encode_message(GradientMessage(1, np.array([1.0, 2.0])))

@@ -137,6 +137,19 @@ class TestBlockSteps:
             lambda i, r: item_step(v_rows[i], errs[i], u, eta, hp, r),
         )
 
+    @pytest.mark.parametrize("k", [1, 3, 10, 16, 17, 50])
+    def test_prediction_errors_equal_per_row_dots(self, k):
+        # np.vecdot must round each row as np.dot does, on both sides of
+        # BLAS's unrolled-kernel threshold
+        data = np.random.default_rng(k)
+        u = data.normal(size=k)
+        v = data.normal(size=(30, k)) * 10.0 ** data.integers(-4, 4, size=(30, 1))
+        items = np.sort(data.choice(30, size=12, replace=False))
+        ratings = data.uniform(1, 5, size=12)
+        expected = np.array([r - np.dot(u, v[j]) for j, r in zip(items, ratings)])
+        errs = prediction_errors(u, v, items, ratings)
+        assert np.array_equal(errs.view(np.uint64), expected.view(np.uint64))
+
 
 def sorted_loop_reduce(blocks, n_items, k):
     """The reduction as a sort of (item, delta bytes) and a running sum."""
