@@ -15,7 +15,9 @@ import numpy as np
 
 from . import randresp
 from .experiment import ConfigError, load_config, load_dataset, run_experiments
-from .rng import TAG_CLIENT_INIT, TAG_CLIENT_ROUND, derive_rng
+from .protocol import client_init
+from .rng import TAG_CLIENT_ROUND, derive_rng
+from .sgld import Hyperparams
 
 
 def _cmd_run(args) -> int:
@@ -40,50 +42,45 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    """Simulate the averaging adversary against the configured budgets."""
+    """Simulate the averaging adversary against each configured eps_i."""
     config = load_config(args.config)
     dataset = load_dataset(config)
-    eps_i = config.eps_i[0]
     rounds = config.iterations
     z_target = config.z_target if config.z_target is not None else len(dataset) / dataset.n_users
+    hp = Hyperparams.with_gamma_priors(config.k, config.eta0, config.gamma, config.seed)
+    u0, n_items = np.zeros(hp.k), dataset.n_items
+    for block, eps_i in enumerate(config.eps_i):
+        budget = randresp.PrivacyBudget(eps_i, config.eps_p)
+        attacked, skipped, rated_total = 0, 0, 0
+        hits = np.zeros(3, dtype=np.int64)  # bits of B, rated bits of B, bits of B'
+        for user in dataset.active_users():
+            try:
+                state = client_init(
+                    user, *dataset.user_items(user), u0, n_items, hp, budget, z_target, config.seed
+                )
+            except randresp.CalibrationError:
+                skipped += 1
+                continue
+            rr = state.rr
+            samples = np.empty((rounds, n_items), dtype=np.uint8)
+            for t in range(1, rounds + 1):
+                rng = derive_rng(config.seed, TAG_CLIENT_ROUND, user, t)
+                samples[t - 1] = randresp.irr(state.bits_prime, rr.p, rr.q, rng)
+            guess = randresp.classify_rated(randresp.average_attack(samples), rr.p_star, rr.q_star)
+            rated = state.bits == 1
+            hits += (np.sum(guess == rated), np.sum(guess[rated]), np.sum(guess == state.bits_prime))
+            attacked += 1
+            rated_total += state.h
 
-    rated_hits, rated_total = 0, 0
-    bit_hits, bit_total = 0, 0
-    prime_hits, prime_total = 0, 0
-    skipped = 0
-    for user in range(dataset.n_users):
-        pairs = dataset.per_user.get(user, [])
-        if not pairs:
-            continue
-        h = len(pairs)
-        try:
-            rr = randresp.calibrate(eps_i, h, dataset.n_items, z_target, eps_p=config.eps_p)
-        except randresp.CalibrationError:
-            skipped += 1
-            continue
-        bits = np.zeros(dataset.n_items, dtype=np.uint8)
-        bits[[i for i, _ in pairs]] = 1
-        prr_rng = derive_rng(config.seed, TAG_CLIENT_INIT, user)
-        bits_prime = randresp.prr(bits, rr.f, prr_rng)
-        samples = np.empty((rounds, dataset.n_items), dtype=np.uint8)
-        for t in range(1, rounds + 1):
-            rng = derive_rng(config.seed, TAG_CLIENT_ROUND, user, t)
-            samples[t - 1] = randresp.irr(bits_prime, rr.p, rr.q, rng)
-        guess = randresp.classify_rated(randresp.average_attack(samples), rr.p_star, rr.q_star)
-        bit_hits += int(np.sum(guess == bits.astype(bool)))
-        bit_total += dataset.n_items
-        rated = bits == 1
-        rated_hits += int(np.sum(guess[rated]))
-        rated_total += int(np.sum(rated))
-        prime_hits += int(np.sum(guess == bits_prime.astype(bool)))
-        prime_total += dataset.n_items
-
-    print(f"clients attacked   : {dataset.n_users - skipped} (skipped {skipped})")
-    print(f"rounds observed    : {rounds}")
-    print(f"eps_i              : {eps_i:g}")
-    print(f"accuracy vs B      : {bit_hits / max(bit_total, 1):.4f}")
-    print(f"rated-bit recall   : {rated_hits / max(rated_total, 1):.4f}")
-    print(f"accuracy vs B'     : {prime_hits / max(prime_total, 1):.4f}")
+        if block:
+            print()
+        print(f"clients attacked   : {dataset.n_users - skipped} (skipped {skipped})")
+        print(f"rounds observed    : {rounds}")
+        print(f"eps_i              : {eps_i:g}")
+        bit_total = max(attacked * n_items, 1)
+        print(f"accuracy vs B      : {hits[0] / bit_total:.4f}")
+        print(f"rated-bit recall   : {hits[1] / max(rated_total, 1):.4f}")
+        print(f"accuracy vs B'     : {hits[2] / bit_total:.4f}")
     return 0
 
 

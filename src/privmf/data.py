@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -21,32 +21,70 @@ class RatingTriple(NamedTuple):
     rating: float
 
 
-@dataclass
+@dataclass(eq=False)
 class RatingDataset:
-    """Sparse user-item ratings with a per-user index.
+    """Sparse user-item ratings: three row arrays plus a per-user index.
 
-    Ids are dense and 0-based internally; ``user_ids`` / ``item_ids`` map
-    internal indices back to the original external ids. Instances are
-    read-only after construction and safe to share across threads.
+    Row ``r`` says ``users[r]`` rated ``items[r]`` with ``ratings[r]``; rows
+    are in file order for parsed data and construction order otherwise.
+    The index is CSR: ``order`` is the stable ``np.lexsort((items, users))``
+    permutation, so user ``u``'s rows by item id are
+    ``order[indptr[u]:indptr[u + 1]]``. Ids are dense and 0-based;
+    ``user_ids`` / ``item_ids`` map them back to the external ids. The
+    arrays are not writeable: instances are read-only and safe to share.
     """
 
     n_users: int
     n_items: int
-    triples: list[RatingTriple]
-    per_user: dict[int, list[tuple[int, float]]]
+    users: np.ndarray
+    items: np.ndarray
+    ratings: np.ndarray
     score_range: tuple[float, float] = (1.0, 5.0)
     user_ids: list[int] = field(default_factory=list)
     item_ids: list[int] = field(default_factory=list)
+    order: np.ndarray = field(init=False, repr=False)
+    indptr: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.users = np.array(self.users, dtype=np.int64)
+        self.items = np.array(self.items, dtype=np.int64)
+        self.ratings = np.array(self.ratings, dtype=np.float64)
+        self.order = np.lexsort((self.items, self.users))
+        self.indptr = np.zeros(self.n_users + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.users, minlength=self.n_users), out=self.indptr[1:])
+        for array in (self.users, self.items, self.ratings, self.order, self.indptr):
+            array.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return len(self.users)
 
     def user_items(self, user: int) -> tuple[np.ndarray, np.ndarray]:
         """Item ids and ratings of one user, sorted by item id."""
-        pairs = self.per_user.get(user, [])
-        items = np.array([p[0] for p in pairs], dtype=np.int64)
-        ratings = np.array([p[1] for p in pairs], dtype=np.float64)
-        return items, ratings
+        rows = self.order[self.indptr[user] : self.indptr[user + 1]]
+        return self.items[rows], self.ratings[rows]
+
+    def active_users(self) -> list[int]:
+        """Ids of the users with at least one rating, ascending."""
+        return np.flatnonzero(np.diff(self.indptr)).tolist()
+
+    @property
+    def triples(self) -> list[RatingTriple]:
+        """The rows as triples, in row order (derived on each access)."""
+        return list(map(RatingTriple, self.users.tolist(), self.items.tolist(), self.ratings.tolist()))
+
+    @property
+    def per_user(self) -> dict[int, list[tuple[int, float]]]:
+        """User -> ``(item, rating)`` pairs by item id, users with ratings only (derived)."""
+        pairs = {user: self.user_items(user) for user in self.active_users()}
+        return {user: list(zip(i.tolist(), r.tolist())) for user, (i, r) in pairs.items()}
+
+    def with_ratings(self, ratings: np.ndarray, score_range: tuple[float, float]) -> RatingDataset:
+        """The same rows and id universe carrying new rating values."""
+        return replace(self, ratings=ratings, score_range=score_range)
+
+    def _rows(self, keep: np.ndarray) -> RatingDataset:
+        """The rows selected by ``keep``, in row order, over the same id universe."""
+        return replace(self, users=self.users[keep], items=self.items[keep], ratings=self.ratings[keep])
 
 
 @dataclass(frozen=True)
@@ -56,13 +94,20 @@ class SplitSpec:
     seed: int = 0
 
 
-def _index_per_user(triples: list[RatingTriple]) -> dict[int, list[tuple[int, float]]]:
-    per_user: dict[int, list[tuple[int, float]]] = {}
-    for t in triples:
-        per_user.setdefault(t.user_id, []).append((t.item_id, t.rating))
-    for pairs in per_user.values():
-        pairs.sort()
-    return per_user
+def _first_fault(bad_id, users, items, ratings, n_items, score_range) -> tuple[int, int] | None:
+    """The earliest faulty row and its first fault: 0 for an id flagged in
+    ``bad_id``, 1 for a rating outside ``score_range``, 2 for the (user,
+    item) pair of an earlier row; None when no row is faulty."""
+    lo, hi = score_range
+    # a key is exact for in-range ids, and rows past the first fault never matter
+    repeat = np.ones(len(users), dtype=bool)
+    repeat[np.unique(users * n_items + items, return_index=True)[1]] = False
+    faults = (bad_id, ~((lo <= ratings) & (ratings <= hi)), repeat)
+    faulty = np.logical_or.reduce(faults)
+    if not faulty.any():
+        return None
+    row = int(np.argmax(faulty))
+    return row, next(kind for kind, mask in enumerate(faults) if mask[row])
 
 
 def build_dataset(
@@ -73,26 +118,28 @@ def build_dataset(
     user_ids: list[int] | None = None,
     item_ids: list[int] | None = None,
 ) -> RatingDataset:
-    """Assemble a dataset and enforce its invariants."""
-    lo, hi = score_range
-    seen: set[tuple[int, int]] = set()
-    for t in triples:
-        if not (0 <= t.user_id < n_users and 0 <= t.item_id < n_items):
-            raise DataError(f"id out of range in triple {t}")
-        if not (lo <= t.rating <= hi):
-            raise DataError(f"rating {t.rating} outside declared range {score_range}")
-        key = (t.user_id, t.item_id)
-        if key in seen:
-            raise DataError(f"duplicate (user, item) pair {key}")
-        seen.add(key)
+    """Assemble a dataset and enforce its invariants.
+
+    The first triple with an id outside the universe, a rating outside
+    ``score_range`` or an already seen (user, item) pair raises DataError.
+    """
+    n = len(triples)
+    users = np.fromiter((t.user_id for t in triples), dtype=np.int64, count=n)
+    items = np.fromiter((t.item_id for t in triples), dtype=np.int64, count=n)
+    ratings = np.fromiter((t.rating for t in triples), dtype=np.float64, count=n)
+    bad_id = (users < 0) | (users >= n_users) | (items < 0) | (items >= n_items)
+    fault = _first_fault(bad_id, users, items, ratings, n_items, score_range)
+    if fault is not None:
+        t = triples[fault[0]]
+        raise DataError((
+            f"id out of range in triple {t}",
+            f"rating {t.rating} outside declared range {score_range}",
+            f"duplicate (user, item) pair {(t.user_id, t.item_id)}",
+        )[fault[1]])
     return RatingDataset(
-        n_users=n_users,
-        n_items=n_items,
-        triples=list(triples),
-        per_user=_index_per_user(triples),
-        score_range=score_range,
-        user_ids=list(user_ids) if user_ids is not None else list(range(n_users)),
-        item_ids=list(item_ids) if item_ids is not None else list(range(n_items)),
+        n_users, n_items, users, items, ratings, score_range,
+        list(range(n_users) if user_ids is None else user_ids),
+        list(range(n_items) if item_ids is None else item_ids),
     )
 
 
@@ -104,6 +151,19 @@ def _detect_delimiter(line: str) -> str | None:
     return None  # fall back to any-whitespace splitting
 
 
+def _reindex(external: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids in order of first appearance, and the external id of each."""
+    try:
+        values = np.array(external, dtype=np.int64)
+    except OverflowError:  # ids beyond 64 bits stay Python ints
+        values = np.array(external, dtype=object)
+    unique, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    by_appearance = np.argsort(first)
+    dense = np.empty(len(unique), dtype=np.int64)
+    dense[by_appearance] = np.arange(len(unique))
+    return dense[inverse], unique[by_appearance]
+
+
 def parse_ratings(
     text: str,
     delimiter: str | None = None,
@@ -113,13 +173,13 @@ def parse_ratings(
 
     Tab- or comma-delimited files are auto-detected; extra trailing fields
     (timestamps) are ignored. External ids are reindexed to dense 0-based
-    ids in order of first appearance, and the mapping is preserved.
+    ids in order of first appearance, and the mapping is preserved. A
+    malformed line, a negative id, a rating outside ``score_range`` or a
+    repeated (user, item) pair raises DataError naming the earliest faulty
+    line.
     """
-    triples: list[RatingTriple] = []
-    user_map: dict[int, int] = {}
-    item_map: dict[int, int] = {}
-    seen: set[tuple[int, int]] = set()
-    lo, hi = score_range
+    rows: list[tuple[int, int, int, float]] = []  # (line number, user, item, rating)
+    malformed: DataError | None = None  # rows stop at the first line that does not parse
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -129,110 +189,80 @@ def parse_ratings(
             delimiter = _detect_delimiter(line)
         fields = line.split(delimiter) if delimiter else line.split()
         if len(fields) < 3:
-            raise DataError(f"line {lineno}: expected at least 3 fields, got {len(fields)}")
+            malformed = DataError(f"line {lineno}: expected at least 3 fields, got {len(fields)}")
+            break
         try:
-            ext_user = int(fields[0])
-            ext_item = int(fields[1])
-            rating = float(fields[2])
+            rows.append((lineno, int(fields[0]), int(fields[1]), float(fields[2])))
         except ValueError as exc:
-            raise DataError(f"line {lineno}: {exc}") from None
-        if ext_user < 0 or ext_item < 0:
-            raise DataError(f"line {lineno}: negative id")
-        if not (lo <= rating <= hi):
-            raise DataError(f"line {lineno}: rating {rating} outside range {score_range}")
-        if (ext_user, ext_item) in seen:
-            raise DataError(f"line {lineno}: duplicate rating for (user={ext_user}, item={ext_item})")
-        seen.add((ext_user, ext_item))
-        u = user_map.setdefault(ext_user, len(user_map))
-        i = item_map.setdefault(ext_item, len(item_map))
-        triples.append(RatingTriple(u, i, rating))
+            malformed = DataError(f"line {lineno}: {exc}")
+            break
 
-    user_ids = [0] * len(user_map)
-    for ext, internal in user_map.items():
-        user_ids[internal] = ext
-    item_ids = [0] * len(item_map)
-    for ext, internal in item_map.items():
-        item_ids[internal] = ext
-
+    linenos, ext_users, ext_items, values = zip(*rows) if rows else ((),) * 4
+    users, user_ids = _reindex(ext_users)
+    items, item_ids = _reindex(ext_items)
+    ratings = np.array(values, dtype=np.float64)
+    negative = (user_ids[users] < 0) | (item_ids[items] < 0)
+    fault = _first_fault(negative, users, items, ratings, len(item_ids), score_range)
+    if fault is not None:
+        k = fault[0]
+        raise DataError(f"line {linenos[k]}: " + (
+            "negative id",
+            f"rating {values[k]} outside range {score_range}",
+            f"duplicate rating for (user={ext_users[k]}, item={ext_items[k]})",
+        )[fault[1]])
+    if malformed is not None:
+        raise malformed
     return RatingDataset(
-        n_users=len(user_map),
-        n_items=len(item_map),
-        triples=triples,
-        per_user=_index_per_user(triples),
-        score_range=score_range,
-        user_ids=user_ids,
-        item_ids=item_ids,
+        len(user_ids), len(item_ids), users, items, ratings, score_range,
+        user_ids.tolist(), item_ids.tolist(),
     )
 
 
 def format_ratings(dataset: RatingDataset, delimiter: str = "\t") -> str:
     """Serialize a dataset back to delimited text using external ids."""
-    lines = []
-    for t in dataset.triples:
-        lines.append(
-            f"{dataset.user_ids[t.user_id]}{delimiter}"
-            f"{dataset.item_ids[t.item_id]}{delimiter}{t.rating:g}"
-        )
+    user_ids, item_ids = dataset.user_ids, dataset.item_ids
+    lines = [
+        f"{user_ids[u]}{delimiter}{item_ids[i]}{delimiter}{r:g}"
+        for u, i, r in zip(dataset.users.tolist(), dataset.items.tolist(), dataset.ratings.tolist())
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _subset(dataset: RatingDataset, triples: list[RatingTriple]) -> RatingDataset:
-    """A dataset over the same user/item universe holding only ``triples``."""
-    return RatingDataset(
-        n_users=dataset.n_users,
-        n_items=dataset.n_items,
-        triples=triples,
-        per_user=_index_per_user(triples),
-        score_range=dataset.score_range,
-        user_ids=list(dataset.user_ids),
-        item_ids=list(dataset.item_ids),
-    )
 
 
 def split(dataset: RatingDataset, spec: SplitSpec) -> tuple[RatingDataset, RatingDataset]:
     """Partition into disjoint train/test datasets sharing the id universe.
 
-    ``random-holdout`` moves round(fraction * n) triples to the test set.
-    ``leave-one-out`` holds out exactly one triple per user with at least
+    ``random-holdout`` moves round(fraction * n) ratings to the test set.
+    ``leave-one-out`` holds out exactly one rating per user with at least
     two ratings; single-rating users stay fully in train (with a warning).
-    Deterministic for a fixed seed.
+    Both sides keep the dataset's row order. Deterministic for a fixed seed.
     """
     if len(dataset) == 0:
         raise DataError("cannot split an empty dataset")
     rng = np.random.default_rng(spec.seed)
+    test = np.zeros(len(dataset), dtype=bool)
 
     if spec.mode == "random-holdout":
         if not (0.0 < spec.fraction < 1.0):
             raise DataError(f"fraction must be in (0,1), got {spec.fraction}")
         n_test = int(round(spec.fraction * len(dataset)))
-        perm = rng.permutation(len(dataset))
-        test_idx = set(perm[:n_test].tolist())
-        train_triples = [t for k, t in enumerate(dataset.triples) if k not in test_idx]
-        test_triples = [dataset.triples[k] for k in sorted(test_idx)]
+        test[rng.permutation(len(dataset))[:n_test]] = True
     elif spec.mode == "leave-one-out":
-        held_item: dict[int, int] = {}
-        singletons = 0
-        for user in range(dataset.n_users):
-            pairs = dataset.per_user.get(user, [])
-            if len(pairs) >= 2:
-                held_item[user] = pairs[int(rng.integers(len(pairs)))][0]
-            elif len(pairs) == 1:
-                singletons += 1
+        counts = np.diff(dataset.indptr)
+        singletons = int(np.count_nonzero(counts == 1))
         if singletons:
             logger.warning(
                 "leave-one-out: %d user(s) with a single rating kept in train, excluded from test",
                 singletons,
             )
-        train_triples, test_triples = [], []
-        for t in dataset.triples:
-            if held_item.get(t.user_id) == t.item_id:
-                test_triples.append(t)
-            else:
-                train_triples.append(t)
+        eligible = np.flatnonzero(counts >= 2)
+        # one draw per eligible user, in user order: the position of the
+        # held-out rating among the user's ratings sorted by item
+        held = dataset.indptr[eligible] + rng.integers(0, counts[eligible])
+        test[dataset.order[held]] = True
     else:
         raise DataError(f"unknown split mode {spec.mode!r}")
 
-    return _subset(dataset, train_triples), _subset(dataset, test_triples)
+    return dataset._rows(~test), dataset._rows(test)
 
 
 def subsample(
@@ -252,47 +282,39 @@ def subsample(
     if n_users > dataset.n_users or n_items > dataset.n_items:
         raise DataError("subsample target exceeds dataset dimensions")
 
-    counts = np.zeros(dataset.n_items, dtype=np.int64)
-    for t in dataset.triples:
-        counts[t.item_id] += 1
+    counts = np.bincount(dataset.items, minlength=dataset.n_items)
     # most-rated first; ties broken by lower internal id
     order = np.lexsort((np.arange(dataset.n_items), -counts))
-    kept_items = set(order[:n_items].tolist())
+    item_kept = np.zeros(dataset.n_items, dtype=bool)
+    item_kept[order[:n_items]] = True
+    on_kept_item = item_kept[dataset.items]
 
-    user_deg = np.zeros(dataset.n_users, dtype=np.int64)
-    for t in dataset.triples:
-        if t.item_id in kept_items:
-            user_deg[t.user_id] += 1
-    qualifying = np.flatnonzero(user_deg >= min_ratings)
-    if len(qualifying) == 0:
+    user_deg = np.bincount(dataset.users[on_kept_item], minlength=dataset.n_users)
+    kept_users = np.flatnonzero(user_deg >= min_ratings)
+    if len(kept_users) == 0:
         logger.warning("subsample: no users with >= %d ratings among retained items", min_ratings)
-        kept_users: list[int] = []
-    elif len(qualifying) < n_users:
+    elif len(kept_users) < n_users:
         logger.warning(
             "subsample: only %d qualifying users (requested %d); keeping all",
-            len(qualifying),
+            len(kept_users),
             n_users,
         )
-        kept_users = qualifying.tolist()
     else:
         rng = np.random.default_rng(seed)
-        kept_users = sorted(rng.choice(qualifying, size=n_users, replace=False).tolist())
+        kept_users = np.sort(rng.choice(kept_users, size=n_users, replace=False))
+    user_kept = np.zeros(dataset.n_users, dtype=bool)
+    user_kept[kept_users] = True
+    kept_items = np.flatnonzero(item_kept)
 
-    user_remap = {old: new for new, old in enumerate(kept_users)}
-    item_remap = {old: new for new, old in enumerate(sorted(kept_items))}
-    triples = [
-        RatingTriple(user_remap[t.user_id], item_remap[t.item_id], t.rating)
-        for t in dataset.triples
-        if t.user_id in user_remap and t.item_id in item_remap
-    ]
+    # new ids follow the old ones' order: a kept id's rank among the kept
+    new_user, new_item = np.cumsum(user_kept) - 1, np.cumsum(item_kept) - 1
+    rows = on_kept_item & user_kept[dataset.users]
     return RatingDataset(
-        n_users=len(kept_users),
-        n_items=len(item_remap),
-        triples=triples,
-        per_user=_index_per_user(triples),
-        score_range=dataset.score_range,
-        user_ids=[dataset.user_ids[u] for u in kept_users],
-        item_ids=[dataset.item_ids[i] for i in sorted(kept_items)],
+        len(kept_users), len(kept_items),
+        new_user[dataset.users[rows]], new_item[dataset.items[rows]], dataset.ratings[rows],
+        dataset.score_range,
+        [dataset.user_ids[u] for u in kept_users.tolist()],
+        [dataset.item_ids[i] for i in kept_items.tolist()],
     )
 
 
@@ -311,7 +333,8 @@ def synthetic_dataset(
     hidden user-item affinity; rating values follow the same affinity plus
     observation noise, rounded into the score range. ``signal`` scales how
     much of a rating is affinity rather than noise. Every user gets at
-    least two ratings so leave-one-out splits are always possible.
+    least two ratings so leave-one-out splits are always possible. Rows
+    come user by user, each user's in item order.
     """
     rng = np.random.default_rng(seed)
     lo, hi = score_range
@@ -322,17 +345,20 @@ def synthetic_dataset(
     v_lat = rng.normal(0.0, 1.0, size=(n_items, latent_dim))
     popularity = rng.normal(0.0, 1.0, size=n_items)
 
-    triples: list[RatingTriple] = []
+    users, items, ratings = [], [], []
     for user in range(n_users):
         affinity = u_lat[user] @ v_lat.T
         h = int(np.clip(rng.poisson(mean_ratings_per_user), 2, n_items))
         logits = popularity + 0.8 * affinity
         probs = np.exp(logits - logits.max())
         probs /= probs.sum()
-        items = rng.choice(n_items, size=h, replace=False, p=probs)
-        for item in np.sort(items):
-            raw = mid + amp * affinity[item] + rng.normal(0.0, 0.35)
-            rating = float(np.clip(np.round(raw), lo, hi))
-            triples.append(RatingTriple(user, int(item), rating))
+        chosen = np.sort(rng.choice(n_items, size=h, replace=False, p=probs))
+        raw = mid + amp * affinity[chosen] + rng.normal(0.0, 0.35, size=h)
+        users.append(np.full(h, user))
+        items.append(chosen)
+        ratings.append(np.clip(np.round(raw), lo, hi))
 
-    return build_dataset(triples, n_users, n_items, score_range)
+    rows = [np.concatenate(column or [[]]) for column in (users, items, ratings)]
+    return RatingDataset(
+        n_users, n_items, *rows, score_range, list(range(n_users)), list(range(n_items))
+    )

@@ -194,7 +194,7 @@ def run_experiments(config: ExperimentConfig, dataset: RatingDataset | None = No
                 SplitSpec(mode=config.split_mode, fraction=config.test_fraction, seed=rep_seed),
             )
             if config.init_prediction == "mean":
-                init_pred = float(np.mean([t.rating for t in train.triples]))
+                init_pred = float(np.mean(train.ratings))
             else:
                 init_pred = float(config.init_prediction)
             hp = Hyperparams.with_gamma_priors(

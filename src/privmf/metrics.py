@@ -4,41 +4,38 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import RatingDataset, RatingTriple, _index_per_user
+from .data import RatingDataset
 from .sgld import FactorModel
 
 
 def rmse(test: RatingDataset, model: FactorModel) -> float:
-    """Root-mean-square prediction error over the test triples."""
+    """Root-mean-square prediction error over the test ratings."""
     if len(test) == 0:
         raise ValueError("empty test set")
-    users = np.array([t.user_id for t in test.triples])
-    items = np.array([t.item_id for t in test.triples])
-    ratings = np.array([t.rating for t in test.triples])
-    preds = np.einsum("ij,ij->i", model.u[users], model.v[items])
-    return float(np.sqrt(np.mean((ratings - preds) ** 2)))
+    preds = np.einsum("ij,ij->i", model.u[test.users], model.v[test.items])
+    return float(np.sqrt(np.mean((test.ratings - preds) ** 2)))
 
 
 def auc(test: RatingDataset, train: RatingDataset, model: FactorModel) -> float:
     """Leave-one-out ranking quality.
 
-    For each test user the held-out rated item competes against every item
-    the user rated in neither train nor test; the score is the fraction
+    For each test user each held-out rated item competes against every
+    other item the user did not rate in train; the score is the fraction
     ranked strictly below the positive, ties counting one half. Users with
     no candidate negatives are skipped.
     """
     per_user_auc = []
-    for user in range(test.n_users):
-        pairs = test.per_user.get(user)
-        if not pairs:
-            continue
-        known = {item for item, _ in train.per_user.get(user, [])}
+    for user in test.active_users():
+        positives, _ = test.user_items(user)
         scores = model.v @ model.u[user]
-        for pos_item, _ in pairs:
-            mask = np.ones(test.n_items, dtype=bool)
-            mask[list(known)] = False
-            mask[pos_item] = False
-            neg_scores = scores[mask]
+        candidates = np.ones(test.n_items, dtype=bool)
+        candidates[train.user_items(user)[0]] = False
+        for pos_item in positives:
+            # the positive itself is never its own negative
+            was_candidate = candidates[pos_item]
+            candidates[pos_item] = False
+            neg_scores = scores[candidates]
+            candidates[pos_item] = was_candidate
             if neg_scores.size == 0:
                 continue
             pos_score = scores[pos_item]
@@ -66,19 +63,7 @@ def isgld_perturb(
         raise ValueError(f"eps must be positive, got {eps}")
     lo, hi = train.score_range
     scale = (hi - lo) / eps
-    noise = rng.laplace(0.0, scale, size=len(train))
-    triples = []
-    for t, n in zip(train.triples, noise):
-        value = t.rating + n
-        if clamp:
-            value = min(max(value, lo), hi)
-        triples.append(RatingTriple(t.user_id, t.item_id, float(value)))
-    return RatingDataset(
-        n_users=train.n_users,
-        n_items=train.n_items,
-        triples=triples,
-        per_user=_index_per_user(triples),
-        score_range=train.score_range if clamp else (-np.inf, np.inf),
-        user_ids=list(train.user_ids),
-        item_ids=list(train.item_ids),
-    )
+    values = train.ratings + rng.laplace(0.0, scale, size=len(train))
+    if clamp:
+        return train.with_ratings(np.clip(values, lo, hi), train.score_range)
+    return train.with_ratings(values, (-np.inf, np.inf))

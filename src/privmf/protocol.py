@@ -300,18 +300,12 @@ def run_training(
         z_target = len(train) / train.n_users
 
     model0 = init_model(train.n_users, train.n_items, hp)
-    clients: list[ClientState] = []
-    excluded = 0
-    for i in range(train.n_users):
-        items, ratings = train.user_items(i)
-        if len(items) == 0:
-            excluded += 1
-            continue
-        clients.append(
-            client_init(i, items, ratings, model0.u[i], train.n_items, hp, budget, z_target, master)
-        )
-    if excluded:
-        logger.warning("excluded %d client(s) with no ratings", excluded)
+    clients = [
+        client_init(i, *train.user_items(i), model0.u[i], train.n_items, hp, budget, z_target, master)
+        for i in train.active_users()
+    ]
+    if len(clients) < train.n_users:
+        logger.warning("excluded %d client(s) with no ratings", train.n_users - len(clients))
     if not clients:
         raise ProtocolError("no clients with ratings")
 

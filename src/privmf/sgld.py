@@ -201,16 +201,13 @@ def centralized_train(train, hp: Hyperparams, n_rounds: int) -> FactorModel:
         raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
     model = init_model(train.n_users, train.n_items, hp)
     rng = derive_rng(hp.seed, TAG_CENTRAL_TRAIN)
-    user_data = [train.user_items(i) for i in range(train.n_users)]
+    user_data = [(i, *train.user_items(i)) for i in train.active_users()]
 
     for t in range(1, n_rounds + 1):
         eta = learning_rate(t, hp)
         blocks = []
-        for i in range(train.n_users):
-            items, ratings = user_data[i]
+        for i, items, ratings in user_data:
             h = len(items)
-            if h == 0:
-                continue
             u = model.u[i]
             v_rows = model.v[items]
             errs = prediction_errors(u, model.v, items, ratings)

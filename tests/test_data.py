@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -50,6 +51,18 @@ class TestParse:
     def test_rating_out_of_range(self):
         with pytest.raises(DataError, match="range"):
             parse_ratings("1\t2\t9\n")
+
+    def test_earliest_faulty_line_is_reported(self):
+        # a duplicate before a malformed line: the duplicate's line is named
+        with pytest.raises(DataError, match=r"^line 3: duplicate rating for \(user=1, item=2\)$"):
+            parse_ratings("1\t2\t3\n1\t4\t3\n1\t2\t5\nbogus line\n1\t9\t9\n")
+        # and a malformed line before a duplicate and a bad rating is named first
+        with pytest.raises(DataError, match=r"^line 2: invalid literal"):
+            parse_ratings("1\t2\t3\nx\t2\t3\n1\t2\t5\n1\t3\t9\n")
+        with pytest.raises(DataError, match=r"^line 2: expected at least 3 fields, got 2$"):
+            parse_ratings("1\t2\t3\n1\t2\n-1\t2\t5\n")
+        with pytest.raises(DataError, match=r"^line 2: negative id$"):
+            parse_ratings("1\t2\t3\n1\t-2\t9\n1\t2\t3\nbogus\n")
 
     def test_reindex_is_invertible(self):
         ds = parse_ratings("7\t70\t1\n3\t30\t2\n7\t30\t3\n")
@@ -111,6 +124,20 @@ class TestSplit:
         assert RatingTriple(0, 0, 3.0) in train.triples
         assert all(t.user_id != 0 for t in test.triples)
 
+    def test_leave_one_out_matches_per_user_draws(self):
+        # the one-call draw must pick what one rng.integers(h) call per user picked
+        for seed in range(20):
+            ds = synthetic_dataset(25, 30, seed=seed, mean_ratings_per_user=3)
+            _, test = split(ds, SplitSpec("leave-one-out", seed=seed))
+            rng = np.random.default_rng(seed)
+            held = []
+            for user, pairs in sorted(ds.per_user.items()):
+                if len(pairs) >= 2:
+                    held.append((user, pairs[int(rng.integers(len(pairs)))][0]))
+            assert [(t.user_id, t.item_id) for t in test.triples] == [
+                (t.user_id, t.item_id) for t in ds.triples if (t.user_id, t.item_id) in set(held)
+            ]
+
     def test_unknown_mode(self):
         ds = synthetic_dataset(5, 5, seed=0, mean_ratings_per_user=3)
         with pytest.raises(DataError, match="unknown split mode"):
@@ -169,3 +196,126 @@ class TestSynthetic:
         a = synthetic_dataset(12, 18, seed=9)
         b = synthetic_dataset(12, 18, seed=9)
         assert a.triples == b.triples
+
+
+def oracle_build(triples, n_users, n_items, score_range=(1.0, 5.0)):
+    """The triple loop and per-user dict that the array-backed dataset replaced."""
+    lo, hi = score_range
+    seen = set()
+    for t in triples:
+        if not (0 <= t.user_id < n_users and 0 <= t.item_id < n_items):
+            raise DataError(f"id out of range in triple {t}")
+        if not (lo <= t.rating <= hi):
+            raise DataError(f"rating {t.rating} outside declared range {score_range}")
+        key = (t.user_id, t.item_id)
+        if key in seen:
+            raise DataError(f"duplicate (user, item) pair {key}")
+        seen.add(key)
+    per_user = {}
+    for t in triples:
+        per_user.setdefault(t.user_id, []).append((t.item_id, t.rating))
+    for pairs in per_user.values():
+        pairs.sort()
+    return list(triples), per_user
+
+
+def oracle_parse(text, score_range=(1.0, 5.0)):
+    """The line-by-line parser that the array-backed dataset replaced."""
+    triples, user_map, item_map, seen = [], {}, {}, set()
+    lo, hi = score_range
+    delimiter = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if delimiter is None:
+            delimiter = "\t" if "\t" in line else "," if "," in line else None
+        fields = line.split(delimiter) if delimiter else line.split()
+        if len(fields) < 3:
+            raise DataError(f"line {lineno}: expected at least 3 fields, got {len(fields)}")
+        try:
+            ext_user, ext_item, rating = int(fields[0]), int(fields[1]), float(fields[2])
+        except ValueError as exc:
+            raise DataError(f"line {lineno}: {exc}") from None
+        if ext_user < 0 or ext_item < 0:
+            raise DataError(f"line {lineno}: negative id")
+        if not (lo <= rating <= hi):
+            raise DataError(f"line {lineno}: rating {rating} outside range {score_range}")
+        if (ext_user, ext_item) in seen:
+            raise DataError(f"line {lineno}: duplicate rating for (user={ext_user}, item={ext_item})")
+        seen.add((ext_user, ext_item))
+        u = user_map.setdefault(ext_user, len(user_map))
+        i = item_map.setdefault(ext_item, len(item_map))
+        triples.append(RatingTriple(u, i, rating))
+    return triples, list(user_map), list(item_map)
+
+
+@st.composite
+def faulty_triples(draw):
+    """Unique in-range triples with up to three faults injected anywhere:
+    an out-of-range user or item id, an out-of-range rating, or a repeat of
+    another row's (user, item) pair."""
+    n_users, n_items = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    users, items = st.integers(0, n_users - 1), st.integers(0, n_items - 1)
+    ratings = st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.5, 5.0])
+    pairs = draw(st.lists(st.tuples(users, items), unique=True, max_size=30))
+    triples = [RatingTriple(u, i, draw(ratings)) for u, i in pairs]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["user", "item", "rating", "repeat"]))
+        user, item, rating = draw(users), draw(items), draw(ratings)
+        if kind == "user":
+            user = draw(st.sampled_from([-1, n_users, n_users + 7]))
+        elif kind == "item":
+            item = draw(st.sampled_from([-2, n_items, n_items + 1]))
+        elif kind == "rating":
+            rating = draw(st.sampled_from([0.0, 0.999, 5.001, 9.0, math.nan]))
+        elif triples:
+            user, item = draw(st.sampled_from(triples))[:2]
+        triples.insert(draw(st.integers(0, len(triples))), RatingTriple(user, item, rating))
+    return triples, n_users, n_items
+
+
+class TestArrayDatasetAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(case=faulty_triples())
+    def test_build_dataset_matches_triple_loop(self, case):
+        triples, n_users, n_items = case
+        try:
+            expected_triples, expected_per_user = oracle_build(triples, n_users, n_items)
+        except DataError as exc:
+            with pytest.raises(DataError) as raised:
+                build_dataset(triples, n_users, n_items)
+            assert str(raised.value) == str(exc)
+            return
+        ds = build_dataset(triples, n_users, n_items)
+        assert ds.triples == expected_triples
+        assert len(ds) == len(expected_triples)
+        assert ds.per_user == expected_per_user
+        for user in range(n_users):
+            items, ratings = ds.user_items(user)
+            pairs = expected_per_user.get(user, [])
+            assert items.dtype == np.int64 and ratings.dtype == np.float64
+            assert items.tolist() == [i for i, _ in pairs]
+            assert ratings.tolist() == [r for _, r in pairs]
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=faulty_triples(), ext=st.sampled_from([(1, 1), (7, 100), (-3, 2**70)]), data=st.data())
+    def test_parse_ratings_matches_line_loop(self, case, ext, data):
+        triples, _, _ = case
+        # external ids: an affine map of the drawn ids (2**70 exceeds 64 bits)
+        offset, scale = ext
+        lines = [f"{offset + scale * t.user_id}\t{offset + scale * t.item_id}\t{t.rating:g}" for t in triples]
+        if data.draw(st.booleans()):
+            bad = data.draw(st.sampled_from(["bogus line", "1\t2", "1\tx\t3", "", "  "]))
+            lines.insert(data.draw(st.integers(0, len(lines))), bad)
+        text = "\n".join(lines) + "\n"
+        try:
+            expected = oracle_parse(text)
+        except DataError as exc:
+            with pytest.raises(DataError) as raised:
+                parse_ratings(text)
+            assert str(raised.value) == str(exc)
+            return
+        ds = parse_ratings(text)
+        assert (ds.triples, ds.user_ids, ds.item_ids) == expected
+        assert (ds.n_users, ds.n_items) == (len(expected[1]), len(expected[2]))

@@ -164,3 +164,22 @@ class TestCli:
         assert main(["attack", "--config", str(cfg2)]) == 0
         out = capsys.readouterr().out
         assert "accuracy vs B" in out
+
+    @pytest.mark.parametrize(
+        "eps_p, first_block",
+        [
+            ("", ["clients attacked   : 30 (skipped 0)", "0.6395", "0.4694", "0.9018"]),
+            ("6", ["clients attacked   : 8 (skipped 22)", "0.7204", "0.6579", "0.9539"]),
+        ],
+    )
+    def test_attack_prints_one_block_per_eps_i(self, tmp_path, ratings_file, capsys, eps_p, first_block):
+        # the eps_i[0] figures are those the attack printed when it re-implemented
+        # client_init; eps_p = 6 makes calibration fail for 22 of the 30 clients
+        cfg = write_config(tmp_path, ratings_file, eps_i="4, 1", eps_p=eps_p, iterations="6")
+        assert main(["attack", "--config", str(cfg)]) == 0
+        blocks = [b.splitlines() for b in capsys.readouterr().out.strip().split("\n\n")]
+        assert [b[2] for b in blocks] == ["eps_i              : 4", "eps_i              : 1"]
+        assert all(len(b) == 6 and b[1] == "rounds observed    : 6" for b in blocks)
+        head, *figures = first_block
+        assert blocks[0][0] == head
+        assert [line.split(": ")[1] for line in blocks[0][3:]] == figures

@@ -69,6 +69,27 @@ class TestAuc:
         assert value == 1.0
 
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_pair_mask_loop(self, seed):
+        # several positives per user, and coarse scores so that ties occur
+        ds = synthetic_dataset(20, 30, seed=seed, mean_ratings_per_user=8)
+        train, test = split(ds, SplitSpec("random-holdout", 0.3, seed=seed))
+        rng = np.random.default_rng(seed)
+        model = FactorModel(np.round(rng.normal(size=(20, 2))), np.round(rng.normal(size=(30, 2))))
+        expected = []
+        for user, pairs in sorted(test.per_user.items()):
+            known = {item for item, _ in train.per_user.get(user, [])}
+            scores = model.v @ model.u[user]
+            for pos_item, _ in pairs:
+                mask = np.ones(test.n_items, dtype=bool)
+                mask[list(known)] = False
+                mask[pos_item] = False
+                neg, pos = scores[mask], scores[pos_item]
+                if neg.size:
+                    expected.append((np.sum(neg < pos) + 0.5 * np.sum(neg == pos)) / neg.size)
+        assert auc(test, train, model) == float(np.mean(expected))
+
+
 class TestIsgld:
     def test_support_preserved_and_clamped(self):
         train = synthetic_dataset(20, 30, seed=1, mean_ratings_per_user=6)
