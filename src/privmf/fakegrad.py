@@ -10,24 +10,38 @@ bound controls a budget
 where coverage is the normal probability mass on [-alpha, alpha]; wider
 bounds leak less about which items are fake (smaller density ratio) at the
 cost of noisier updates. ``solve_alpha`` finds the bound for a requested
-budget by bisection inside (0, alpha_max], alpha_max = max(|mu +- 2 sigma|).
+budget by safeguarded Newton iteration on ln coverage inside
+(0, alpha_max], alpha_max = max(|mu +- 2 sigma|). ``sample_fake_errors``
+draws from the truncated normal exactly, by inverse CDF (Robert 1995;
+Chopin 2011), so its cost does not depend on the budget.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
+_inv_cdf = statistics.NormalDist().inv_cdf  # Wichura's AS241
+_OPEN_UNIT = (math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0))
+
+# 3-point Gauss-Legendre nodes and weights on [-1, 1]
+_GL3 = ((-math.sqrt(0.6), 5.0 / 9.0), (0.0, 8.0 / 9.0), (math.sqrt(0.6), 5.0 / 9.0))
+# half-width (in sigmas) below which a one-tail coverage is integrated:
+# there the difference of the two tail masses would cancel to noise
+_NARROW = 1e-3
 
 # substitute for a zero sample standard deviation (e.g. a single rating)
 SIGMA_FLOOR = 1e-6
 
 
 class DegenerateBoundError(RuntimeError):
-    """Rejection sampling cannot produce a value inside (-alpha, alpha)."""
+    """The bound (-alpha, alpha) holds no N(mu, sigma) mass in double precision."""
 
 
 @dataclass(frozen=True)
@@ -61,6 +75,15 @@ def alpha_max_of(mu: float, sigma: float) -> float:
     return max(abs(mu + 2.0 * sigma), abs(mu - 2.0 * sigma))
 
 
+def _pdf(z: float) -> float:
+    return math.exp(-0.5 * z * z) / _SQRT_2PI
+
+
+def _cdf(z: float) -> float:
+    """Standard normal CDF, with full relative precision in the lower tail."""
+    return 0.5 * math.erfc(-z / _SQRT2)
+
+
 def coverage(alpha: float, mu: float, sigma: float) -> float:
     """Probability mass of N(mu, sigma) on [-alpha, alpha]."""
     if alpha <= 0:
@@ -69,13 +92,14 @@ def coverage(alpha: float, mu: float, sigma: float) -> float:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
     if sigma == 0.0:
         return 1.0 if abs(mu) < alpha else 0.0
-    if mu == 0.0:
-        # symmetric case in one erf call; keeps full relative precision
-        # for very small alpha where the two-term difference would cancel
-        return math.erf(alpha / (sigma * _SQRT2))
-    hi = math.erf((alpha - mu) / (sigma * _SQRT2))
-    lo = math.erf((-alpha - mu) / (sigma * _SQRT2))
-    return min(max(0.5 * (hi - lo), 0.0), 1.0)
+    # coverage is even in mu; standardized, the bounds are -h-m < h-m
+    m, h = abs(mu) / sigma, alpha / sigma
+    if h > m:
+        # the bounds straddle 0: two erf terms of one sign, no cancellation
+        return 0.5 * (math.erf((h - m) / _SQRT2) + math.erf((h + m) / _SQRT2))
+    if h < _NARROW:
+        return h * sum(w * _pdf(x * h - m) for x, w in _GL3)
+    return _cdf(h - m) - _cdf(-h - m)
 
 
 def epsilon_g_of(alpha: float, mu: float, sigma: float) -> float:
@@ -106,41 +130,36 @@ def solve_alpha(eps_g: float, mu: float, sigma: float, delta: float = 1e-6) -> A
     if eps_g <= eps_at_max:
         return AlphaBound(alpha=amax, eps_g_achieved=eps_at_max, alpha_max=amax, clamped=True)
 
+    # Start from the mu = 0 solution, a lower bound for any mu (a bound
+    # centred on the mean covers the most mass); c * sqrt(pi/2), itself below
+    # that solution, keeps the start positive where 0.5 + 0.5c rounds to 0.5.
+    c = math.exp(-eps_g)
+    alpha = sigma * max(_inv_cdf(0.5 + 0.5 * c), c * _SQRT_HALF_PI)
+    target = eps_g - 0.5 * delta
     lo, hi = 0.0, amax
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        c = coverage(mid, mu, sigma)
-        if c <= 0.0:
-            lo = mid
-            continue
-        achieved = -math.log(c)
+        if not lo < alpha < hi:
+            alpha = 0.5 * (lo + hi)
+        c = coverage(alpha, mu, sigma)
+        achieved = -math.log(c) if c > 0.0 else math.inf
         if achieved > eps_g:
-            lo = mid
+            lo = alpha
         elif achieved < eps_g - delta:
-            hi = mid
+            hi = alpha
         else:
-            return AlphaBound(alpha=mid, eps_g_achieved=achieved, alpha_max=amax)
+            return AlphaBound(alpha=alpha, eps_g_achieved=achieved, alpha_max=amax)
+        # Newton step on ln coverage towards the middle of the band;
+        # d coverage / d alpha = (pdf((alpha-mu)/sigma) + pdf((alpha+mu)/sigma)) / sigma
+        dc = (_pdf((alpha - mu) / sigma) + _pdf((alpha + mu) / sigma)) / sigma
+        alpha = alpha + (achieved - target) * c / dc if dc > 0.0 else math.nan
     raise ArithmeticError(
-        f"bisection failed to land in [eps_g-delta, eps_g] for eps_g={eps_g}, delta={delta}"
+        f"search failed to land in [eps_g-delta, eps_g] for eps_g={eps_g}, delta={delta}"
     )
 
 
-def sample_fake_error(
-    mu: float,
-    sigma: float,
-    alpha: float,
-    rng: np.random.Generator,
-    max_rejections: int = 1_000_000,
-) -> float:
-    """One N(mu, sigma) draw, re-drawn until it falls inside (-alpha, alpha)."""
-    for _ in range(max_rejections):
-        x = rng.normal(mu, sigma)
-        if -alpha < x < alpha:
-            return float(x)
-    raise DegenerateBoundError(
-        f"{max_rejections} consecutive rejections: alpha={alpha} is incompatible "
-        f"with mu={mu}, sigma={sigma}"
-    )
+def sample_fake_error(mu: float, sigma: float, alpha: float, rng: np.random.Generator) -> float:
+    """One N(mu, sigma) draw truncated to (-alpha, alpha)."""
+    return float(sample_fake_errors(mu, sigma, alpha, 1, rng)[0])
 
 
 def sample_fake_errors(
@@ -150,28 +169,26 @@ def sample_fake_errors(
     n: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Batched rejection sampling; same distribution as n independent
-    ``sample_fake_error`` calls but drawn chunk-wise."""
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
-    accept = coverage(alpha, mu, sigma) if sigma > 0 else 1.0
-    if accept <= 0.0:
-        raise DegenerateBoundError(
-            f"zero acceptance probability: alpha={alpha}, mu={mu}, sigma={sigma}"
-        )
-    out = np.empty(n, dtype=np.float64)
-    filled = 0
-    budget = max(1_000_000, min(int(10 * n / accept), 1_000_000_000))
-    while filled < n:
-        chunk = min(budget, 8_000_000, max(64, int(1.5 * (n - filled) / accept)))
-        draws = rng.normal(mu, sigma, size=chunk)
-        kept = draws[(draws > -alpha) & (draws < alpha)]
-        take = min(len(kept), n - filled)
-        out[filled : filled + take] = kept[:take]
-        filled += take
-        budget -= chunk
-        if budget <= 0 and filled < n:
-            raise DegenerateBoundError(
-                f"rejection budget exhausted: alpha={alpha}, mu={mu}, sigma={sigma}"
-            )
-    return out
+    """n independent N(mu, sigma) draws truncated to (-alpha, alpha).
+
+    Exact inverse-CDF sampling from one ``rng.random(n)`` call, so the cost
+    is O(n) at any bound. The interval is reflected into the lower half,
+    where the normal CDF keeps full relative precision, so bounds deep in
+    one tail sample as accurately as central ones. Near the mean the CDF
+    resolves steps of ~1e-16, so a bound narrower than ~1e-12 sigma there
+    gives visibly quantized draws, and a bound with no mass in double
+    precision raises ``DegenerateBoundError``.
+    """
+    if sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    lo, hi = (-alpha - mu) / sigma, (alpha - mu) / sigma
+    sign = 1.0
+    if mu < 0.0:  # reflect: bounds below the mean, where Phi keeps full precision
+        lo, hi, sign = -hi, -lo, -1.0
+    p_lo, p_hi = _cdf(lo), _cdf(hi)
+    if not p_hi > p_lo:
+        raise DegenerateBoundError(f"no mass inside the bound: alpha={alpha}, mu={mu}, sigma={sigma}")
+    u = (p_lo + (p_hi - p_lo) * rng.random(n)).clip(*_OPEN_UNIT)
+    z = np.fromiter(map(_inv_cdf, u.tolist()), np.float64, n)
+    return (mu + sign * sigma * z).clip(math.nextafter(-alpha, 0.0), math.nextafter(alpha, 0.0))
+

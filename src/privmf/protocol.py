@@ -66,6 +66,9 @@ class ClientState:
     hp: Hyperparams
     master_seed: int
     unrated: np.ndarray = field(default=None, repr=False)
+    # simulator-side privacy ledger; never part of a ClientUpdate
+    clamped_rounds: int = 0  # rounds whose eps_g bound was clamped at alpha_max
+    eps_g_worst: float = 0.0  # largest eps_g achieved in any round
 
     @property
     def h(self) -> int:
@@ -146,6 +149,9 @@ def client_iteration(state: ClientState, v_snapshot: np.ndarray, t: int) -> Clie
     hp = state.hp
     eta = learning_rate(t, hp)
     rng = derive_rng(state.master_seed, TAG_CLIENT_ROUND, state.client_id, t)
+    # the send set is the round stream's first draw, as in the one-class
+    # client, so ``privmf attack`` recomputes exactly the sets sent here
+    send = randresp.irr(state.bits_prime, state.rr.p, state.rr.q, rng)
 
     errs = prediction_errors(state.u, v_snapshot, state.items, state.ratings)
     du = user_step(state.u, errs, v_snapshot[state.items], eta, hp, rng).sum(axis=0)
@@ -161,10 +167,11 @@ def client_iteration(state: ClientState, v_snapshot: np.ndarray, t: int) -> Clie
                 fakegrad.SIGMA_FLOOR,
             )
             sigma = fakegrad.SIGMA_FLOOR
-        alpha = fakegrad.solve_alpha(state.budget.eps_g, stats.mu, sigma, ALPHA_DELTA).alpha
+        bound = fakegrad.solve_alpha(state.budget.eps_g, stats.mu, sigma, ALPHA_DELTA)
+        alpha = bound.alpha
+        state.clamped_rounds += bound.clamped
+        state.eps_g_worst = max(state.eps_g_worst, bound.eps_g_achieved)
     sample_sigma = stats.sigma if stats.sigma > 0.0 else fakegrad.SIGMA_FLOOR
-
-    send = randresp.irr(state.bits_prime, state.rr.p, state.rr.q, rng)
 
     selected = np.flatnonzero(send)
     rated = state.bits[selected] == 1
@@ -173,19 +180,11 @@ def client_iteration(state: ClientState, v_snapshot: np.ndarray, t: int) -> Clie
     fake = np.flatnonzero(~rated)
     if len(fake):
         try:
-            # one batched rejection run for the round; same truncated
-            # distribution as drawing each item's error separately
             e[fake] = fakegrad.sample_fake_errors(stats.mu, sample_sigma, alpha, len(fake), rng)
-        except fakegrad.DegenerateBoundError:
-            # per-item draws, skipping the items that fail
-            keep = np.ones(len(selected), dtype=bool)
-            for pos in fake:
-                try:
-                    e[pos] = fakegrad.sample_fake_error(stats.mu, sample_sigma, alpha, rng)
-                except fakegrad.DegenerateBoundError as exc:
-                    logger.warning("client %d skipping item %d: %s", state.client_id, selected[pos], exc)
-                    keep[pos] = False
-            selected, e = selected[keep], e[keep]
+        except fakegrad.DegenerateBoundError as exc:
+            for item in selected[fake]:
+                logger.warning("client %d skipping item %d: %s", state.client_id, item, exc)
+            selected, e = selected[rated], e[rated]
     deltas = item_step(v_snapshot[selected], e, state.u, eta, hp, rng)
 
     state.u += du / state.h
@@ -328,6 +327,15 @@ def run_training(
             metric = float(evaluator(assemble_model(model0, clients, server)))
         curve.append(RoundRecord(t, metric, n_grad, time.perf_counter() - started))
 
+    clamped = sum(c.clamped_rounds for c in clients)
+    if clamped:
+        logger.warning(
+            "requested eps_g=%g not met in %d client-round(s): bound clamped at alpha_max, "
+            "worst achieved eps_g=%g",
+            budget.eps_g,
+            clamped,
+            max(c.eps_g_worst for c in clients),
+        )
     return TrainingResult(assemble_model(model0, clients, server), curve)
 
 

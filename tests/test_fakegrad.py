@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, stats
 
 from privmf.fakegrad import (
     AlphaBound,
@@ -58,6 +60,14 @@ class TestCoverage:
         assert coverage(1.0, 0.5, 0.0) == 1.0
         assert coverage(1.0, 2.0, 0.0) == 0.0
 
+    @pytest.mark.parametrize("mu, sigma", [(3.0, 0.5), (-2.0, 1.5)])
+    @pytest.mark.parametrize("h", [1e-12, 1e-6, 0.999e-3, 1.001e-3, 0.1])
+    def test_one_tail_matches_integrated_density(self, mu, sigma, h):
+        # both bounds below the mean, where a CDF difference would cancel
+        alpha = h * sigma
+        expected, _ = integrate.quad(stats.norm.pdf, -alpha, alpha, args=(mu, sigma), epsabs=0.0, epsrel=1e-13)
+        assert coverage(alpha, mu, sigma) == pytest.approx(expected, rel=1e-9, abs=0.0)
+
     def test_offcenter_matches_cdf_difference(self):
         # oracle: normal CDF difference via scipy
         for alpha, mu, sigma in [(0.7, 0.3, 0.8), (1.5, -0.4, 1.2), (0.2, 0.1, 0.5)]:
@@ -105,6 +115,23 @@ class TestSolveAlpha:
         assert alpha_max_of(-0.3, 0.8) == pytest.approx(1.9)
         assert alpha_max_of(0.0, 1.0) == 2.0
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        mu=st.floats(-5.0, 5.0),
+        sigma=st.floats(1e-3, 3.0),
+        eps_g=st.floats(0.0, 50.0, exclude_min=True),
+    )
+    def test_lands_in_band_or_clamps_at_alpha_max(self, mu, sigma, eps_g):
+        bound = solve_alpha(eps_g, mu, sigma)
+        assert bound.alpha_max == alpha_max_of(mu, sigma)
+        if bound.clamped:
+            assert bound.alpha == bound.alpha_max
+            assert bound.eps_g_achieved >= eps_g
+        else:
+            assert 0.0 < bound.alpha < bound.alpha_max
+            assert eps_g - 1e-6 <= bound.eps_g_achieved <= eps_g
+        assert bound.eps_g_achieved == epsilon_g_of(bound.alpha, mu, sigma)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             solve_alpha(-1.0, 0.0, 1.0)
@@ -139,17 +166,56 @@ class TestSampler:
         rng = np.random.default_rng(3)
         with pytest.raises(DegenerateBoundError):
             # bound ten sigma away from the mean on the wrong side
-            sample_fake_error(100.0, 0.1, 1e-9, rng, max_rejections=10_000)
+            sample_fake_error(100.0, 0.1, 1e-9, rng)
+
+    @pytest.mark.parametrize("eps_g", [0.0625, 1.0, 4.0, 12.0, 30.0])
+    def test_advances_rng_like_one_uniform_block(self, eps_g):
+        # cost is one uniform draw per value at any budget: no rejection loop
+        bound = solve_alpha(eps_g, 0.3, 0.8)
+        rng, reference = np.random.default_rng(6), np.random.default_rng(6)
+        draws = sample_fake_errors(0.3, 0.8, bound.alpha, 50, rng)
+        reference.random(50)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert np.all((draws > -bound.alpha) & (draws < bound.alpha))
+
+    @pytest.mark.parametrize(
+        "mu, sigma, eps_g",
+        [
+            (0.0, 1.0, 12.0),  # central
+            (3.0, 0.5, 12.0),  # one tail
+            (-3.0, 0.5, 12.0),  # reflected tail
+            (3.0, 0.5, 40.0),  # deep tail
+            (-3.0, 0.5, 40.0),  # deep tail, where unreflected Phi would round to 1
+        ],
+    )
+    def test_exact_at_large_budget(self, mu, sigma, eps_g):
+        rng = np.random.default_rng(7)
+        alpha = solve_alpha(eps_g, mu, sigma).alpha
+        draws = sample_fake_errors(mu, sigma, alpha, 100_000, rng)
+        assert np.all((draws > -alpha) & (draws < alpha))
+        # equal-probability cells of the truncated law
+        a, b = (-alpha - mu) / sigma, (alpha - mu) / sigma
+        edges = stats.truncnorm.ppf(np.linspace(0.0, 1.0, 21), a, b, loc=mu, scale=sigma)
+        assert np.all(np.diff(edges) > 0)
+        observed, _ = np.histogram(draws, bins=edges)
+        assert stats.chisquare(observed).pvalue > 0.01
 
     def test_density_ratio_bound(self):
-        # truncated density never exceeds exp(eps) times the untruncated one
-        rng = np.random.default_rng(4)
-        bound = solve_alpha(1.0, 0.0, 1.0)
-        n = 1_000_000
-        draws = sample_fake_errors(0.0, 1.0, bound.alpha, n, rng)
-        edges = np.linspace(-bound.alpha, bound.alpha, 41)
-        observed, _ = np.histogram(draws, bins=edges)
-        widths = np.diff(edges)
-        density = observed / (n * widths)
-        base = stats.norm.pdf(0.5 * (edges[:-1] + edges[1:]))
-        assert np.all(density / base <= math.exp(bound.eps_g_achieved) * 1.05)
+        assert_density_ratio_bound(1.0)
+
+    def test_density_ratio_bound_at_large_budget(self):
+        assert_density_ratio_bound(12.0)
+
+
+def assert_density_ratio_bound(eps_g):
+    # truncated density never exceeds exp(eps) times the untruncated one
+    rng = np.random.default_rng(4)
+    bound = solve_alpha(eps_g, 0.0, 1.0)
+    n = 1_000_000
+    draws = sample_fake_errors(0.0, 1.0, bound.alpha, n, rng)
+    edges = np.linspace(-bound.alpha, bound.alpha, 41)
+    observed, _ = np.histogram(draws, bins=edges)
+    widths = np.diff(edges)
+    density = observed / (n * widths)
+    base = stats.norm.pdf(0.5 * (edges[:-1] + edges[1:]))
+    assert np.all(density / base <= math.exp(bound.eps_g_achieved) * 1.05)

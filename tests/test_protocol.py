@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from privmf import fakegrad
+from privmf import fakegrad, protocol
 from privmf.codec import (
     ClientUpdate,
     FinishMessage,
@@ -26,7 +26,8 @@ from privmf.protocol import (
     server_collect,
     server_end_round,
 )
-from privmf.randresp import PrivacyBudget, RRParams, effective_probs, solve_f
+from privmf.randresp import PrivacyBudget, RRParams, effective_probs, irr, solve_f
+from privmf.rng import TAG_CLIENT_ROUND, derive_rng
 from privmf.sgld import Hyperparams, centralized_train, init_model
 
 
@@ -253,6 +254,47 @@ class TestRunTraining:
         assert np.array_equal(a.model.u, b.model.u)
         assert np.array_equal(a.model.v, b.model.v)
         assert [r.messages for r in a.curve] == [r.messages for r in b.curve]
+
+    def test_attack_redraw_equals_emitted_send_sets(self, monkeypatch):
+        # privmf attack rebuilds each client and redraws its send set as the
+        # first draw of the round stream; with SGLD noise on it must still
+        # reproduce the items training sent
+        ds = synthetic_dataset(10, 14, seed=6, mean_ratings_per_user=4)
+        hp = make_hp(k=2, eta0=0.1, seed=11, noise=True)
+        budget = PrivacyBudget(eps_i=1.0, eps_g=0.5)
+        sent = {}
+
+        def recording(state, v, t):
+            up = client_iteration(state, v, t)
+            sent[state.client_id, t] = up.item_ids
+            return up
+
+        monkeypatch.setattr(protocol, "client_iteration", recording)
+        run_training(ds, hp, 3, budget=budget)
+        users = ds.active_users()
+        assert len(sent) == 3 * len(users)
+        z_target = len(ds) / ds.n_users
+        for user in users:
+            state = client_init(
+                user, *ds.user_items(user), np.zeros(hp.k), ds.n_items, hp, budget, z_target, hp.seed
+            )
+            for t in (1, 2, 3):
+                rng = derive_rng(hp.seed, TAG_CLIENT_ROUND, user, t)
+                redrawn = irr(state.bits_prime, state.rr.p, state.rr.q, rng)
+                assert np.array_equal(np.flatnonzero(redrawn), sent[user, t])
+
+    @pytest.mark.parametrize("eps_g, warned", [(0.01, True), (4.0, False)])
+    def test_clamped_bound_warns_once_per_run(self, caplog, eps_g, warned):
+        ds = synthetic_dataset(10, 14, seed=6, mean_ratings_per_user=4)
+        hp = make_hp(k=2, eta0=0.1, seed=11, noise=True)
+        with caplog.at_level(logging.WARNING):
+            run_training(ds, hp, 3, budget=PrivacyBudget(eps_i=1.0, eps_g=eps_g))
+        records = [r.getMessage() for r in caplog.records if "not met" in r.getMessage()]
+        assert len(records) == int(warned)
+        if warned:
+            # no bound reaches eps_g=0.01, so every client-round clamps
+            assert f"in {3 * len(ds.active_users())} client-round(s)" in records[0]
+            assert float(records[0].rsplit("=", 1)[1]) > eps_g
 
     def test_excludes_users_without_ratings(self, caplog):
         triples = [RatingTriple(0, 0, 3.0), RatingTriple(0, 1, 4.0), RatingTriple(2, 1, 2.0), RatingTriple(2, 0, 5.0)]
