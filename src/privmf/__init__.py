@@ -38,6 +38,7 @@ from .fakegrad import (
     coverage,
     epsilon_g_of,
     error_stats,
+    fake_errors,
     sample_fake_error,
     sample_fake_errors,
     solve_alpha,
@@ -50,6 +51,7 @@ from .protocol import (
     TrainingResult,
     client_init,
     client_iteration,
+    draw_send_set,
     run_training,
     server_round,
 )

@@ -11,17 +11,13 @@ numerical task's.
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
 
-from . import randresp
 from .codec import ClientUpdate
-from .rng import TAG_CLIENT_ROUND, derive_rng
+from .protocol import draw_send_set
 from .sgld import Hyperparams, learning_rate
-
-logger = logging.getLogger(__name__)
 
 
 def sigma_bar(x: float) -> float:
@@ -90,22 +86,15 @@ def sd_bpr_client_iteration(state, v_snapshot: np.ndarray, t: int) -> ClientUpda
     uniform rated partner and sends its negative-role delta. All partners
     are drawn first, then every pair steps as one block. The user factor
     applies the average of all pair deltas once per round. No fake errors
-    are needed, so the fake-gradient budget is unused.
+    are needed, so the fake-gradient budget is unused. A client that has
+    rated every item has no unrated partner: it sends nothing, and the
+    round is counted in its ``partnerless_rounds``.
     """
-    if t < 1:
-        raise ValueError(f"round index must be >= 1, got {t}")
+    rng, selected = draw_send_set(state, t)
     hp = state.hp
     eta = learning_rate(t, hp)
-    rng = derive_rng(state.master_seed, TAG_CLIENT_ROUND, state.client_id, t)
-
-    send = randresp.irr(state.bits_prime, state.rr.p, state.rr.q, rng)
-
-    selected = np.flatnonzero(send)
     if len(state.unrated) == 0 and len(selected):
-        # every selected item is rated and has no unrated partner
-        logger.warning(
-            "client %d has rated every item; cannot sample a pair partner", state.client_id
-        )
+        state.partnerless_rounds += 1
         return ClientUpdate(state.client_id, selected[:0], np.empty((0, hp.k)))
     rated = state.bits[selected].astype(bool)
     # one draw per pair, in send-set order: the stream of per-pair scalar draws

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import randresp
 from .experiment import ConfigError, load_config, load_dataset, run_experiments
-from .protocol import client_init
-from .rng import TAG_CLIENT_ROUND, derive_rng
+from .protocol import client_init, draw_send_set
 from .sgld import Hyperparams
 
 
@@ -62,10 +61,9 @@ def _cmd_attack(args) -> int:
                 skipped += 1
                 continue
             rr = state.rr
-            samples = np.empty((rounds, n_items), dtype=np.uint8)
+            samples = np.zeros((rounds, n_items), dtype=np.uint8)
             for t in range(1, rounds + 1):
-                rng = derive_rng(config.seed, TAG_CLIENT_ROUND, user, t)
-                samples[t - 1] = randresp.irr(state.bits_prime, rr.p, rr.q, rng)
+                samples[t - 1, draw_send_set(state, t)[1]] = 1
             guess = randresp.classify_rated(randresp.average_attack(samples), rr.p_star, rr.q_star)
             rated = state.bits == 1
             hits += (np.sum(guess == rated), np.sum(guess[rated]), np.sum(guess == state.bits_prime))

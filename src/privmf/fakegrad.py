@@ -14,13 +14,19 @@ budget by safeguarded Newton iteration on ln coverage inside
 (0, alpha_max], alpha_max = max(|mu +- 2 sigma|). ``sample_fake_errors``
 draws from the truncated normal exactly, by inverse CDF (Robert 1995;
 Chopin 2011), so its cost does not depend on the budget.
+
+``fake_errors``, a client round's one call, fails closed: it returns one
+error per fake item at any budget. Above eps_g ~ 27 a bound near the mean
+is narrower than ~1e-12 sigma, so the draws are visibly quantized; above
+~37 it can hold no mass in double precision, and the errors are drawn at
+alpha_max instead, which only lowers the achieved eps_g.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,7 +66,12 @@ class AlphaBound:
     alpha: float
     eps_g_achieved: float
     alpha_max: float
-    clamped: bool = False
+    clamped: bool = False  # eps_g is out of reach: alpha is alpha_max
+    floored: bool = False  # the errors had no spread: solved at SIGMA_FLOOR
+    fallback: bool = False  # the solved bound held no mass: widened to alpha_max
+
+
+UNBOUNDED = AlphaBound(alpha=math.inf, eps_g_achieved=0.0, alpha_max=math.inf)  # no eps_g
 
 
 def error_stats(errors) -> ErrorStats:
@@ -192,3 +203,25 @@ def sample_fake_errors(
     z = np.fromiter(map(_inv_cdf, u.tolist()), np.float64, n)
     return (mu + sign * sigma * z).clip(math.nextafter(-alpha, 0.0), math.nextafter(alpha, 0.0))
 
+def fake_errors(errors, eps_g: float | None, n: int, rng: np.random.Generator):
+    """n fake errors from a round's rated ``errors``, and the ``AlphaBound``
+    drawn at (``UNBOUNDED`` without ``eps_g``). A zero spread becomes
+    ``SIGMA_FLOOR``; a bound without mass falls back to ``alpha_max``, from
+    the same ``rng.random(n)`` block, as the failed draw raises before it."""
+    stats = error_stats(errors)
+    sigma = stats.sigma if stats.sigma > 0.0 else SIGMA_FLOOR
+    bound = UNBOUNDED
+    if eps_g is not None:
+        bound = solve_alpha(eps_g, stats.mu, sigma)
+        if stats.sigma <= 0.0:
+            bound = replace(bound, floored=True)
+    if n == 0:
+        return np.empty(0), bound
+    try:
+        return sample_fake_errors(stats.mu, sigma, bound.alpha, n, rng), bound
+    except DegenerateBoundError:
+        amax = bound.alpha_max
+        bound = replace(
+            bound, alpha=amax, eps_g_achieved=epsilon_g_of(amax, stats.mu, sigma), fallback=True
+        )
+        return sample_fake_errors(stats.mu, sigma, amax, n, rng), bound

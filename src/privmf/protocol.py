@@ -40,8 +40,6 @@ from .sgld import (
 
 logger = logging.getLogger(__name__)
 
-ALPHA_DELTA = 1e-6  # band width for the truncation-bound search
-
 
 class ProtocolError(RuntimeError):
     pass
@@ -66,13 +64,23 @@ class ClientState:
     hp: Hyperparams
     master_seed: int
     unrated: np.ndarray = field(default=None, repr=False)
-    # simulator-side privacy ledger; never part of a ClientUpdate
-    clamped_rounds: int = 0  # rounds whose eps_g bound was clamped at alpha_max
+    # simulator-side privacy ledger, in client-rounds; never part of a ClientUpdate
+    clamped_rounds: int = 0  # eps_g out of reach: bound clamped at alpha_max
+    floored_rounds: int = 0  # no error spread: bound solved at the sigma floor
+    fallback_rounds: int = 0  # bound without mass: fakes drawn at alpha_max
+    partnerless_rounds: int = 0  # one-class: every item rated, nothing sent
     eps_g_worst: float = 0.0  # largest eps_g achieved in any round
 
     @property
     def h(self) -> int:
         return len(self.items)
+
+    def record(self, bound: fakegrad.AlphaBound) -> None:
+        """Enter one round's fake-error bound into the ledger."""
+        self.clamped_rounds += bound.clamped
+        self.floored_rounds += bound.floored
+        self.fallback_rounds += bound.fallback
+        self.eps_g_worst = max(self.eps_g_worst, bound.eps_g_achieved)
 
 
 @dataclass
@@ -137,6 +145,18 @@ def client_init(
     )
 
 
+def draw_send_set(state: ClientState, t: int) -> tuple[np.random.Generator, np.ndarray]:
+    """The client's round-``t`` stream and the ids it sends, ascending.
+
+    The send set is the stream's first draw, so every client round and the
+    ``privmf attack`` redraw see the same sets.
+    """
+    if t < 1:
+        raise ValueError(f"round index must be >= 1, got {t}")
+    rng = derive_rng(state.master_seed, TAG_CLIENT_ROUND, state.client_id, t)
+    return rng, np.flatnonzero(randresp.irr(state.bits_prime, state.rr.p, state.rr.q, rng))
+
+
 def client_iteration(state: ClientState, v_snapshot: np.ndarray, t: int) -> ClientUpdate:
     """One client round: local user update, send-set draw, item deltas.
 
@@ -144,47 +164,18 @@ def client_iteration(state: ClientState, v_snapshot: np.ndarray, t: int) -> Clie
     is updated in place afterwards, from the per-rated-item deltas averaged
     over the number of ratings.
     """
-    if t < 1:
-        raise ValueError(f"round index must be >= 1, got {t}")
+    rng, selected = draw_send_set(state, t)
     hp = state.hp
     eta = learning_rate(t, hp)
-    rng = derive_rng(state.master_seed, TAG_CLIENT_ROUND, state.client_id, t)
-    # the send set is the round stream's first draw, as in the one-class
-    # client, so ``privmf attack`` recomputes exactly the sets sent here
-    send = randresp.irr(state.bits_prime, state.rr.p, state.rr.q, rng)
-
     errs = prediction_errors(state.u, v_snapshot, state.items, state.ratings)
     du = user_step(state.u, errs, v_snapshot[state.items], eta, hp, rng).sum(axis=0)
 
-    stats = fakegrad.error_stats(errs)
-    alpha = np.inf
-    if state.budget is not None and state.budget.eps_g is not None:
-        sigma = stats.sigma
-        if sigma <= 0.0:
-            logger.warning(
-                "client %d: degenerate error spread, substituting sigma=%g",
-                state.client_id,
-                fakegrad.SIGMA_FLOOR,
-            )
-            sigma = fakegrad.SIGMA_FLOOR
-        bound = fakegrad.solve_alpha(state.budget.eps_g, stats.mu, sigma, ALPHA_DELTA)
-        alpha = bound.alpha
-        state.clamped_rounds += bound.clamped
-        state.eps_g_worst = max(state.eps_g_worst, bound.eps_g_achieved)
-    sample_sigma = stats.sigma if stats.sigma > 0.0 else fakegrad.SIGMA_FLOOR
-
-    selected = np.flatnonzero(send)
     rated = state.bits[selected] == 1
     e = np.empty(len(selected), dtype=np.float64)
     e[rated] = errs[np.searchsorted(state.items, selected[rated])]
-    fake = np.flatnonzero(~rated)
-    if len(fake):
-        try:
-            e[fake] = fakegrad.sample_fake_errors(stats.mu, sample_sigma, alpha, len(fake), rng)
-        except fakegrad.DegenerateBoundError as exc:
-            for item in selected[fake]:
-                logger.warning("client %d skipping item %d: %s", state.client_id, item, exc)
-            selected, e = selected[rated], e[rated]
+    eps_g = None if state.budget is None else state.budget.eps_g
+    e[~rated], bound = fakegrad.fake_errors(errs, eps_g, int(np.count_nonzero(~rated)), rng)
+    state.record(bound)
     deltas = item_step(v_snapshot[selected], e, state.u, eta, hp, rng)
 
     state.u += du / state.h
@@ -234,15 +225,14 @@ def server_end_round(server: ServerState) -> None:
     server.t += 1
 
 
-def server_round(server: ServerState, clients, step_fn=None, transport: str = "memory") -> int:
+def server_round(server: ServerState, clients, step_fn, transport: str = "memory") -> int:
     """Run one synchronous round over all clients; returns messages received.
 
     With ``transport="bytes"`` the updates cross the wire format; the
     session's first round opens with the handshake.
     """
-    step = step_fn or client_iteration
     snapshot = server_begin_round(server)
-    updates = [step(client, snapshot, server.t) for client in clients]
+    updates = [step_fn(client, snapshot, server.t) for client in clients]
     if transport == "bytes":
         handshake = Handshake(server.k, server.n_items) if server.t == 1 else None
         updates = decode_updates(encode_updates(updates, handshake), server.k, server.n_items)
@@ -277,7 +267,6 @@ def run_training(
     task: str = "numerical",
     transport: str = "memory",
     evaluator=None,
-    master_seed: int | None = None,
     per_item_average: bool = False,
 ) -> TrainingResult:
     """Drive a full simulated training session.
@@ -293,14 +282,12 @@ def run_training(
         raise ValueError(f"unknown task {task!r}")
     if transport not in ("memory", "bytes"):
         raise ValueError(f"unknown transport {transport!r}")
-    master = hp.seed if master_seed is None else master_seed
-
     if budget is not None and z_target is None:
         z_target = len(train) / train.n_users
 
     model0 = init_model(train.n_users, train.n_items, hp)
     clients = [
-        client_init(i, *train.user_items(i), model0.u[i], train.n_items, hp, budget, z_target, master)
+        client_init(i, *train.user_items(i), model0.u[i], train.n_items, hp, budget, z_target, hp.seed)
         for i in train.active_users()
     ]
     if len(clients) < train.n_users:
@@ -327,15 +314,22 @@ def run_training(
             metric = float(evaluator(assemble_model(model0, clients, server)))
         curve.append(RoundRecord(t, metric, n_grad, time.perf_counter() - started))
 
-    clamped = sum(c.clamped_rounds for c in clients)
-    if clamped:
-        logger.warning(
-            "requested eps_g=%g not met in %d client-round(s): bound clamped at alpha_max, "
-            "worst achieved eps_g=%g",
-            budget.eps_g,
-            clamped,
-            max(c.eps_g_worst for c in clients),
-        )
+    # one WARNING per kind of ledger event the run hit, with its client-round count
+    eps_g = None if budget is None else budget.eps_g
+    worst = max(c.eps_g_worst for c in clients)
+    for counter, text in (
+        ("clamped_rounds", "requested eps_g={eps_g:g} not met in {n} client-round(s): "
+         "bound clamped at alpha_max, worst achieved eps_g={worst:g}"),
+        ("floored_rounds", "degenerate error spread in {n} client-round(s): "
+         "eps_g bound solved at the sigma floor"),
+        ("fallback_rounds", "eps_g={eps_g:g} bound held no mass in double precision in {n} "
+         "client-round(s): fake errors drawn at alpha_max, a lower achieved eps_g"),
+        ("partnerless_rounds", "{n} client-round(s) sent nothing: the client has rated every "
+         "item; cannot sample a pair partner"),
+    ):
+        n = sum(getattr(c, counter) for c in clients)
+        if n:
+            logger.warning(text.format(n=n, eps_g=eps_g, worst=worst))
     return TrainingResult(assemble_model(model0, clients, server), curve)
 
 

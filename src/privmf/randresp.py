@@ -113,10 +113,6 @@ def expected_sends(h: int, n_items: int, p_star: float, q_star: float) -> float:
     return h * q_star + (n_items - h) * p_star
 
 
-_BISECT_EDGE = 1e-12
-_BISECT_MAX_ITER = 200
-
-
 def calibrate(
     eps_i: float,
     h: int,
@@ -127,11 +123,16 @@ def calibrate(
     """Solve for (f, p, q) meeting the budgets and the send-count target.
 
     The instantaneous budget fixes the odds ratio r = exp(eps_i / h)
-    between q* and p*; z is strictly increasing in p* along that curve, so
-    p* is found by bisection, q* follows, f comes from eps_p (default
+    between q* and p*, so q* = r p* / (1 + (r - 1) p*). Along that curve
+    z = z_target is the quadratic
+
+        (n - h)(r - 1) p*^2 + (h r + n - h - z_target (r - 1)) p* - z_target = 0
+
+    whose one root in (0, 1) (z rises from 0 to n there) is taken in its
+    cancellation-free form. q* follows, f comes from eps_p (default
     2 * eps_i), and (p, q) are recovered by inverting the composite-
     probability relations. Raises CalibrationError, naming the violated
-    bound, when the inversion leaves [0, 1] or the target is unreachable.
+    bound, when the inversion leaves [0, 1].
     """
     if eps_i <= 0:
         raise CalibrationError(f"eps_i={eps_i} violates eps_i > 0")
@@ -145,31 +146,12 @@ def calibrate(
     if eps_p_val <= 0:
         raise CalibrationError(f"eps_p={eps_p_val} violates eps_p > 0")
 
-    r = math.exp(eps_i / h)
-
-    def q_star_of(p_star: float) -> float:
-        return r * p_star / (1.0 + (r - 1.0) * p_star)
-
-    def z_of(p_star: float) -> float:
-        return h * q_star_of(p_star) + (n_items - h) * p_star
-
-    lo, hi = _BISECT_EDGE, 1.0 - _BISECT_EDGE
-    if not (z_of(lo) <= z_target <= z_of(hi)):
-        raise CalibrationError(
-            f"z_target={z_target} violates reachable range [{z_of(lo):.3g}, {z_of(hi):.3g}]"
-        )
-    tol = 1e-12 * z_target
-    p_star = 0.5 * (lo + hi)
-    for _ in range(_BISECT_MAX_ITER):
-        p_star = 0.5 * (lo + hi)
-        z = z_of(p_star)
-        if abs(z - z_target) <= tol:
-            break
-        if z < z_target:
-            lo = p_star
-        else:
-            hi = p_star
-    q_star = q_star_of(p_star)
+    rm1 = math.expm1(eps_i / h)  # r - 1
+    a = (n_items - h) * rm1
+    b = h * (1.0 + rm1) + (n_items - h) - z_target * rm1
+    root = math.sqrt(b * b + 4.0 * a * z_target)
+    p_star = 2.0 * z_target / (b + root) if b > 0.0 else (root - b) / (2.0 * a)
+    q_star = (1.0 + rm1) * p_star / (1.0 + rm1 * p_star)
 
     f = solve_f(eps_p_val, h)
     det = 1.0 - f

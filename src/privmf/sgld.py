@@ -61,14 +61,12 @@ class Hyperparams:
         gamma: float,
         seed: int,
         noise_enabled: bool = True,
-        prior_shape: float = 1.0,
-        prior_rate: float = 100.0,
         init_prediction: float = 0.0,
     ) -> "Hyperparams":
-        """Draw the regularizer diagonals once from Gamma(shape, rate)."""
+        """Draw the regularizer diagonals once from Gamma(shape 1, rate 100), i.e. scale 0.01."""
         rng = derive_rng(seed, TAG_REGULARIZERS)
-        lambda_u = rng.gamma(prior_shape, 1.0 / prior_rate, size=k)
-        lambda_v = rng.gamma(prior_shape, 1.0 / prior_rate, size=k)
+        lambda_u = rng.gamma(1.0, 0.01, size=k)
+        lambda_v = rng.gamma(1.0, 0.01, size=k)
         return cls(k, eta0, gamma, lambda_u, lambda_v, seed, noise_enabled, init_prediction)
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from privmf.bpr import bpr_errors, bpr_margin, bpr_step, sd_bpr_client_iteration, sigma_bar
 from privmf.codec import FinishMessage, encode_updates, iter_messages
-from privmf.protocol import client_init
+from privmf.data import RatingTriple, build_dataset
+from privmf.protocol import client_init, run_training
 from privmf.randresp import RRParams
 from privmf.rng import TAG_CLIENT_ROUND, derive_rng
 from privmf.sgld import Hyperparams, learning_rate
@@ -196,11 +197,16 @@ class TestClientIteration:
         state = make_bpr_client(hp, n_items=3, items=(0, 1, 2), seed=13)
         with caplog.at_level(logging.WARNING):
             update = sd_bpr_client_iteration(state, np.zeros((3, hp.k)), 1)
-        assert "cannot sample a pair partner" in caplog.text
         assert len(update.item_ids) == 0 and update.deltas.shape == (0, hp.k)
-        # one warning per client round, not one per selected rated item
-        partner_warnings = [r for r in caplog.records if "cannot sample a pair partner" in r.getMessage()]
+        # counted in the simulator-side ledger, not logged per client round
+        assert state.partnerless_rounds == 1 and not caplog.records
+        # a run logs one line for all of them: user 0 rated every item
+        triples = [RatingTriple(0, j, 1.0) for j in range(3)] + [RatingTriple(1, 0, 1.0)]
+        with caplog.at_level(logging.WARNING):
+            run_training(build_dataset(triples, 2, 3), hp, 3, task="one-class")
+        partner_warnings = [r.getMessage() for r in caplog.records if "cannot sample a pair partner" in r.getMessage()]
         assert len(partner_warnings) == 1
+        assert "3 client-round(s)" in partner_warnings[0] and "has rated every item" in partner_warnings[0]
 
     def test_noise_on_round_is_deterministic(self):
         hp = make_hp(k=3, eta0=0.2, seed=5, noise=True, lam=0.01)

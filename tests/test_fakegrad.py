@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from privmf.fakegrad import (
+    SIGMA_FLOOR,
     AlphaBound,
     DegenerateBoundError,
     alpha_max_of,
     coverage,
     epsilon_g_of,
     error_stats,
+    fake_errors,
     sample_fake_error,
     sample_fake_errors,
     solve_alpha,
@@ -219,3 +221,42 @@ def assert_density_ratio_bound(eps_g):
     density = observed / (n * widths)
     base = stats.norm.pdf(0.5 * (edges[:-1] + edges[1:]))
     assert np.all(density / base <= math.exp(bound.eps_g_achieved) * 1.05)
+
+
+class TestFakeErrors:
+    def test_bounded_draw_matches_the_parts(self):
+        errors = np.array([0.2, -0.4, 1.1, 0.5])
+        stats_ = error_stats(errors)
+        draws, bound = fake_errors(errors, 4.0, 30, np.random.default_rng(8))
+        assert bound == solve_alpha(4.0, stats_.mu, stats_.sigma)
+        expected = sample_fake_errors(stats_.mu, stats_.sigma, bound.alpha, 30, np.random.default_rng(8))
+        assert np.array_equal(draws, expected)
+
+    def test_unbounded_without_eps_g(self):
+        draws, bound = fake_errors(np.array([0.0, 1.0]), None, 5, np.random.default_rng(0))
+        assert len(draws) == 5 and math.isinf(bound.alpha) and bound.eps_g_achieved == 0.0
+
+    def test_zero_spread_is_floored(self):
+        draws, bound = fake_errors(np.array([0.5]), 1.0, 20, np.random.default_rng(1))
+        assert bound.floored and not bound.fallback
+        assert bound == AlphaBound(**{**vars(solve_alpha(1.0, 0.5, SIGMA_FLOOR)), "floored": True})
+        assert np.all(np.abs(draws) < bound.alpha)
+
+    def test_no_fakes_leaves_the_stream_alone(self):
+        rng, reference = np.random.default_rng(2), np.random.default_rng(2)
+        draws, bound = fake_errors(np.array([0.0, 1.0]), 40.0, 0, rng)
+        assert draws.shape == (0,) and not bound.fallback
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("eps_g", [40.0, 45.0])
+    def test_massless_bound_falls_back_to_alpha_max(self, eps_g):
+        errors = np.array([-1.0, 1.0])  # mu = 0, sigma = 1
+        with pytest.raises(DegenerateBoundError):
+            sample_fake_errors(0.0, 1.0, solve_alpha(eps_g, 0.0, 1.0).alpha, 1, np.random.default_rng(0))
+        rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+        draws, bound = fake_errors(errors, eps_g, 50, rng)
+        assert bound.fallback and bound.alpha == bound.alpha_max == alpha_max_of(0.0, 1.0)
+        assert bound.eps_g_achieved == epsilon_g_of(bound.alpha_max, 0.0, 1.0) < eps_g
+        assert len(draws) == 50 and np.all(np.abs(draws) < bound.alpha_max)
+        # the failed draw consumed nothing: one uniform block, as at any budget
+        assert np.array_equal(draws, sample_fake_errors(0.0, 1.0, bound.alpha_max, 50, reference))

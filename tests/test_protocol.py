@@ -21,14 +21,23 @@ from privmf.protocol import (
     ServerState,
     client_init,
     client_iteration,
+    draw_send_set,
     run_training,
     server_begin_round,
     server_collect,
     server_end_round,
+    server_round,
 )
 from privmf.randresp import PrivacyBudget, RRParams, effective_probs, irr, solve_f
 from privmf.rng import TAG_CLIENT_ROUND, derive_rng
-from privmf.sgld import Hyperparams, centralized_train, init_model
+from privmf.sgld import (
+    Hyperparams,
+    centralized_train,
+    init_model,
+    item_step,
+    learning_rate,
+    prediction_errors,
+)
 
 
 def make_hp(k=3, eta0=0.1, gamma=0.6, seed=0, noise=False):
@@ -111,23 +120,56 @@ class TestClientIteration:
         mean = total / rounds
         assert abs(mean - expected) < 3 * math.sqrt(var / rounds)
 
-    def test_degenerate_fake_bound_skips_fake_items(self, caplog, monkeypatch):
-        hp = make_hp(k=2)
-        budget = PrivacyBudget(eps_i=2.0, eps_g=1.0)
-        state = make_client(hp, n_items=60, items=tuple(range(0, 30, 2)), budget=budget, z_target=10.0)
-
-        def degenerate(*args):
-            raise fakegrad.DegenerateBoundError("no mass inside the bound")
-
-        monkeypatch.setattr(fakegrad, "sample_fake_errors", degenerate)
-        monkeypatch.setattr(fakegrad, "sample_fake_error", degenerate)
+    @pytest.mark.parametrize("eps_g", [38.0, 40.0, 45.0])
+    def test_degenerate_fake_bound_falls_back_to_alpha_max(self, caplog, eps_g):
+        # real bounds, nothing faked: near eps_g ~ 37 and beyond, the solved
+        # bound of some client-rounds holds no mass in double precision
+        ds = synthetic_dataset(30, 60, seed=1, mean_ratings_per_user=8)
+        hp = make_hp(k=3)
+        budget = PrivacyBudget(eps_i=1.0, eps_g=eps_g)
         with caplog.at_level(logging.WARNING):
-            up = client_iteration(state, np.full((60, hp.k), 0.1), 1)
-        skipped = [r.args[1] for r in caplog.records if "skipping item" in r.getMessage()]
-        assert skipped and all(state.bits[j] == 0 for j in skipped)
-        assert caplog.records[0].getMessage().startswith("client 0 skipping item ")
-        assert np.all(state.bits[up.item_ids] == 1)
-        assert up.deltas.shape == (len(up.item_ids), hp.k)
+            run_training(ds, hp, 3, budget=budget)
+        messages = [r.getMessage() for r in caplog.records]
+
+        # the same run replayed client-round by client-round; noise is off,
+        # so the fake uniforms are the round stream's next draw after the send set
+        model0, z_target = init_model(ds.n_users, ds.n_items, hp), len(ds) / ds.n_users
+        clients = [
+            client_init(i, *ds.user_items(i), model0.u[i], ds.n_items, hp, budget, z_target, hp.seed)
+            for i in ds.active_users()
+        ]
+        fallbacks = 0
+
+        def checked(state, v, t):
+            nonlocal fallbacks
+            rng, selected = draw_send_set(state, t)
+            errs = prediction_errors(state.u, v, state.items, state.ratings)
+            rated = state.bits[selected] == 1
+            fakes, bound = fakegrad.fake_errors(errs, eps_g, int(np.sum(~rated)), rng)
+            assert np.all(np.abs(fakes) < bound.alpha_max)
+            if bound.fallback:
+                assert bound.alpha == bound.alpha_max
+                fallbacks += 1
+            e = np.empty(len(selected))
+            e[rated] = errs[np.searchsorted(state.items, selected[rated])]
+            e[~rated] = fakes
+            expected = item_step(v[selected], e, state.u.copy(), learning_rate(t, hp), hp, None)
+            up = client_iteration(state, v, t)
+            # the whole send set goes out, carrying exactly these fakes
+            assert np.array_equal(up.item_ids, selected)
+            assert np.array_equal(up.deltas, expected)
+            return up
+
+        server = ServerState(v=model0.v.copy(), n_items=ds.n_items, k=hp.k)
+        for _ in range(3):
+            server_round(server, clients, checked)
+        assert sum(c.fallback_rounds for c in clients) == fallbacks
+        assert fallbacks > 0 or eps_g < 40.0
+        fallback_lines = [m for m in messages if "drawn at alpha_max" in m]
+        assert len(fallback_lines) == int(fallbacks > 0)
+        if fallbacks:
+            assert f"in {fallbacks} client-round(s)" in fallback_lines[0]
+        assert not any("skipping item" in m for m in messages)
 
 
 class TestServer:
@@ -295,6 +337,18 @@ class TestRunTraining:
             # no bound reaches eps_g=0.01, so every client-round clamps
             assert f"in {3 * len(ds.active_users())} client-round(s)" in records[0]
             assert float(records[0].rsplit("=", 1)[1]) > eps_g
+
+    @pytest.mark.parametrize("eps_g, warned", [(1.0, True), (None, False)])
+    def test_zero_error_spread_warns_once_per_run(self, caplog, eps_g, warned):
+        # user 0 has one rating, so its errors have no spread in any round
+        triples = [RatingTriple(0, 0, 3.0)] + [RatingTriple(1, j, 1.0 + j) for j in range(1, 5)]
+        ds = build_dataset(triples, 2, 6)
+        with caplog.at_level(logging.WARNING):
+            run_training(ds, make_hp(k=2), 3, budget=PrivacyBudget(eps_i=1.0, eps_g=eps_g))
+        records = [r.getMessage() for r in caplog.records if "degenerate error spread" in r.getMessage()]
+        assert len(records) == int(warned)
+        if warned:
+            assert "in 3 client-round(s)" in records[0]
 
     def test_excludes_users_without_ratings(self, caplog):
         triples = [RatingTriple(0, 0, 3.0), RatingTriple(0, 1, 4.0), RatingTriple(2, 1, 2.0), RatingTriple(2, 0, 5.0)]
