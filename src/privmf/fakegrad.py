@@ -15,7 +15,8 @@ budget by safeguarded Newton iteration on ln coverage inside
 draws from the truncated normal exactly, by inverse CDF (Robert 1995;
 Chopin 2011), so its cost does not depend on the budget.
 
-``fake_errors``, a client round's one call, fails closed: it returns one
+``fake_error_rows``, a numerical round's one call per chunk of clients
+(``fake_errors`` is its one-client case), fails closed: it returns one
 error per fake item at any budget. Above eps_g ~ 27 a bound near the mean
 is narrower than ~1e-12 sigma, so the draws are visibly quantized; above
 ~37 it can hold no mass in double precision, and the errors are drawn at
@@ -192,6 +193,12 @@ def sample_fake_errors(
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    return _inverse_cdf(np.array(_window(mu, sigma, alpha)), rng.random(n))
+
+
+def _window(mu: float, sigma: float, alpha: float) -> tuple[float, ...]:
+    """The inverse-CDF map's parameters for one bound: ``(p_lo, p_hi - p_lo,
+    mu, sign * sigma, clip_lo, clip_hi)``."""
     lo, hi = (-alpha - mu) / sigma, (alpha - mu) / sigma
     sign = 1.0
     if mu < 0.0:  # reflect: bounds below the mean, where Phi keeps full precision
@@ -199,29 +206,50 @@ def sample_fake_errors(
     p_lo, p_hi = _cdf(lo), _cdf(hi)
     if not p_hi > p_lo:
         raise DegenerateBoundError(f"no mass inside the bound: alpha={alpha}, mu={mu}, sigma={sigma}")
-    u = (p_lo + (p_hi - p_lo) * rng.random(n)).clip(*_OPEN_UNIT)
-    z = np.fromiter(map(_inv_cdf, u.tolist()), np.float64, n)
-    return (mu + sign * sigma * z).clip(math.nextafter(-alpha, 0.0), math.nextafter(alpha, 0.0))
+    return p_lo, p_hi - p_lo, mu, sign * sigma, math.nextafter(-alpha, 0.0), math.nextafter(alpha, 0.0)
+
+
+def _inverse_cdf(window: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Uniforms ``r`` mapped through ``window``: one row of ``_window``, or
+    one row per uniform."""
+    p_lo, width, mu, scale, lo, hi = window.T
+    u = (p_lo + width * r).clip(*_OPEN_UNIT)
+    z = np.fromiter(map(_inv_cdf, u.tolist()), np.float64, len(u))
+    return (mu + scale * z).clip(lo, hi)
+
+
+def fake_error_rows(mu, sigma, eps_g: float | None, counts, uniforms: np.ndarray):
+    """Fake errors for a population of clients, from pre-drawn uniforms.
+
+    Client i, whose rated errors have mean ``mu[i]`` and standard deviation
+    ``sigma[i]``, gets ``counts[i]`` errors from its slice of ``uniforms``
+    (the slices in client order). Returns the errors, in ``uniforms``'
+    order, and each client's ``AlphaBound`` (``UNBOUNDED`` without
+    ``eps_g``). Per client, a zero spread becomes ``SIGMA_FLOOR`` and a
+    bound without mass falls back to ``alpha_max``.
+    """
+    bounds, windows = [], np.empty((len(counts), 6))
+    for i, (m, s, n) in enumerate(zip(np.asarray(mu).tolist(), np.asarray(sigma).tolist(), counts)):
+        sd = s if s > 0.0 else SIGMA_FLOOR
+        bound = UNBOUNDED
+        if eps_g is not None:
+            bound = solve_alpha(eps_g, m, sd)
+            if s <= 0.0:
+                bound = replace(bound, floored=True)
+        if n:
+            try:
+                windows[i] = _window(m, sd, bound.alpha)
+            except DegenerateBoundError:
+                amax = bound.alpha_max
+                bound = replace(bound, alpha=amax, eps_g_achieved=epsilon_g_of(amax, m, sd), fallback=True)
+                windows[i] = _window(m, sd, amax)
+        bounds.append(bound)
+    return _inverse_cdf(np.repeat(windows, counts, axis=0), uniforms), bounds
+
 
 def fake_errors(errors, eps_g: float | None, n: int, rng: np.random.Generator):
     """n fake errors from a round's rated ``errors``, and the ``AlphaBound``
-    drawn at (``UNBOUNDED`` without ``eps_g``). A zero spread becomes
-    ``SIGMA_FLOOR``; a bound without mass falls back to ``alpha_max``, from
-    the same ``rng.random(n)`` block, as the failed draw raises before it."""
+    drawn at: ``fake_error_rows`` for one client, from one ``rng.random(n)``."""
     stats = error_stats(errors)
-    sigma = stats.sigma if stats.sigma > 0.0 else SIGMA_FLOOR
-    bound = UNBOUNDED
-    if eps_g is not None:
-        bound = solve_alpha(eps_g, stats.mu, sigma)
-        if stats.sigma <= 0.0:
-            bound = replace(bound, floored=True)
-    if n == 0:
-        return np.empty(0), bound
-    try:
-        return sample_fake_errors(stats.mu, sigma, bound.alpha, n, rng), bound
-    except DegenerateBoundError:
-        amax = bound.alpha_max
-        bound = replace(
-            bound, alpha=amax, eps_g_achieved=epsilon_g_of(amax, stats.mu, sigma), fallback=True
-        )
-        return sample_fake_errors(stats.mu, sigma, amax, n, rng), bound
+    fakes, (bound,) = fake_error_rows([stats.mu], [stats.sigma], eps_g, [n], rng.random(n))
+    return fakes, bound

@@ -4,7 +4,15 @@ Each round the server broadcasts the item factors, every client locally
 updates its user factor from its own ratings, draws a randomized send-set,
 and returns one ``ClientUpdate``: a delta row per selected item (real
 gradients for rated items, fake-error gradients for unrated ones), sent as
-one gradient frame per row followed by a finish frame. The server only ever
+one gradient frame per row followed by a finish frame.
+
+The simulator runs a numerical round for the whole population at once
+(``population_iteration``), chunk by chunk, in two passes: a loop over the
+clients that only pulls each client's draws from its own round stream, in
+the order a lone client round draws them, then one array pass over all the
+chunk's rated and sent rows. The streams stay per client and unchanged, so
+every update and user factor equals that client's round computed alone
+(``client_iteration``, the population of one). The server only ever
 sees gradient/finish frames: ratings, rated-item bit vectors, and user
 factors never leave the client. With ``transport="bytes"`` each round's
 updates go through ``codec.encode_updates`` and ``codec.decode_updates``;
@@ -30,12 +38,13 @@ from .rng import TAG_CLIENT_INIT, TAG_CLIENT_ROUND, derive_rng
 from .sgld import (
     FactorModel,
     Hyperparams,
+    UserRows,
     init_model,
-    item_step,
+    item_pass,
     learning_rate,
-    prediction_errors,
     reduce_item_deltas,
-    user_step,
+    row_chunks,
+    user_pass,
 )
 
 logger = logging.getLogger(__name__)
@@ -157,29 +166,94 @@ def draw_send_set(state: ClientState, t: int) -> tuple[np.random.Generator, np.n
     return rng, np.flatnonzero(randresp.irr(state.bits_prime, state.rr.p, state.rr.q, rng))
 
 
+def population_iteration(clients: list[ClientState], v_snapshot: np.ndarray, t: int) -> list[ClientUpdate]:
+    """One round of the numerical task for clients that share ``hp`` and
+    ``budget``: one ``ClientUpdate`` per client, in client order.
+
+    Each client draws from its own round-``t`` stream, in one order: the
+    send set, the user-step noise, the fake-error uniforms, the item-step
+    noise. The send sets are drawn first; then chunks of consecutive
+    clients holding ~``sgld._CHUNK_ROWS`` rated rows, which bound the
+    temporaries, run in two passes. Every client's update, user factor and
+    ledger entry are those of its own round computed alone.
+    """
+    hp, budget = clients[0].hp, clients[0].budget
+    eps_g = None if budget is None else budget.eps_g
+    eta = learning_rate(t, hp)
+    rngs, items, at = _draw_send_sets(clients, t)
+    # the round's item deltas, one row per sent item; each update views its slice
+    deltas = np.empty((at[-1], hp.k))
+    for lo, hi in row_chunks([c.h for c in clients]):
+        _chunk_iteration(
+            clients[lo:hi], rngs[lo:hi], items[at[lo] : at[hi]], np.diff(at[lo : hi + 1]),
+            deltas[at[lo] : at[hi]], v_snapshot, eta, eps_g,
+        )
+    return [ClientUpdate(c.client_id, items[a:b], deltas[a:b]) for c, a, b in zip(clients, at, at[1:])]
+
+
+def _draw_send_sets(clients, t):
+    """Each client's round stream, and all the send sets in one array with
+    each client's offset into it. The per-client arrays are freed before
+    the round's delta block is allocated; kept alive, they left the heap
+    fragmented enough to raise peak RSS on ML-100K-shaped rounds."""
+    rngs, sent = zip(*(draw_send_set(c, t) for c in clients))
+    return rngs, np.concatenate(sent), np.cumsum([0, *map(len, sent)]).tolist()
+
+
+def _chunk_iteration(chunk, rngs, items, counts, deltas, v_snapshot, eta, eps_g) -> None:
+    """One chunk of ``population_iteration``: ``items`` holds its clients'
+    send sets back to back, ``counts[i]`` ids each, and their item deltas
+    are written to ``deltas``, one row per id.
+
+    Pass 1 loops over the clients and only pulls the rest of each stream
+    into preallocated blocks; pass 2 runs the arithmetic once over the rows
+    of all the chunk's clients.
+    """
+    hp, noise = chunk[0].hp, chunk[0].hp.noise_enabled
+    rows = UserRows([c.items for c in chunk], [c.ratings for c in chunk])
+    owner = np.repeat(np.arange(len(chunk)), counts)
+    row, rated = rows.locate(owner, items, len(v_snapshot))
+    n_fake = np.bincount(owner[~rated], minlength=len(chunk))
+    sent_at = np.cumsum([0, *counts.tolist()]).tolist()
+    fake_at = np.cumsum([0, *n_fake.tolist()]).tolist()
+
+    # pass 1: the rest of each client's stream, in its order
+    user_noise = np.empty((len(rows.items), hp.k)) if noise else None
+    uniforms = np.empty(fake_at[-1])
+    for i, (rng, first, h) in enumerate(zip(rngs, rows.start.tolist(), rows.h.tolist())):
+        if noise:
+            rng.standard_normal(out=user_noise[first : first + h])
+        rng.random(out=uniforms[fake_at[i] : fake_at[i + 1]])
+        if noise:
+            rng.standard_normal(out=deltas[sent_at[i] : sent_at[i + 1]])
+
+    # pass 2: the arithmetic, once over all the chunk's rows
+    u = np.stack([c.u for c in chunk])
+    errs, du = user_pass(u, v_snapshot, rows, eta, hp, user_noise)
+    del user_noise  # freed before the item step's temporaries
+    mu = rows.per_user(errs, lambda block: block.mean(axis=1))
+    sigma = rows.per_user(errs, lambda block: block.std(axis=1))
+    fakes, bounds = fakegrad.fake_error_rows(mu, sigma, eps_g, n_fake, uniforms)
+    e = np.empty(len(items))
+    e[rated] = errs[row[rated]]
+    e[~rated] = fakes
+    out = item_pass(v_snapshot, e, u[owner], items, eta, hp, deltas if noise else None)
+    if not noise:
+        deltas[...] = out
+    u += du / rows.h[:, None]
+    for c, u_row, bound in zip(chunk, u, bounds):
+        c.u[:] = u_row
+        c.record(bound)
+
+
 def client_iteration(state: ClientState, v_snapshot: np.ndarray, t: int) -> ClientUpdate:
-    """One client round: local user update, send-set draw, item deltas.
+    """One client round: ``population_iteration`` of that client alone.
 
     The update lists the sent items in ascending id order; the user factor
     is updated in place afterwards, from the per-rated-item deltas averaged
     over the number of ratings.
     """
-    rng, selected = draw_send_set(state, t)
-    hp = state.hp
-    eta = learning_rate(t, hp)
-    errs = prediction_errors(state.u, v_snapshot, state.items, state.ratings)
-    du = user_step(state.u, errs, v_snapshot[state.items], eta, hp, rng).sum(axis=0)
-
-    rated = state.bits[selected] == 1
-    e = np.empty(len(selected), dtype=np.float64)
-    e[rated] = errs[np.searchsorted(state.items, selected[rated])]
-    eps_g = None if state.budget is None else state.budget.eps_g
-    e[~rated], bound = fakegrad.fake_errors(errs, eps_g, int(np.count_nonzero(~rated)), rng)
-    state.record(bound)
-    deltas = item_step(v_snapshot[selected], e, state.u, eta, hp, rng)
-
-    state.u += du / state.h
-    return ClientUpdate(state.client_id, selected, deltas)
+    return population_iteration([state], v_snapshot, t)[0]
 
 
 def server_begin_round(server: ServerState) -> np.ndarray:
@@ -228,11 +302,12 @@ def server_end_round(server: ServerState) -> None:
 def server_round(server: ServerState, clients, step_fn, transport: str = "memory") -> int:
     """Run one synchronous round over all clients; returns messages received.
 
-    With ``transport="bytes"`` the updates cross the wire format; the
-    session's first round opens with the handshake.
+    ``step_fn(clients, snapshot, t)`` returns one update per client. With
+    ``transport="bytes"`` the updates cross the wire format; the session's
+    first round opens with the handshake.
     """
     snapshot = server_begin_round(server)
-    updates = [step_fn(client, snapshot, server.t) for client in clients]
+    updates = step_fn(clients, snapshot, server.t)
     if transport == "bytes":
         handshake = Handshake(server.k, server.n_items) if server.t == 1 else None
         updates = decode_updates(encode_updates(updates, handshake), server.k, server.n_items)
@@ -296,9 +371,12 @@ def run_training(
         raise ProtocolError("no clients with ratings")
 
     if task == "one-class":
-        from .bpr import sd_bpr_client_iteration as step_fn
+        from . import bpr
+
+        def step_fn(clients, v, t):
+            return [bpr.sd_bpr_client_iteration(c, v, t) for c in clients]
     else:
-        step_fn = client_iteration
+        step_fn = population_iteration
 
     server = ServerState(
         v=model0.v.copy(), n_items=train.n_items, k=hp.k, per_item_average=per_item_average

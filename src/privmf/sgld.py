@@ -127,12 +127,30 @@ def prediction_errors(
     return ratings - np.vecdot(v_matrix[items], u)
 
 
-def _step(x, e, other, lam, eta_t, hp, rng) -> np.ndarray:
-    delta = eta_t * (np.asarray(e)[..., None] * other - lam * x)
-    if hp.noise_enabled:
-        # one (n, k) draw consumes the stream exactly as n draws of k
-        delta += np.sqrt(eta_t) * rng.standard_normal(delta.shape)
-    return delta
+def _step(x, e, other, lam, eta_t, noise=None) -> np.ndarray:
+    """Deltas ``eta_t * (e * other - lam * x)``, plus ``sqrt(eta_t) * noise``
+    for a pre-drawn standard-normal block. ``x`` and ``other`` are scratch
+    blocks of the deltas' shape: the deltas are written over ``noise`` when
+    given, else over ``other``."""
+    other *= np.asarray(e)[..., None]
+    x *= lam
+    other -= x
+    other *= eta_t
+    if noise is None:
+        return other
+    noise *= np.sqrt(eta_t)
+    noise += other
+    return noise
+
+
+def _single_step(x, e, other, lam, eta_t, hp: Hyperparams, rng: np.random.Generator) -> np.ndarray:
+    """One ``user_step`` / ``item_step`` call: noise from ``rng``, and the
+    caller's operands copied to scratch blocks."""
+    shape = np.broadcast_shapes(np.shape(e) + (1,), np.shape(x), np.shape(other))
+    # one (n, k) draw consumes the stream exactly as n draws of k
+    noise = rng.standard_normal(shape) if hp.noise_enabled else None
+    scratch = [np.array(np.broadcast_to(a, shape), dtype=np.float64) for a in (x, other)]
+    return _step(scratch[0], e, scratch[1], lam, eta_t, noise)
 
 
 def user_step(
@@ -146,7 +164,7 @@ def user_step(
     """Additive delta for a user factor from one rated item; with a vector
     of n errors and an (n, k) block of item rows, the (n, k) block of
     deltas, one per rated item."""
-    return _step(u, e, v, hp.lambda_u, eta_t, hp, rng)
+    return _single_step(u, e, v, hp.lambda_u, eta_t, hp, rng)
 
 
 def item_step(
@@ -159,7 +177,97 @@ def item_step(
 ) -> np.ndarray:
     """Additive delta for an item factor from one (real or fake) error; with
     an (n, k) block of item rows and n errors, the (n, k) block of deltas."""
-    return _step(v, e, u, hp.lambda_v, eta_t, hp, rng)
+    return _single_step(v, e, u, hp.lambda_v, eta_t, hp, rng)
+
+
+# rated rows per population chunk: bounds the kernel's (rows, k) temporaries
+_CHUNK_ROWS = 4096
+
+
+def row_chunks(counts) -> list[tuple[int, int]]:
+    """Ranges ``[lo, hi)`` of consecutive users, each closed once its rated
+    rows reach the chunk size."""
+    out, lo, rows = [], 0, 0
+    for i, h in enumerate(counts):
+        rows += h
+        if rows >= _CHUNK_ROWS:
+            out.append((lo, i + 1))
+            lo, rows = i + 1, 0
+    if lo < len(counts):
+        out.append((lo, len(counts)))
+    return out
+
+
+class UserRows:
+    """The rated rows of a chunk of users, grouped by equal rating count.
+
+    Users are laid out in ascending ``(h, position)`` order, each user's
+    rows in its item order, so the users with one rating count form one
+    contiguous ``(m, h)`` block. A per-user reduction reshapes each block
+    to ``(m, h, ...)`` and reduces axis 1, which sums every user's rows as
+    numpy sums that user's own ``(h, ...)`` rows over axis 0; padding to a
+    common length would not.
+    """
+
+    def __init__(self, items: list[np.ndarray], ratings: list[np.ndarray]):
+        self.h = np.fromiter(map(len, items), np.int64, len(items))
+        order = np.argsort(self.h, kind="stable")
+        counts = self.h[order]
+        self.items = np.concatenate([items[i] for i in order])
+        self.ratings = np.concatenate([ratings[i] for i in order])
+        self.owner = np.repeat(order, counts)  # user of each row, by position
+        ends = np.cumsum(counts)
+        self.start = np.empty_like(self.h)  # each user's first row
+        self.start[order] = ends - counts
+        # (users, first row, h) of each run of equal counts
+        edges = np.flatnonzero(np.r_[True, np.diff(counts) != 0, True]).tolist()
+        self.groups = [
+            (order[a:b], int(ends[a] - counts[a]), int(counts[a])) for a, b in zip(edges, edges[1:])
+        ]
+        self._rank = np.empty_like(order)
+        self._rank[order] = np.arange(len(order))
+
+    def per_user(self, values: np.ndarray, reduce) -> np.ndarray:
+        """``reduce`` of each group's ``(m, h, ...)`` view of the row
+        ``values``, one result row per user, in user order."""
+        out = np.empty((len(self.h),) + values.shape[1:])
+        for users, lo, h in self.groups:
+            out[users] = reduce(values[lo : lo + len(users) * h].reshape(len(users), h, *values.shape[1:]))
+        return out
+
+    def locate(self, users: np.ndarray, items: np.ndarray, n_items: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row of each ``(user, item)`` pair, and whether the user rated it."""
+        keys = self._rank[self.owner] * n_items + self.items  # ascending
+        wanted = self._rank[users] * n_items + items
+        rows = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
+        return rows, keys[rows] == wanted
+
+
+def user_pass(
+    u: np.ndarray, v: np.ndarray, rows: UserRows, eta_t: float, hp: Hyperparams, noise=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """A chunk's prediction errors, one per rated row, and each user's summed
+    user deltas, from the users' factors ``u`` ``(m, k)`` and a pre-drawn
+    ``noise`` block, one row per rated row, when SGLD noise is on.
+
+    ``np.vecdot`` of gathered rows rounds each error as one user's
+    ``prediction_errors`` does, and ``UserRows.per_user`` sums each user's
+    deltas as ``user_step(...).sum(axis=0)`` does.
+    """
+    v_rows, u_rows = v[rows.items], u[rows.owner]
+    errs = rows.ratings - np.vecdot(v_rows, u_rows)
+    deltas = _step(u_rows, errs, v_rows, hp.lambda_u, eta_t, noise)
+    return errs, rows.per_user(deltas, lambda block: block.sum(axis=1))
+
+
+def item_pass(
+    v: np.ndarray, e: np.ndarray, u_rows: np.ndarray, items: np.ndarray, eta_t: float,
+    hp: Hyperparams, noise=None,
+) -> np.ndarray:
+    """Item deltas, one per ``(item, error, user row)``, written over the
+    pre-drawn ``noise`` block when SGLD noise is on, else over ``u_rows``,
+    which is scratch."""
+    return _step(v[items], e, u_rows, hp.lambda_v, eta_t, noise)
 
 
 def reduce_item_deltas(blocks, n_items: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,20 +307,31 @@ def centralized_train(train, hp: Hyperparams, n_rounds: int) -> FactorModel:
         raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
     model = init_model(train.n_users, train.n_items, hp)
     rng = derive_rng(hp.seed, TAG_CENTRAL_TRAIN)
-    user_data = [(i, *train.user_items(i)) for i in train.active_users()]
+    users = train.active_users()
+    data = [train.user_items(i) for i in users]
+    chunks = []
+    for lo, hi in row_chunks([len(items) for items, _ in data]):
+        rows = UserRows(*zip(*data[lo:hi]))
+        # the stream holds, user by user, h rows of user-step noise, then h
+        # rows of item-step noise: each rated row's two rows in that draw
+        first = 2 * (np.cumsum(rows.h) - rows.h)
+        at = first[rows.owner] + np.arange(len(rows.items)) - rows.start[rows.owner]
+        chunks.append((users[lo:hi], rows, at, at + rows.h[rows.owner]))
 
     for t in range(1, n_rounds + 1):
         eta = learning_rate(t, hp)
         blocks = []
-        for i, items, ratings in user_data:
-            h = len(items)
-            u = model.u[i]
-            v_rows = model.v[items]
-            errs = prediction_errors(u, model.v, items, ratings)
-            du = user_step(u, errs, v_rows, eta, hp, rng).sum(axis=0)
-            blocks.append((items, item_step(v_rows, errs, u, eta, hp, rng)))
+        for ids, rows, user_at, item_at in chunks:
+            user_noise = item_noise = None
+            if hp.noise_enabled:
+                draws = rng.standard_normal((2 * len(rows.items), hp.k))
+                user_noise, item_noise = draws[user_at], draws[item_at]
+            u = model.u[ids]
+            errs, du = user_pass(u, model.v, rows, eta, hp, user_noise)
+            deltas = item_pass(model.v, errs, u[rows.owner], rows.items, eta, hp, item_noise)
+            blocks.append((rows.items, deltas))
             # user factors move only after this round's item deltas are computed
-            model.u[i] = u + du / h
+            model.u[ids] = u + du / rows.h[:, None]
         sums, counts = reduce_item_deltas(blocks, train.n_items, hp.k)
         total = int(counts.sum())
         if total:

@@ -1,0 +1,207 @@
+"""The population round against the per-client round it replaced.
+
+``oracle_iteration`` below is the numerical client round as it ran one
+client at a time, with its SGLD step and fake-error sampler inlined, so it
+shares no arithmetic with the population kernel. Every update, user factor
+and ledger counter of ``population_iteration`` must equal it bit for bit.
+"""
+
+import importlib.util
+import math
+import statistics
+import sys
+from dataclasses import replace
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from privmf import fakegrad, protocol, sgld
+from privmf.codec import ClientUpdate
+from privmf.data import RatingTriple, build_dataset, synthetic_dataset
+from privmf.protocol import client_init, draw_send_set, population_iteration
+from privmf.randresp import PrivacyBudget
+from privmf.sgld import Hyperparams, init_model, learning_rate, prediction_errors
+
+_inv_cdf = statistics.NormalDist().inv_cdf
+_OPEN_UNIT = (math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0))
+
+
+def oracle_step(x, e, other, lam, eta_t, hp, rng):
+    delta = eta_t * (np.asarray(e)[..., None] * other - lam * x)
+    if hp.noise_enabled:
+        delta += np.sqrt(eta_t) * rng.standard_normal(delta.shape)
+    return delta
+
+
+def oracle_sample(mu, sigma, alpha, n, rng):
+    lo, hi = (-alpha - mu) / sigma, (alpha - mu) / sigma
+    sign = 1.0
+    if mu < 0.0:
+        lo, hi, sign = -hi, -lo, -1.0
+    p_lo, p_hi = fakegrad._cdf(lo), fakegrad._cdf(hi)
+    if not p_hi > p_lo:
+        raise fakegrad.DegenerateBoundError("no mass")
+    u = (p_lo + (p_hi - p_lo) * rng.random(n)).clip(*_OPEN_UNIT)
+    z = np.fromiter(map(_inv_cdf, u.tolist()), np.float64, n)
+    return (mu + sign * sigma * z).clip(math.nextafter(-alpha, 0.0), math.nextafter(alpha, 0.0))
+
+
+def oracle_fake_errors(errors, eps_g, n, rng):
+    mu, sd = float(errors.mean()), float(errors.std())
+    sigma = sd if sd > 0.0 else fakegrad.SIGMA_FLOOR
+    bound = fakegrad.UNBOUNDED
+    if eps_g is not None:
+        bound = fakegrad.solve_alpha(eps_g, mu, sigma)
+        if sd <= 0.0:
+            bound = replace(bound, floored=True)
+    if n == 0:
+        return np.empty(0), bound
+    try:
+        return oracle_sample(mu, sigma, bound.alpha, n, rng), bound
+    except fakegrad.DegenerateBoundError:
+        amax = bound.alpha_max
+        bound = replace(
+            bound, alpha=amax, eps_g_achieved=fakegrad.epsilon_g_of(amax, mu, sigma), fallback=True
+        )
+        return oracle_sample(mu, sigma, amax, n, rng), bound
+
+
+def oracle_iteration(state, v_snapshot, t):
+    rng, selected = draw_send_set(state, t)
+    hp = state.hp
+    eta = learning_rate(t, hp)
+    errs = prediction_errors(state.u, v_snapshot, state.items, state.ratings)
+    du = oracle_step(state.u, errs, v_snapshot[state.items], hp.lambda_u, eta, hp, rng).sum(axis=0)
+
+    rated = state.bits[selected] == 1
+    e = np.empty(len(selected), dtype=np.float64)
+    e[rated] = errs[np.searchsorted(state.items, selected[rated])]
+    eps_g = None if state.budget is None else state.budget.eps_g
+    e[~rated], bound = oracle_fake_errors(errs, eps_g, int(np.count_nonzero(~rated)), rng)
+    state.record(bound)
+    deltas = oracle_step(v_snapshot[selected], e, state.u, hp.lambda_v, eta, hp, rng)
+
+    state.u += du / state.h
+    return ClientUpdate(state.client_id, selected, deltas)
+
+
+def oracle_population(clients, v, t):
+    return [oracle_iteration(c, v, t) for c in clients]
+
+
+LEDGER = ("clamped_rounds", "floored_rounds", "fallback_rounds", "eps_g_worst")
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def assert_same_rounds(ds, hp, budget, rounds, chunk_rows):
+    """Both rounds over two copies of one population: updates, user factors
+    and ledgers equal after every round."""
+    model0 = init_model(ds.n_users, ds.n_items, hp)
+    z_target = len(ds) / ds.n_users
+
+    def population():
+        return [
+            client_init(i, *ds.user_items(i), model0.u[i], ds.n_items, hp, budget, z_target, hp.seed)
+            for i in ds.active_users()
+        ]
+
+    ours, theirs = population(), population()
+    v = model0.v
+    v.setflags(write=False)  # a broadcast snapshot
+    with mock.patch.object(sgld, "_CHUNK_ROWS", chunk_rows):
+        for t in range(1, rounds + 1):
+            got = population_iteration(ours, v, t)
+            want = oracle_population(theirs, v, t)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.client_id == b.client_id
+                assert np.array_equal(a.item_ids, b.item_ids)
+                assert np.array_equal(bits(a.deltas), bits(b.deltas))
+            for a, b in zip(ours, theirs):
+                assert np.array_equal(bits(a.u), bits(b.u))
+                assert [getattr(a, f) for f in LEDGER] == [getattr(b, f) for f in LEDGER]
+            sums, counts = sgld.reduce_item_deltas(
+                [(u.item_ids, u.deltas) for u in want], ds.n_items, hp.k
+            )
+            v = v + sums / max(int(counts.sum()), 1)
+            v.setflags(write=False)
+    return theirs
+
+
+@st.composite
+def populations(draw):
+    n_items = draw(st.integers(2, 40))
+    n_users = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    triples = []
+    for user in range(n_users):
+        # one-rating users have no error spread: the sigma floor
+        h = 1 if draw(st.booleans()) else int(rng.integers(1, n_items + 1))
+        items = rng.choice(n_items, size=h, replace=False)
+        triples += [RatingTriple(user, int(j), float(rng.uniform(1, 5))) for j in items]
+    return build_dataset(triples, n_users, n_items)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    ds=populations(),
+    k=st.sampled_from([1, 2, 3, 10]),
+    noise=st.booleans(),
+    privacy=st.sampled_from(["off", "unbounded", 0.01, 4.0, 40.0]),
+    chunk_rows=st.sampled_from([1, 5, 17, 4096]),
+)
+def test_population_round_equals_per_client_oracle(ds, k, noise, privacy, chunk_rows):
+    hp = Hyperparams(k, 0.3, 0.6, np.full(k, 0.02), np.full(k, 0.03), 3, noise_enabled=noise)
+    if privacy == "off":
+        budget = None
+    else:
+        budget = PrivacyBudget(eps_i=2.0, eps_g=None if privacy == "unbounded" else privacy)
+        if not 0 < len(ds) / ds.n_users < ds.n_items:
+            budget = None  # no send-count target to calibrate for
+    assert_same_rounds(ds, hp, budget, 2, chunk_rows)
+
+
+@pytest.mark.parametrize("eps_g", [0.01, 40.0])
+@pytest.mark.parametrize("noise", [False, True])
+def test_many_chunks_and_every_ledger_event(eps_g, noise):
+    # 30 users over ~10 chunks; near eps_g = 40 some bounds hold no mass,
+    # at 0.01 every bound clamps, and user 0's one rating has no spread
+    ds = synthetic_dataset(30, 60, seed=1, mean_ratings_per_user=8)
+    triples = [t for t in ds.triples if t.user_id != 0] + [RatingTriple(0, 3, 4.0)]
+    ds = build_dataset(triples, ds.n_users, ds.n_items)
+    hp = Hyperparams(3, 0.1, 0.6, np.full(3, 0.01), np.full(3, 0.01), 0, noise_enabled=noise)
+    clients = assert_same_rounds(ds, hp, PrivacyBudget(eps_i=1.0, eps_g=eps_g), 3, 24)
+    assert sum(c.floored_rounds for c in clients) == 3
+    counter = "fallback_rounds" if eps_g == 40.0 else "clamped_rounds"
+    assert sum(getattr(c, counter) for c in clients) > 0
+
+
+def load_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("name", ["desk-rmse-private", "ml100k-shape-private"])
+def test_benchmark_workload_streams_unchanged(name, monkeypatch):
+    # the benchmark's own inputs, 2 rounds each way; CI runs this on every
+    # supported Python, so a numpy that rounds the batch differently fails here
+    workload = load_workloads()[name]
+    inputs = workload.build(7)
+    got = workload.train(inputs, 2)
+    monkeypatch.setattr(protocol, "population_iteration", oracle_population)
+    want = workload.train(inputs, 2)
+    assert [r.messages for r in got.curve] == [r.messages for r in want.curve]
+    assert np.array_equal(bits(got.model.u), bits(want.model.u))
+    assert np.array_equal(bits(got.model.v), bits(want.model.v))

@@ -22,6 +22,7 @@ from privmf.protocol import (
     client_init,
     client_iteration,
     draw_send_set,
+    population_iteration,
     run_training,
     server_begin_round,
     server_collect,
@@ -121,7 +122,7 @@ class TestClientIteration:
         assert abs(mean - expected) < 3 * math.sqrt(var / rounds)
 
     @pytest.mark.parametrize("eps_g", [38.0, 40.0, 45.0])
-    def test_degenerate_fake_bound_falls_back_to_alpha_max(self, caplog, eps_g):
+    def test_degenerate_fake_bound_falls_back_to_alpha_max(self, caplog, monkeypatch, eps_g):
         # real bounds, nothing faked: near eps_g ~ 37 and beyond, the solved
         # bound of some client-rounds holds no mass in double precision
         ds = synthetic_dataset(30, 60, seed=1, mean_ratings_per_user=8)
@@ -139,30 +140,38 @@ class TestClientIteration:
             for i in ds.active_users()
         ]
         fallbacks = 0
+        received = []
+        collect = protocol.server_collect
 
-        def checked(state, v, t):
-            nonlocal fallbacks
-            rng, selected = draw_send_set(state, t)
-            errs = prediction_errors(state.u, v, state.items, state.ratings)
-            rated = state.bits[selected] == 1
-            fakes, bound = fakegrad.fake_errors(errs, eps_g, int(np.sum(~rated)), rng)
-            assert np.all(np.abs(fakes) < bound.alpha_max)
-            if bound.fallback:
-                assert bound.alpha == bound.alpha_max
-                fallbacks += 1
-            e = np.empty(len(selected))
-            e[rated] = errs[np.searchsorted(state.items, selected[rated])]
-            e[~rated] = fakes
-            expected = item_step(v[selected], e, state.u.copy(), learning_rate(t, hp), hp, None)
-            up = client_iteration(state, v, t)
-            # the whole send set goes out, carrying exactly these fakes
-            assert np.array_equal(up.item_ids, selected)
-            assert np.array_equal(up.deltas, expected)
-            return up
+        def recording(server, updates, n_clients):
+            received.append(updates)
+            return collect(server, updates, n_clients)
 
+        monkeypatch.setattr(protocol, "server_collect", recording)
         server = ServerState(v=model0.v.copy(), n_items=ds.n_items, k=hp.k)
-        for _ in range(3):
-            server_round(server, clients, checked)
+        for t in (1, 2, 3):
+            v = server.v.copy()
+            expected = []
+            for state in clients:
+                rng, selected = draw_send_set(state, t)
+                errs = prediction_errors(state.u, v, state.items, state.ratings)
+                rated = state.bits[selected] == 1
+                fakes, bound = fakegrad.fake_errors(errs, eps_g, int(np.sum(~rated)), rng)
+                assert np.all(np.abs(fakes) < bound.alpha_max)
+                if bound.fallback:
+                    assert bound.alpha == bound.alpha_max
+                    fallbacks += 1
+                e = np.empty(len(selected))
+                e[rated] = errs[np.searchsorted(state.items, selected[rated])]
+                e[~rated] = fakes
+                eta = learning_rate(t, hp)
+                expected.append((selected, item_step(v[selected], e, state.u, eta, hp, None)))
+            server_round(server, clients, population_iteration)
+            # the whole send set reaches the server, carrying exactly these fakes
+            assert len(received[-1]) == len(clients)
+            for up, (selected, deltas) in zip(received[-1], expected):
+                assert np.array_equal(up.item_ids, selected)
+                assert np.array_equal(up.deltas, deltas)
         assert sum(c.fallback_rounds for c in clients) == fallbacks
         assert fallbacks > 0 or eps_g < 40.0
         fallback_lines = [m for m in messages if "drawn at alpha_max" in m]
@@ -305,13 +314,14 @@ class TestRunTraining:
         hp = make_hp(k=2, eta0=0.1, seed=11, noise=True)
         budget = PrivacyBudget(eps_i=1.0, eps_g=0.5)
         sent = {}
+        collect = protocol.server_collect
 
-        def recording(state, v, t):
-            up = client_iteration(state, v, t)
-            sent[state.client_id, t] = up.item_ids
-            return up
+        def recording(server, updates, n_clients):
+            for up in updates:
+                sent[up.client_id, server.t] = up.item_ids
+            return collect(server, updates, n_clients)
 
-        monkeypatch.setattr(protocol, "client_iteration", recording)
+        monkeypatch.setattr(protocol, "server_collect", recording)
         run_training(ds, hp, 3, budget=budget)
         users = ds.active_users()
         assert len(sent) == 3 * len(users)
