@@ -11,7 +11,8 @@ IEEE-754 doubles. decode(encode(m)) == m exactly.
 
 A gradient frame has a fixed size, 9 + 8k bytes, so a run of them is one
 packed record array ``[u1 type, <u4 item, <u4 k, (k,)<f8 delta]``:
-``encode_updates`` writes each client's rows with one ``tobytes`` and
+``encode_updates`` fills one such array for a whole round and splices the
+finish frames in between the clients' runs of its bytes, and
 ``decode_updates`` reads each run of gradient frames with one
 ``frombuffer``. The bytes are those of frame-by-frame ``encode_message``.
 """
@@ -138,28 +139,47 @@ def _gradient_dtype(k: int) -> np.dtype:
     return np.dtype([("type", "u1"), ("item", "<u4"), ("k", "<u4"), ("delta", "<f8", (k,))])
 
 
-def _check_u32(values, what: str) -> None:
-    values = np.asarray(values)
-    if values.size and (values.min() < 0 or values.max() > _U32_MAX):
-        raise CodecError(f"{what} outside [0, 2**32)")
+def _first_outside_u32(values) -> int | None:
+    """Index of the first value outside ``[0, 2**32)``, if any."""
+    bad = (values < 0) | (values > _U32_MAX)
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def encode_updates(updates, handshake: Handshake | None = None) -> bytes:
     """Frames for a round's updates, in order, each client's gradient frames
     followed by its finish frame; the handshake, when given, goes first.
 
-    A client's gradient frames are one packed record array."""
+    The round's gradient frames are one packed record array, so they share
+    one dimension ``k``; each client's run of its bytes is spliced in
+    through a memoryview, and the frames are joined once.
+    """
+    counts = [len(update.item_ids) for update in updates]
+    dims = {update.deltas.shape[1] for update, n in zip(updates, counts) if n}
+    if len(dims) > 1:
+        raise CodecError(f"gradient dimensions {sorted(dims)} differ within one round")
+    ends = np.cumsum(counts, dtype=np.int64)
+    ids = np.concatenate([np.empty(0, dtype=np.int64), *(update.item_ids for update in updates)])
+    # the first client, in order, with an id or an item id outside u32
+    bad_client = _first_outside_u32(np.array([update.client_id for update in updates]))
+    bad_row = _first_outside_u32(ids)
+    bad_item = len(updates) if bad_row is None else int(np.searchsorted(ends, bad_row, side="right"))
+    if bad_client is not None and bad_client <= bad_item:
+        update = updates[bad_client]
+        raise CodecError(f"client id {update.client_id} outside [0, 2**32)")
+    if bad_row is not None:
+        raise CodecError(f"client {updates[bad_item].client_id}: item id outside [0, 2**32)")
+
+    records = np.empty(len(ids), dtype=_gradient_dtype(dims.pop() if dims else 1))
+    records["type"] = TYPE_GRADIENT
+    records["item"] = ids
+    records["k"] = records.dtype["delta"].shape[0]
+    delta = records["delta"]
     frames = [] if handshake is None else [encode_message(handshake)]
-    for update in updates:
-        _check_u32(update.client_id, f"client id {update.client_id}")
-        _check_u32(update.item_ids, f"client {update.client_id}: item id")
-        deltas = update.deltas
-        records = np.empty(len(deltas), dtype=_gradient_dtype(deltas.shape[1]))
-        records["type"] = TYPE_GRADIENT
-        records["item"] = update.item_ids
-        records["k"] = deltas.shape[1]
-        records["delta"] = deltas
-        frames.append(records.tobytes())
+    raw, size = memoryview(records.view(np.uint8)), records.itemsize
+    for update, end, n in zip(updates, ends.tolist(), counts):
+        if n:
+            delta[end - n : end] = update.deltas
+        frames.append(raw[(end - n) * size : end * size])
         frames.append(encode_message(FinishMessage(update.client_id)))
     return b"".join(frames)
 

@@ -6,12 +6,14 @@ and returns one ``ClientUpdate``: a delta row per selected item (real
 gradients for rated items, fake-error gradients for unrated ones), sent as
 one gradient frame per row followed by a finish frame.
 
-The simulator runs a numerical round for the whole population at once
-(``population_iteration``), chunk by chunk, in two passes: a loop over the
-clients that only pulls each client's draws from its own round stream, in
-the order a lone client round draws them, then one array pass over all the
-chunk's rated and sent rows. The streams stay per client and unchanged, so
-every update and user factor equals that client's round computed alone
+The simulator runs each round for the whole population at once: the
+numerical round here (``population_iteration``), the one-class round in
+``bpr.population_iteration``. Both first draw every client's send set
+(``_draw_send_sets``), then go chunk by chunk in two passes: a loop over
+the clients that only pulls the rest of each client's draws from its own
+round stream, in the order a lone client round draws them, then one array
+pass over all the chunk's rows. The streams stay per client and unchanged,
+so every update and user factor equals that client's round computed alone
 (``client_iteration``, the population of one). The server only ever
 sees gradient/finish frames: ratings, rated-item bit vectors, and user
 factors never leave the client. With ``transport="bytes"`` each round's
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +74,6 @@ class ClientState:
     budget: randresp.PrivacyBudget | None
     hp: Hyperparams
     master_seed: int
-    unrated: np.ndarray = field(default=None, repr=False)
     # simulator-side privacy ledger, in client-rounds; never part of a ClientUpdate
     clamped_rounds: int = 0  # eps_g out of reach: bound clamped at alpha_max
     floored_rounds: int = 0  # no error spread: bound solved at the sigma floor
@@ -150,7 +151,6 @@ def client_init(
         budget=budget,
         hp=hp,
         master_seed=master_seed,
-        unrated=np.flatnonzero(bits == 0).astype(np.int64),
     )
 
 
@@ -160,10 +160,44 @@ def draw_send_set(state: ClientState, t: int) -> tuple[np.random.Generator, np.n
     The send set is the stream's first draw, so every client round and the
     ``privmf attack`` redraw see the same sets.
     """
+    rngs, items, _ = _draw_send_sets([state], t)
+    return rngs[0], items
+
+
+# uniforms per send-set block: bounds the block of clients drawn at once
+_SEND_BLOCK = 1 << 13
+
+
+def _draw_send_sets(clients, t):
+    """Each client's round stream, and all the send sets in one array with
+    each client's offset into it.
+
+    A block of clients draws its ``randresp.irr`` uniforms client by client
+    into one ``(clients, n_items)`` block, which one comparison against
+    ``where(bits_prime, q, p)`` thresholds. Blocks hold ~``_SEND_BLOCK``
+    uniforms, so no round holds a float per (client, item).
+    """
     if t < 1:
         raise ValueError(f"round index must be >= 1, got {t}")
-    rng = derive_rng(state.master_seed, TAG_CLIENT_ROUND, state.client_id, t)
-    return rng, np.flatnonzero(randresp.irr(state.bits_prime, state.rr.p, state.rr.q, rng))
+    n_items = len(clients[0].bits_prime)
+    per_block = max(1, _SEND_BLOCK // n_items)
+    uniforms = np.empty((min(per_block, len(clients)), n_items))
+    rngs, sent, counts = [], [], []
+    for lo in range(0, len(clients), per_block):
+        block = clients[lo : lo + per_block]
+        for c, row in zip(block, uniforms):
+            rng = derive_rng(c.master_seed, TAG_CLIENT_ROUND, c.client_id, t)
+            rng.random(out=row)
+            rngs.append(rng)
+        probs = np.where(
+            np.stack([c.bits_prime for c in block]) == 1,
+            np.array([c.rr.q for c in block])[:, None],
+            np.array([c.rr.p for c in block])[:, None],
+        )
+        owner, ids = np.divmod(np.flatnonzero(uniforms[: len(block)] < probs), n_items)
+        sent.append(ids)
+        counts.append(np.bincount(owner, minlength=len(block)))
+    return rngs, np.concatenate(sent), np.cumsum([0, *np.concatenate(counts).tolist()]).tolist()
 
 
 def population_iteration(clients: list[ClientState], v_snapshot: np.ndarray, t: int) -> list[ClientUpdate]:
@@ -189,15 +223,6 @@ def population_iteration(clients: list[ClientState], v_snapshot: np.ndarray, t: 
             deltas[at[lo] : at[hi]], v_snapshot, eta, eps_g,
         )
     return [ClientUpdate(c.client_id, items[a:b], deltas[a:b]) for c, a, b in zip(clients, at, at[1:])]
-
-
-def _draw_send_sets(clients, t):
-    """Each client's round stream, and all the send sets in one array with
-    each client's offset into it. The per-client arrays are freed before
-    the round's delta block is allocated; kept alive, they left the heap
-    fragmented enough to raise peak RSS on ML-100K-shaped rounds."""
-    rngs, sent = zip(*(draw_send_set(c, t) for c in clients))
-    return rngs, np.concatenate(sent), np.cumsum([0, *map(len, sent)]).tolist()
 
 
 def _chunk_iteration(chunk, rngs, items, counts, deltas, v_snapshot, eta, eps_g) -> None:
@@ -373,8 +398,7 @@ def run_training(
     if task == "one-class":
         from . import bpr
 
-        def step_fn(clients, v, t):
-            return [bpr.sd_bpr_client_iteration(c, v, t) for c in clients]
+        step_fn = bpr.population_iteration
     else:
         step_fn = population_iteration
 

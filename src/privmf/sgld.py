@@ -199,22 +199,24 @@ def row_chunks(counts) -> list[tuple[int, int]]:
 
 
 class UserRows:
-    """The rated rows of a chunk of users, grouped by equal rating count.
+    """The rows of a chunk of users, one per (user, item), grouped by equal
+    row count: the rated items with their ratings, or the items each user
+    sends.
 
     Users are laid out in ascending ``(h, position)`` order, each user's
-    rows in its item order, so the users with one rating count form one
+    rows in its item order, so the users with one row count form one
     contiguous ``(m, h)`` block. A per-user reduction reshapes each block
     to ``(m, h, ...)`` and reduces axis 1, which sums every user's rows as
     numpy sums that user's own ``(h, ...)`` rows over axis 0; padding to a
     common length would not.
     """
 
-    def __init__(self, items: list[np.ndarray], ratings: list[np.ndarray]):
+    def __init__(self, items: list[np.ndarray], ratings: list[np.ndarray] | None = None):
         self.h = np.fromiter(map(len, items), np.int64, len(items))
         order = np.argsort(self.h, kind="stable")
         counts = self.h[order]
         self.items = np.concatenate([items[i] for i in order])
-        self.ratings = np.concatenate([ratings[i] for i in order])
+        self.ratings = None if ratings is None else np.concatenate([ratings[i] for i in order])
         self.owner = np.repeat(order, counts)  # user of each row, by position
         ends = np.cumsum(counts)
         self.start = np.empty_like(self.h)  # each user's first row
@@ -241,6 +243,15 @@ class UserRows:
         wanted = self._rank[users] * n_items + items
         rows = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
         return rows, keys[rows] == wanted
+
+    def unrated(self, users: np.ndarray, j: np.ndarray, n_items: int) -> np.ndarray:
+        """The ``j``-th smallest item id each of ``users`` has no row for."""
+        # a user's i-th item (ascending) has items[i] - i missing ids below
+        # it, so the j-th missing id is j plus the items with at most j below
+        below = self.items - (np.arange(len(self.items)) - self.start[self.owner])
+        keys = self._rank[self.owner] * n_items + below  # ascending
+        before = np.searchsorted(keys, self._rank[users] * n_items + j, side="right")
+        return j + before - self.start[users]
 
 
 def user_pass(

@@ -180,7 +180,9 @@ def test_04_gradient_oracles():
                 + 0.5 * np.dot(vn * lam_v, vn)
             )
 
-        du, dpos, dneg = bpr.bpr_step(u, v, v2, eta, hp, rng)
+        # each item's delta from its own role; bpr_step works over copies
+        du, dpos = bpr.bpr_step(u.copy(), v.copy(), v2.copy(), True, eta, hp)
+        _, dneg = bpr.bpr_step(u.copy(), v2.copy(), v.copy(), False, eta, hp)
         worst = max(worst, rel_err(du, -eta * fd(lambda x: bpr_loss(x, v, v2), u)))
         worst = max(worst, rel_err(dpos, -eta * fd(lambda x: bpr_loss(u, x, v2), v)))
         worst = max(worst, rel_err(dneg, -eta * fd(lambda x: bpr_loss(u, v, x), v2)))

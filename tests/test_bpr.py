@@ -59,6 +59,22 @@ class TestErrors:
             assert sigma_bar(x) == pytest.approx(math.exp(-x) / (1 + math.exp(-x)), rel=1e-12)
 
 
+def pair_step(u, v_pos, v_neg, eta, hp, noise=None):
+    """``(du, dpos, dneg)``: ``bpr_step`` in each role, on copies of its
+    scratch operands; both roles give the same ``du``."""
+    positive = np.ones(v_pos.shape[:-1], dtype=bool)
+
+    def step(own, other, role):
+        u_rows = np.array(np.broadcast_to(u, own.shape))
+        pre_drawn = None if noise is None else noise.copy()
+        return bpr_step(u_rows, own.copy(), other.copy(), role, eta, hp, pre_drawn)
+
+    du, dpos = step(v_pos, v_neg, positive)
+    du_neg, dneg = step(v_neg, v_pos, ~positive)
+    assert np.array_equal(du.view(np.uint64), du_neg.view(np.uint64))
+    return du, dpos, dneg
+
+
 def finite_difference_grad(loss, x, step=1e-6):
     grad = np.zeros_like(x)
     for i in range(len(x)):
@@ -75,7 +91,7 @@ class TestStep:
         u = np.array([10.0, 0.0, 0.0])
         v_pos = np.array([5.0, 0.0, 0.0])
         v_neg = np.array([-5.0, 0.0, 0.0])
-        du, dpos, dneg = bpr_step(u, v_pos, v_neg, 0.1, hp, np.random.default_rng(0))
+        du, dpos, dneg = pair_step(u, v_pos, v_neg, 0.1, hp)
         for d in (du, dpos, dneg):
             assert np.all(np.abs(d) < 1e-8)
 
@@ -98,7 +114,7 @@ class TestStep:
                     + 0.5 * np.dot(vn * lam_v, vn)
                 )
 
-            du, dpos, dneg = bpr_step(u, v_pos, v_neg, eta, hp, np.random.default_rng(0))
+            du, dpos, dneg = pair_step(u, v_pos, v_neg, eta, hp)
             np.testing.assert_allclose(
                 du, -eta * finite_difference_grad(lambda x: loss(x, v_pos, v_neg), u), rtol=1e-4, atol=1e-9
             )
@@ -113,12 +129,12 @@ class TestStep:
         hp = make_hp()
         rng = np.random.default_rng(3)
         u, v_pos, v_neg = rng.normal(size=(3, 3))
-        _, dpos, dneg = bpr_step(u, v_pos, v_neg, 0.1, hp, np.random.default_rng(0))
+        _, dpos, dneg = pair_step(u, v_pos, v_neg, 0.1, hp)
         assert np.allclose(dpos, -dneg, atol=1e-12)
 
 
 class TestBlockSteps:
-    """The client steps all its pairs as one block; its parity with the
+    """The population steps all its pairs as one block; its parity with the
     per-pair reference rests on these equalities."""
 
     @pytest.mark.parametrize("noise", [False, True])
@@ -127,21 +143,44 @@ class TestBlockSteps:
         hp = make_hp(k=k, noise=noise, lam=0.03)
         data = np.random.default_rng(k)
         u = data.normal(size=k)
-        v_pos, v_neg = data.normal(size=(2, 7, k))
+        own, other = data.normal(size=(2, 7, k))
+        positive = data.random(7) < 0.5
+        pre_drawn = data.standard_normal((7, 3, k)) if noise else None
         eta = 0.07
-        block_rng, row_rng = np.random.default_rng(5), np.random.default_rng(5)
-        block = bpr_step(u, v_pos, v_neg, eta, hp, block_rng)
-        rows = [bpr_step(u, v_pos[i], v_neg[i], eta, hp, row_rng) for i in range(7)]
+        block = bpr_step(
+            np.tile(u, (7, 1)), own.copy(), other.copy(), positive, eta, hp,
+            None if pre_drawn is None else pre_drawn.copy(),
+        )
+        rows = [
+            bpr_step(u.copy(), own[i].copy(), other[i].copy(), positive[i], eta, hp,
+                     None if pre_drawn is None else pre_drawn[i].copy())
+            for i in range(7)
+        ]
         for got, expected in zip(block, zip(*rows)):
             expected = np.stack(expected)
             assert got.shape == (7, k)
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
-        assert block_rng.random() == row_rng.random()  # same stream position
+
+    @pytest.mark.parametrize("positive", [True, False])
+    def test_signed_zeros_match_the_textbook_step(self, positive):
+        # equal item components and a -0.0 user entry: every zero keeps the
+        # sign the textbook expressions give it
+        hp = make_hp(k=3, lam=0.03)
+        u = np.array([0.5, -0.0, 0.0])
+        own, other = np.array([1.0, 2.0, -0.0]), np.array([-1.0, 2.0, -0.0])
+        v_pos, v_neg = (own, other) if positive else (other, own)
+        eta = 0.1
+        s = float(sigma_bar(bpr_margin(u, v_pos, v_neg)))
+        du = -eta * (s * (-v_pos + v_neg) + hp.lambda_u * u)
+        d_own = -eta * ((-s if positive else s) * u + hp.lambda_v * own)
+        got = bpr_step(u.copy(), own.copy(), other.copy(), positive, eta, hp)
+        for a, b in zip(got, (du, d_own)):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_block_dimension_mismatch(self):
         hp = make_hp(k=3)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            bpr_step(np.zeros(3), np.zeros((2, 3)), np.zeros((3, 3)), 0.1, hp, np.random.default_rng(0))
+            bpr_step(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((3, 3)), np.ones(2, bool), 0.1, hp)
 
 
 def make_bpr_client(hp, n_items=10, items=(1, 4, 7), seed=42, cid=0):

@@ -222,6 +222,31 @@ class TestBatchErrors:
             encode_updates([update])
 
 
+class TestWholeRound:
+    def test_views_of_one_block_encode_as_separate_arrays(self):
+        block = np.random.default_rng(3).normal(size=(9, 4))
+        ids = np.arange(9, dtype=np.int64)
+        cuts = [(0, 4), (4, 4), (4, 9)]  # the middle client sends nothing
+        views = [ClientUpdate(c, ids[a:b], block[a:b]) for c, (a, b) in enumerate(cuts)]
+        copies = [ClientUpdate(c, ids[a:b].copy(), block[a:b].copy()) for c, (a, b) in enumerate(cuts)]
+        assert encode_updates(views) == encode_updates(copies) == frame_by_frame(copies)
+        assert encode_updates([]) == frame_by_frame([]) == b""
+
+    @pytest.mark.parametrize("bad_client", [False, True])
+    def test_u32_error_names_the_first_offending_client(self, bad_client):
+        ok = ClientUpdate(7, np.array([1, 2]), np.zeros((2, 3)))
+        late = ClientUpdate(9, np.array([2**32]), np.zeros((1, 3)))
+        first = ClientUpdate(-1 if bad_client else 8, np.array([3, -1]), np.zeros((2, 3)))
+        match = "client id -1 outside" if bad_client else "client 8: item id outside"
+        with pytest.raises(CodecError, match=match):
+            encode_updates([ok, first, late])
+
+    def test_round_shares_one_dimension(self):
+        updates = [ClientUpdate(0, np.array([1]), np.zeros((1, 3))), ClientUpdate(1, np.array([2]), np.zeros((1, 2)))]
+        with pytest.raises(CodecError, match="differ within one round"):
+            encode_updates(updates)
+
+
 class TestErrors:
     def test_truncated_frames(self):
         full = encode_message(GradientMessage(1, np.array([1.0, 2.0])))

@@ -1,9 +1,12 @@
-"""The population round against the per-client round it replaced.
+"""The population rounds against the per-client rounds they replaced.
 
 ``oracle_iteration`` below is the numerical client round as it ran one
-client at a time, with its SGLD step and fake-error sampler inlined, so it
-shares no arithmetic with the population kernel. Every update, user factor
-and ledger counter of ``population_iteration`` must equal it bit for bit.
+client at a time, with its SGLD step and fake-error sampler inlined, and
+``oracle_bpr_iteration`` the one-class client round, with its pair step and
+``sigma_bar`` inlined; both draw their send sets with ``randresp.irr``, so
+they share no arithmetic with the population kernels. Every update, user
+factor and ledger counter of ``protocol.population_iteration`` and
+``bpr.population_iteration`` must equal them bit for bit.
 """
 
 import importlib.util
@@ -19,11 +22,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from privmf import fakegrad, protocol, sgld
+from privmf import bpr, fakegrad, protocol, sgld
 from privmf.codec import ClientUpdate
 from privmf.data import RatingTriple, build_dataset, synthetic_dataset
-from privmf.protocol import client_init, draw_send_set, population_iteration
-from privmf.randresp import PrivacyBudget
+from privmf.protocol import client_init, population_iteration
+from privmf.randresp import PrivacyBudget, irr
+from privmf.rng import TAG_CLIENT_ROUND, derive_rng
 from privmf.sgld import Hyperparams, init_model, learning_rate, prediction_errors
 
 _inv_cdf = statistics.NormalDist().inv_cdf
@@ -70,8 +74,13 @@ def oracle_fake_errors(errors, eps_g, n, rng):
         return oracle_sample(mu, sigma, amax, n, rng), bound
 
 
+def oracle_send_set(state, t):
+    rng = derive_rng(state.master_seed, TAG_CLIENT_ROUND, state.client_id, t)
+    return rng, np.flatnonzero(irr(state.bits_prime, state.rr.p, state.rr.q, rng))
+
+
 def oracle_iteration(state, v_snapshot, t):
-    rng, selected = draw_send_set(state, t)
+    rng, selected = oracle_send_set(state, t)
     hp = state.hp
     eta = learning_rate(t, hp)
     errs = prediction_errors(state.u, v_snapshot, state.items, state.ratings)
@@ -93,32 +102,90 @@ def oracle_population(clients, v, t):
     return [oracle_iteration(c, v, t) for c in clients]
 
 
+def oracle_sigma_bar(x):
+    if x >= 0:
+        ex = math.exp(-x)
+        return ex / (1.0 + ex)
+    return 1.0 / (1.0 + math.exp(x))
+
+
+def oracle_bpr_step(u, v_pos, v_neg, eta_t, hp, rng):
+    x = np.vecdot(v_pos, u) - np.vecdot(v_neg, u)
+    s = np.array([oracle_sigma_bar(xi) for xi in x.tolist()])[:, None]
+    du = -eta_t * (s * (-v_pos + v_neg) + hp.lambda_u * u)
+    dpos = -eta_t * (-s * u + hp.lambda_v * v_pos)
+    dneg = -eta_t * (s * u + hp.lambda_v * v_neg)
+    if hp.noise_enabled:
+        noise = np.sqrt(eta_t) * rng.standard_normal(v_pos.shape[:-1] + (3, hp.k))
+        du = du + noise[..., 0, :]
+        dpos = dpos + noise[..., 1, :]
+        dneg = dneg + noise[..., 2, :]
+    return du, dpos, dneg
+
+
+def oracle_bpr_iteration(state, v_snapshot, t):
+    rng, selected = oracle_send_set(state, t)
+    hp = state.hp
+    eta = learning_rate(t, hp)
+    unrated = np.flatnonzero(state.bits == 0)
+    if len(unrated) == 0 and len(selected):
+        state.partnerless_rounds += 1
+        return ClientUpdate(state.client_id, selected[:0], np.empty((0, hp.k)))
+    rated = state.bits[selected].astype(bool)
+    draws = rng.integers(0, np.where(rated, len(unrated), state.h))
+    partner = np.empty_like(selected)
+    partner[rated] = unrated[draws[rated]]
+    partner[~rated] = state.items[draws[~rated]]
+    own, other = v_snapshot[selected], v_snapshot[partner]
+    role = rated[:, None]
+    du, dpos, dneg = oracle_bpr_step(
+        state.u, np.where(role, own, other), np.where(role, other, own), eta, hp, rng
+    )
+    if len(selected):
+        state.u += du.sum(axis=0) / len(selected)
+    return ClientUpdate(state.client_id, selected, np.where(role, dpos, dneg))
+
+
+def oracle_bpr_population(clients, v, t):
+    return [oracle_bpr_iteration(c, v, t) for c in clients]
+
+
 LEDGER = ("clamped_rounds", "floored_rounds", "fallback_rounds", "eps_g_worst")
+# each task's population round, its oracle, and the ledger counters it keeps
+ROUNDS = {
+    "numerical": (population_iteration, oracle_population, LEDGER),
+    "one-class": (bpr.population_iteration, oracle_bpr_population, ("partnerless_rounds",)),
+}
 
 
 def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
-def assert_same_rounds(ds, hp, budget, rounds, chunk_rows):
+def assert_same_rounds(ds, hp, budget, rounds, chunk_rows, task="numerical", silent=()):
     """Both rounds over two copies of one population: updates, user factors
-    and ledgers equal after every round."""
+    and ledgers equal after every round. The clients at the positions in
+    ``silent`` send nothing: their send probabilities are zero."""
     model0 = init_model(ds.n_users, ds.n_items, hp)
     z_target = len(ds) / ds.n_users
+    step, oracle, ledger = ROUNDS[task]
 
     def population():
-        return [
+        clients = [
             client_init(i, *ds.user_items(i), model0.u[i], ds.n_items, hp, budget, z_target, hp.seed)
             for i in ds.active_users()
         ]
+        for i in silent:
+            clients[i].rr = replace(clients[i].rr, p=0.0, q=0.0)
+        return clients
 
     ours, theirs = population(), population()
     v = model0.v
     v.setflags(write=False)  # a broadcast snapshot
     with mock.patch.object(sgld, "_CHUNK_ROWS", chunk_rows):
         for t in range(1, rounds + 1):
-            got = population_iteration(ours, v, t)
-            want = oracle_population(theirs, v, t)
+            got = step(ours, v, t)
+            want = oracle(theirs, v, t)
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert a.client_id == b.client_id
@@ -126,7 +193,7 @@ def assert_same_rounds(ds, hp, budget, rounds, chunk_rows):
                 assert np.array_equal(bits(a.deltas), bits(b.deltas))
             for a, b in zip(ours, theirs):
                 assert np.array_equal(bits(a.u), bits(b.u))
-                assert [getattr(a, f) for f in LEDGER] == [getattr(b, f) for f in LEDGER]
+                assert [getattr(a, f) for f in ledger] == [getattr(b, f) for f in ledger]
             sums, counts = sgld.reduce_item_deltas(
                 [(u.item_ids, u.deltas) for u in want], ds.n_items, hp.k
             )
@@ -136,7 +203,8 @@ def assert_same_rounds(ds, hp, budget, rounds, chunk_rows):
 
 
 @st.composite
-def populations(draw):
+def populations(draw, full_user=False):
+    """Rating sets; with ``full_user`` the last user rated every item."""
     n_items = draw(st.integers(2, 40))
     n_users = draw(st.integers(1, 12))
     seed = draw(st.integers(0, 2**16))
@@ -145,6 +213,8 @@ def populations(draw):
     for user in range(n_users):
         # one-rating users have no error spread: the sigma floor
         h = 1 if draw(st.booleans()) else int(rng.integers(1, n_items + 1))
+        if full_user and user == n_users - 1:
+            h = n_items
         items = rng.choice(n_items, size=h, replace=False)
         triples += [RatingTriple(user, int(j), float(rng.uniform(1, 5))) for j in items]
     return build_dataset(triples, n_users, n_items)
@@ -167,6 +237,28 @@ def test_population_round_equals_per_client_oracle(ds, k, noise, privacy, chunk_
         if not 0 < len(ds) / ds.n_users < ds.n_items:
             budget = None  # no send-count target to calibrate for
     assert_same_rounds(ds, hp, budget, 2, chunk_rows)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    ds=populations(full_user=True),
+    k=st.sampled_from([1, 2, 3, 10]),
+    noise=st.booleans(),
+    privacy=st.booleans(),
+    chunk_rows=st.sampled_from([1, 5, 17, 4096]),
+    silent=st.integers(0, 2**16),
+)
+def test_one_class_round_equals_per_client_oracle(ds, k, noise, privacy, chunk_rows, silent):
+    # the last user rated every item, so it has no unrated partner; another
+    # user, when there is one, sends nothing
+    hp = Hyperparams(k, 0.3, 0.6, np.full(k, 0.02), np.full(k, 0.03), 3, noise_enabled=noise)
+    budget = None
+    if privacy and 0 < len(ds) / ds.n_users < ds.n_items:
+        budget = PrivacyBudget(eps_i=2.0)
+    silent = [silent % (ds.n_users - 1)] if ds.n_users > 1 else []
+    clients = assert_same_rounds(ds, hp, budget, 2, chunk_rows, "one-class", silent)
+    if budget is None:  # the send set is the rated set: all items
+        assert clients[-1].partnerless_rounds == 2
 
 
 @pytest.mark.parametrize("eps_g", [0.01, 40.0])
@@ -193,14 +285,16 @@ def load_workloads():
     return module.WORKLOADS
 
 
-@pytest.mark.parametrize("name", ["desk-rmse-private", "ml100k-shape-private"])
+@pytest.mark.parametrize("name", ["desk-rmse-private", "desk-auc-bytes", "ml100k-shape-private"])
 def test_benchmark_workload_streams_unchanged(name, monkeypatch):
-    # the benchmark's own inputs, 2 rounds each way; CI runs this on every
-    # supported Python, so a numpy that rounds the batch differently fails here
+    # the benchmark's own inputs and transport, 2 rounds each way; CI runs
+    # this on every supported Python, so a numpy that rounds the batch
+    # differently fails here
     workload = load_workloads()[name]
     inputs = workload.build(7)
     got = workload.train(inputs, 2)
-    monkeypatch.setattr(protocol, "population_iteration", oracle_population)
+    module = bpr if workload.task == "one-class" else protocol
+    monkeypatch.setattr(module, "population_iteration", ROUNDS[workload.task][1])
     want = workload.train(inputs, 2)
     assert [r.messages for r in got.curve] == [r.messages for r in want.curve]
     assert np.array_equal(bits(got.model.u), bits(want.model.u))

@@ -289,10 +289,12 @@ class TestOracleEquivalence:
     def test_byte_transport_equals_memory_transport(self):
         ds = synthetic_dataset(8, 9, seed=5, mean_ratings_per_user=3)
         hp = make_hp(k=2, eta0=0.1, seed=3, noise=True)
-        a = run_training(ds, hp, 4, budget=None, transport="memory")
-        b = run_training(ds, hp, 4, budget=None, transport="bytes")
-        assert np.array_equal(a.model.u, b.model.u)
-        assert np.array_equal(a.model.v, b.model.v)
+        for task, budget in (("numerical", None), ("one-class", PrivacyBudget(eps_i=1.0))):
+            a = run_training(ds, hp, 4, budget=budget, task=task, transport="memory")
+            b = run_training(ds, hp, 4, budget=budget, task=task, transport="bytes")
+            assert np.array_equal(a.model.u, b.model.u)
+            assert np.array_equal(a.model.v, b.model.v)
+            assert [r.messages for r in a.curve] == [r.messages for r in b.curve]
 
 
 class TestRunTraining:
@@ -300,11 +302,12 @@ class TestRunTraining:
         ds = synthetic_dataset(10, 14, seed=6, mean_ratings_per_user=4)
         hp = make_hp(k=2, eta0=0.1, seed=11, noise=True)
         budget = PrivacyBudget(eps_i=1.0, eps_g=0.5)
-        a = run_training(ds, hp, 5, budget=budget)
-        b = run_training(ds, hp, 5, budget=budget)
-        assert np.array_equal(a.model.u, b.model.u)
-        assert np.array_equal(a.model.v, b.model.v)
-        assert [r.messages for r in a.curve] == [r.messages for r in b.curve]
+        for task in ("numerical", "one-class"):
+            a = run_training(ds, hp, 5, budget=budget, task=task)
+            b = run_training(ds, hp, 5, budget=budget, task=task)
+            assert np.array_equal(a.model.u, b.model.u)
+            assert np.array_equal(a.model.v, b.model.v)
+            assert [r.messages for r in a.curve] == [r.messages for r in b.curve]
 
     def test_attack_redraw_equals_emitted_send_sets(self, monkeypatch):
         # privmf attack rebuilds each client and redraws its send set as the
