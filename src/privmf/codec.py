@@ -184,49 +184,61 @@ def encode_updates(updates, handshake: Handshake | None = None) -> bytes:
     return b"".join(frames)
 
 
-def _gradient_run(data: bytes, offset: int, records: np.dtype, k: int) -> np.ndarray:
-    """The whole gradient frames of dimension ``k`` from ``offset`` on, up to
-    the first other frame, as packed records; scanned in doubling windows."""
+def _run_length(data: bytes, offset: int, records: np.dtype, k: int) -> int:
+    """How many whole gradient frames of dimension ``k`` follow each other
+    from ``offset`` on; scanned in doubling windows."""
     n_max = (len(data) - offset) // records.itemsize
     n, window = 0, 64
     while n < n_max:
         m = min(window, n_max - n)
         block = np.frombuffer(data, records, count=m, offset=offset + n * records.itemsize)
         ok = (block["type"] == TYPE_GRADIENT) & (block["k"] == k)
-        if not ok.all():
-            n += int(np.argmin(ok))
-            break
+        first_bad = int(ok.argmin())
+        if not ok[first_bad]:
+            return n + first_bad
         n, window = n + m, 2 * window
-    return np.frombuffer(data, records, count=n, offset=offset)
+    return n
 
 
 def decode_updates(data: bytes, k: int, n_items: int) -> list[ClientUpdate]:
     """Regroup a round's frames into updates, one per finish frame.
 
-    Each run of gradient frames is read as one packed record array; the
-    frame that ends a run is decoded on its own, so a malformed one raises
-    the same ``CodecError`` as frame-by-frame decoding. Rejects a handshake
-    that differs from the session's ``(k, n_items)`` and gradient frames
-    that no finish frame closes.
+    A first pass over the frame headers finds each run of gradient frames;
+    the frame that ends a run is decoded on its own, so a malformed one
+    raises the same ``CodecError`` as frame-by-frame decoding. The runs are
+    then copied into one item array and one delta block, and each update
+    views its slice. Rejects a handshake that differs from the session's
+    ``(k, n_items)`` and gradient frames that no finish frame closes.
     """
     records = _gradient_dtype(k)
-    updates, runs = [], []
-    offset = 0
+    runs, ends, clients = [], [], []
+    offset, total, pending = 0, 0, 0
     while offset < len(data):
-        run = _gradient_run(data, offset, records, k)
-        if len(run):
-            runs.append(run)
-            offset += run.nbytes
+        n = _run_length(data, offset, records, k)
+        if n:
+            runs.append((offset, n))
+            offset += n * records.itemsize
+            pending += n
             if offset == len(data):
                 break
         msg, offset = _decode_at(data, offset, k)
         if isinstance(msg, FinishMessage):
-            run = np.concatenate(runs) if runs else np.empty(0, dtype=records)
-            deltas = run["delta"].astype(np.float64)
-            updates.append(ClientUpdate(msg.client_id, run["item"].astype(np.int64), deltas))
-            runs = []
+            total += pending
+            ends.append(total)
+            clients.append(msg.client_id)
+            pending = 0
         elif (msg.k, msg.n_items) != (k, n_items):
             raise CodecError(f"handshake mismatch: {msg} vs session ({k}, {n_items})")
-    if runs:
-        raise CodecError(f"{sum(map(len, runs))} gradient frame(s) without a finish frame")
-    return updates
+    if pending:
+        raise CodecError(f"{pending} gradient frame(s) without a finish frame")
+    items, deltas = np.empty(total, dtype=np.int64), np.empty((total, k))
+    at = 0
+    for offset, n in runs:
+        frames = np.frombuffer(data, records, count=n, offset=offset)
+        items[at : at + n], deltas[at : at + n] = frames["item"], frames["delta"]
+        at += n
+    starts = [0, *ends[:-1]]
+    return [
+        ClientUpdate(client, items[a:b], deltas[a:b])
+        for client, a, b in zip(clients, starts, ends)
+    ]

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -35,6 +36,8 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 _inv_cdf = statistics.NormalDist().inv_cdf  # Wichura's AS241
+# the function behind it, as (p, mu, sigma), without its per-call range check
+_normal_inv_cdf = statistics._normal_dist_inv_cdf
 _OPEN_UNIT = (math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0))
 
 # 3-point Gauss-Legendre nodes and weights on [-1, 1]
@@ -214,7 +217,7 @@ def _inverse_cdf(window: np.ndarray, r: np.ndarray) -> np.ndarray:
     one row per uniform."""
     p_lo, width, mu, scale, lo, hi = window.T
     u = (p_lo + width * r).clip(*_OPEN_UNIT)
-    z = np.fromiter(map(_inv_cdf, u.tolist()), np.float64, len(u))
+    z = np.fromiter(map(_normal_inv_cdf, u.tolist(), repeat(0.0), repeat(1.0)), np.float64, len(u))
     return (mu + scale * z).clip(lo, hi)
 
 

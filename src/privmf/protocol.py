@@ -297,10 +297,10 @@ def server_collect(server: ServerState, updates: list[ClientUpdate], n_clients: 
     gradient to an item outside ``[0, n_items)``, or when updates from
     fewer than ``n_clients`` distinct clients arrived (aborted round).
     """
-    for update in updates:
-        unknown = update.item_ids[(update.item_ids < 0) | (update.item_ids >= server.n_items)]
-        if len(unknown):
-            raise ProtocolError(f"gradient for unknown item {unknown[0]}")
+    ids = np.concatenate([np.empty(0, np.int64), *(update.item_ids for update in updates)])
+    unknown = (ids < 0) | (ids >= server.n_items)
+    if unknown.any():
+        raise ProtocolError(f"gradient for unknown item {ids[np.argmax(unknown)]}")
     finished = len({update.client_id for update in updates})
     if finished != n_clients:
         raise ProtocolError(f"round aborted: finish received from {finished}/{n_clients} clients")

@@ -285,26 +285,63 @@ def reduce_item_deltas(blocks, n_items: int, k: int) -> tuple[np.ndarray, np.nda
     """Order-independent reduction of a round's ``(item_ids, deltas)`` blocks.
 
     Returns per-item delta sums ``(n_items, k)`` and row counts ``(n_items,)``.
-    Rows are summed in a canonical order (item id, then delta bytes), so any
-    permutation of the same multiset of rows, across or within blocks,
-    reduces to bitwise-identical sums.
+    Each item's rows are summed one after another from ``0.0`` in a canonical
+    order: item id, then the delta's memory bytes. So any permutation of the
+    same multiset of rows, across or within blocks, reduces to
+    bitwise-identical sums. Raises ``ValueError`` for an id outside
+    ``[0, n_items)``.
+
+    The order comes from one sort of a packed ``uint64`` key per row: the id
+    in the top ``s`` bits, then the first column's big-endian reading, whose
+    numeric order is the bytewise order of its memory on any host. Runs of
+    equal keys (duplicate rows, signed zeros) are re-sorted on every column.
+    The sums are then rank-ordered vector adds: with the items ordered by row
+    count, the ``r``-th add gathers each item's ``r``-th row, as the running
+    per-item sum of ``np.add.at`` over the sorted rows would.
     """
-    n = sum(len(ids) for ids, _ in blocks)
-    # one row per delta: big-endian item id, then the delta's bytes, so a
-    # bytewise sort of the rows is the canonical order
-    rows = np.empty((n, 8 + 8 * k), dtype=np.uint8)
-    at = 0
-    for ids, deltas in blocks:
-        m = len(ids)
-        rows[at : at + m, :8] = np.asarray(ids, dtype=">i8").reshape(m, 1).view(np.uint8)
-        rows[at : at + m, 8:] = np.ascontiguousarray(deltas, dtype=np.float64).view(np.uint8)
-        at += m
-    # rows with equal keys are identical, so any sort kind gives the same order
-    rows.view(np.dtype((np.void, rows.shape[1]))).sort(axis=0)
-    items = rows[:, :8].view(">i8")[:, 0].astype(np.int64)
-    sums = np.zeros((n_items, k), dtype=np.float64)
-    np.add.at(sums, items, rows[:, 8:].view(np.float64))
-    return sums, np.bincount(items, minlength=n_items)
+    ids = np.concatenate([np.empty(0, np.int64), *(np.asarray(i, dtype=np.int64) for i, _ in blocks)])
+    d = np.concatenate(
+        [np.empty((0, k)), *(np.reshape(rows, (len(i), k)) for i, rows in blocks)], dtype=np.float64
+    )
+    if len(ids) and (ids.min() < 0 or ids.max() >= n_items):
+        outside = (ids < 0) | (ids >= n_items)
+        raise ValueError(f"item id {ids[np.argmax(outside)]} outside [0, {n_items})")
+    counts = np.bincount(ids, minlength=n_items)
+    if len(ids) == 0 or k == 0:
+        return np.zeros((n_items, k)), counts
+
+    # besides the joined block, only O(n) keys are alive: the packed keys
+    # overwrite the joined ids, both go before the adds, and the joined
+    # block goes before the sums are laid out
+    keys = d.view(">u8")
+    s = max(1, (n_items - 1).bit_length())
+    packed = ids.view(np.uint64)
+    del ids
+    packed <<= np.uint64(64 - s)
+    packed |= keys[:, 0] >> np.uint64(s)
+    # rows whose packed keys tie are re-sorted below, so any sort kind will do
+    perm = np.argsort(packed)
+    packed = packed[perm]
+    tie = packed[1:] == packed[:-1]
+    del packed
+    if tie.any():
+        run = np.cumsum(np.concatenate(([True], ~tie)))
+        at = np.flatnonzero(np.concatenate(([False], tie)) | np.concatenate((tie, [False])))
+        rows = perm[at]
+        perm[at] = rows[np.lexsort((*keys[rows].T[::-1], run[at]))]
+
+    by_count = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
+    first = (np.cumsum(counts) - counts)[by_count]
+    # m[r]: how many items have more than r rows, the first m[r] of by_count
+    ascending = counts[by_count][::-1]
+    m = len(by_count) - np.searchsorted(ascending, np.arange(ascending[-1]), side="right")
+    acc = np.zeros((len(by_count), k))
+    for r, m_r in enumerate(m.tolist()):
+        acc[:m_r] += d[perm[first[:m_r] + r]]
+    del d, keys
+    sums = np.zeros((n_items, k))
+    sums[by_count] = acc
+    return sums, counts
 
 
 def centralized_train(train, hp: Hyperparams, n_rounds: int) -> FactorModel:

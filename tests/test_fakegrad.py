@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from privmf.fakegrad import (
+    _OPEN_UNIT,
+    _inverse_cdf,
     SIGMA_FLOOR,
     AlphaBound,
     DegenerateBoundError,
@@ -207,6 +210,20 @@ class TestSampler:
 
     def test_density_ratio_bound_at_large_budget(self):
         assert_density_ratio_bound(12.0)
+
+
+class TestInverseCdf:
+    def test_bitwise_equal_to_normal_dist_inv_cdf(self):
+        # both ends of the open unit interval, AS241's three branches and
+        # their edges (|q| = 0.425, r = 5), and a dense interior grid
+        edges = [0.075, 0.925, math.exp(-25.0), -math.expm1(-25.0)]
+        tails = [10.0**-e for e in range(1, 324)]
+        u = np.array([*_OPEN_UNIT, 0.0, 1.0, 0.5, *edges, *tails, *np.linspace(0.0, 1.0, 20001)])
+        u = np.concatenate([u, 1.0 - u])
+        identity = np.array([0.0, 1.0, 0.0, 1.0, -math.inf, math.inf])
+        z = _inverse_cdf(identity, u)
+        expected = [statistics.NormalDist().inv_cdf(p) for p in u.clip(*_OPEN_UNIT).tolist()]
+        assert np.array_equal(z.view(np.uint64), np.array(expected).view(np.uint64))
 
 
 def assert_density_ratio_bound(eps_g):

@@ -240,6 +240,18 @@ class TestServer:
         with pytest.raises(ProtocolError, match="unknown item 5"):
             server_collect(server, [update(0, [1, 5], np.zeros((2, 2)))], n_clients=1)
 
+    def test_unknown_item_error_names_the_first_bad_id_in_update_order(self):
+        server = ServerState(v=np.zeros((5, 2)), n_items=5, k=2)
+        server_begin_round(server)
+        updates = [
+            update(0, [1, 2], np.zeros((2, 2))),
+            update(1, [3, 9], np.zeros((2, 2))),
+            update(2, [-1, 6], np.zeros((2, 2))),
+        ]
+        with pytest.raises(ProtocolError) as exc:
+            server_collect(server, updates, n_clients=3)
+        assert str(exc.value) == "gradient for unknown item 9"
+
     def test_unknown_item_rejected_from_bytes(self):
         server = ServerState(v=np.zeros((5, 2)), n_items=5, k=2)
         server_begin_round(server)

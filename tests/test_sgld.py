@@ -170,8 +170,38 @@ def random_blocks(rng, n_items=6, k=3):
         blocks.append((ids, deltas))
     # repeated rows and signed zeros
     repeated = [[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, -0.0, 1.0], [3.0, 1e300, -1e-300]]
-    blocks.append((np.array([2, 2, 2, 5]), np.array(repeated)))
+    blocks.append((np.array([2, 2, 2, 5]) % n_items, np.array(repeated)[:, :k]))
+    # ties in column 0, out of canonical order, whose later columns sum
+    # differently in any other order; 1.5 * 2**16 and 1.5 differ in column 0
+    # only in the exponent bits that the packed key of a small n_items drops
+    item = int(rng.integers(0, n_items))
+    tied = [[1.5, 1e16, 3.0], [1.5, 1.0, -7.0], [1.5, -1e16, 1e-9], [1.5 * 2**16, 1.0, 1e16], [1.5, 1.0, -7.0]]
+    blocks.append((np.full(5, item), np.array(tied)[:, :k]))
     return blocks
+
+
+def signed_zero_blocks(k=3):
+    """Every sign pattern of zeros in every column, twice, for items 0 and 1."""
+    signs = np.array(np.meshgrid(*[[0.0, -0.0]] * k)).reshape(k, -1).T
+    rows = np.concatenate([signs, signs[::-1]])
+    return [(np.zeros(len(rows), dtype=np.int64), rows), (np.ones(len(rows), dtype=np.int64), -rows)]
+
+
+def assert_reduces_like_oracle(blocks, n_items, k):
+    sums, counts = reduce_item_deltas(blocks, n_items, k)
+    ref_sums, ref_counts = sorted_loop_reduce(blocks, n_items, k)
+    assert sums.shape == (n_items, k) and counts.shape == (n_items,)
+    assert np.array_equal(sums.view(np.uint64), ref_sums.view(np.uint64))
+    assert np.array_equal(counts, ref_counts)
+    # and under any permutation of the rows, across and within blocks
+    rng = np.random.default_rng(len(blocks))
+    ids = np.concatenate([np.empty(0, np.int64), *(np.asarray(b[0]) for b in blocks)])
+    deltas = np.concatenate([np.empty((0, k)), *(b[1] for b in blocks)])
+    perm = rng.permutation(len(ids))
+    shuffled = [(ids[rows], deltas[rows]) for rows in np.array_split(perm, 3)]
+    other_sums, other_counts = reduce_item_deltas(shuffled, n_items, k)
+    assert np.array_equal(sums.view(np.uint64), other_sums.view(np.uint64))
+    assert np.array_equal(counts, other_counts)
 
 
 class TestReduceItemDeltas:
@@ -197,6 +227,49 @@ class TestReduceItemDeltas:
             other_sums, other_counts = reduce_item_deltas(shuffled, 6, 3)
             assert np.array_equal(sums.view(np.uint64), other_sums.view(np.uint64))
             assert np.array_equal(counts, other_counts)
+
+    @pytest.mark.parametrize("n_items", [1, 2, 6, 255, 256, 2**20 + 1])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_oracle_at_every_packing_shift(self, n_items, k):
+        # the packed key keeps 64 - s bits of column 0, s = bits of n_items - 1
+        rng = np.random.default_rng(n_items + k)
+        assert_reduces_like_oracle(random_blocks(rng, n_items, k), n_items, k)
+
+    def test_rows_tied_in_column_0(self):
+        rng = np.random.default_rng(13)
+        col0 = np.repeat(rng.normal(size=4), 8)
+        deltas = np.column_stack([col0, rng.normal(size=(32, 2)) * 10.0 ** rng.integers(-12, 12, size=(32, 2))])
+        assert_reduces_like_oracle([(rng.integers(0, 2, size=32), deltas)], 2, 3)
+
+    def test_fully_duplicate_rows(self):
+        rows = np.random.default_rng(14).normal(size=(3, 4))
+        blocks = [(np.array([1, 1, 1]), rows), (np.array([1, 1, 1, 0]), np.concatenate([rows[::-1], rows[:1]]))]
+        assert_reduces_like_oracle(blocks, 2, 4)
+
+    def test_signed_zeros_in_every_column(self):
+        assert_reduces_like_oracle(signed_zero_blocks(3), 2, 3)
+        assert_reduces_like_oracle([(ids + 3, rows) for ids, rows in signed_zero_blocks(3)], 300, 3)
+
+    def test_one_item_receives_every_row(self):
+        rng = np.random.default_rng(15)
+        blocks = [(np.full(m, 4), rng.normal(size=(m, 3)) * 10.0 ** rng.integers(-8, 8, size=(m, 1))) for m in (50, 0, 31)]
+        sums, counts = reduce_item_deltas(blocks, 9, 3)
+        assert counts.tolist() == [0, 0, 0, 0, 81, 0, 0, 0, 0]
+        assert_reduces_like_oracle(blocks, 9, 3)
+
+    def test_empty_round_and_empty_blocks(self):
+        for blocks in ([], [(np.empty(0, np.int64), np.empty((0, 3)))], [([], np.empty((0, 3)))] * 2):
+            sums, counts = reduce_item_deltas(blocks, 4, 3)
+            assert np.array_equal(sums.view(np.uint64), np.zeros((4, 3)).view(np.uint64))
+            assert counts.tolist() == [0, 0, 0, 0]
+        sums, counts = reduce_item_deltas([], 0, 3)
+        assert sums.shape == (0, 3) and counts.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [-1, 5, 2**40])
+    def test_rejects_ids_outside_the_item_range(self, bad):
+        blocks = [(np.array([0, 4]), np.zeros((2, 2))), (np.array([1, bad, 2]), np.ones((3, 2)))]
+        with pytest.raises(ValueError, match=f"item id {bad} outside \\[0, 5\\)"):
+            reduce_item_deltas(blocks, 5, 2)
 
 
 def finite_difference_grad(loss, x, step=1e-6):
