@@ -15,7 +15,7 @@ import numpy as np
 
 from . import randresp
 from .experiment import ConfigError, load_config, load_dataset, run_experiments
-from .protocol import client_init, draw_send_set
+from .protocol import _draw_send_sets, client_init
 from .sgld import Hyperparams
 
 
@@ -50,25 +50,28 @@ def _cmd_attack(args) -> int:
     u0, n_items = np.zeros(hp.k), dataset.n_items
     for block, eps_i in enumerate(config.eps_i):
         budget = randresp.PrivacyBudget(eps_i, config.eps_p)
-        attacked, skipped, rated_total = 0, 0, 0
-        hits = np.zeros(3, dtype=np.int64)  # bits of B, rated bits of B, bits of B'
-        for user in dataset.active_users():
+        users, states = dataset.active_users(), []
+        for user in users:
             try:
                 state = client_init(
                     user, *dataset.user_items(user), u0, n_items, hp, budget, z_target, config.seed
                 )
             except randresp.CalibrationError:
-                skipped += 1
                 continue
-            rr = state.rr
-            samples = np.zeros((rounds, n_items), dtype=np.uint8)
-            for t in range(1, rounds + 1):
-                samples[t - 1, draw_send_set(state, t)[1]] = 1
-            guess = randresp.classify_rated(randresp.average_attack(samples), rr.p_star, rr.q_star)
+            states.append(state)
+        skipped = len(users) - len(states)
+        # how often each client sent each item: sums of 0/1, exact, so
+        # counts / rounds is the average_attack mean of the sampled send sets
+        counts = np.zeros((len(states), n_items), dtype=np.int32)
+        for t in range(1, rounds + 1) if states else ():
+            _, items, at = _draw_send_sets(states, t)
+            counts[np.repeat(np.arange(len(states)), np.diff(at)), items] += 1
+        hits = np.zeros(3, dtype=np.int64)  # bits of B, rated bits of B, bits of B'
+        for state, means in zip(states, counts / rounds):
+            guess = randresp.classify_rated(means, state.rr.p_star, state.rr.q_star)
             rated = state.bits == 1
             hits += (np.sum(guess == rated), np.sum(guess[rated]), np.sum(guess == state.bits_prime))
-            attacked += 1
-            rated_total += state.h
+        attacked, rated_total = len(states), sum(state.h for state in states)
 
         if block:
             print()

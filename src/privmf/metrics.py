@@ -16,6 +16,10 @@ def rmse(test: RatingDataset, model: FactorModel) -> float:
     return float(np.sqrt(np.mean((test.ratings - preds) ** 2)))
 
 
+# (test row, item) pairs compared at once: bounds auc's temporaries
+_AUC_BLOCK = 1 << 18
+
+
 def auc(test: RatingDataset, train: RatingDataset, model: FactorModel) -> float:
     """Leave-one-out ranking quality.
 
@@ -23,27 +27,39 @@ def auc(test: RatingDataset, train: RatingDataset, model: FactorModel) -> float:
     other item the user did not rate in train; the score is the fraction
     ranked strictly below the positive, ties counting one half. Users with
     no candidate negatives are skipped.
+
+    Blocks of test users are scored at once, one row per test row in
+    ``test.order``. Each user's scores are its own matvec: one product of
+    the stacked user rows differs in the last bits and can flip ties.
     """
-    per_user_auc = []
-    for user in test.active_users():
-        positives, _ = test.user_items(user)
-        scores = model.v @ model.u[user]
-        candidates = np.ones(test.n_items, dtype=bool)
-        candidates[train.user_items(user)[0]] = False
-        for pos_item in positives:
-            # the positive itself is never its own negative
-            was_candidate = candidates[pos_item]
-            candidates[pos_item] = False
-            neg_scores = scores[candidates]
-            candidates[pos_item] = was_candidate
-            if neg_scores.size == 0:
-                continue
-            pos_score = scores[pos_item]
-            wins = np.sum(neg_scores < pos_score) + 0.5 * np.sum(neg_scores == pos_score)
-            per_user_auc.append(wins / neg_scores.size)
-    if not per_user_auc:
+    users = np.array(test.active_users(), dtype=np.int64)
+    counts = np.diff(test.indptr)[users]
+    per_block = max(1, _AUC_BLOCK // (test.n_items * int(counts.max(initial=1))))
+    ratios = []
+    for lo in range(0, len(users), per_block):
+        block = users[lo : lo + per_block]
+        scores = np.stack([model.v @ model.u[user] for user in block.tolist()])
+        local = np.full(train.n_users, -1)  # user id -> block position, -1 outside
+        local[block] = np.arange(len(block))
+        known = local[train.users]
+        candidates = np.ones(scores.shape, dtype=bool)
+        candidates[known[known >= 0], train.items[known >= 0]] = False
+        # one row per test row, in test.order: the positive is never its own negative
+        owner = np.repeat(np.arange(len(block)), counts[lo : lo + per_block])
+        rows = np.arange(len(owner))
+        positives = test.items[test.order[test.indptr[block[0]] : test.indptr[block[-1] + 1]]]
+        negatives = candidates[owner]
+        negatives[rows, positives] = False
+        row_scores = scores[owner]
+        pos_scores = row_scores[rows, positives][:, None]
+        less = np.count_nonzero(negatives & (row_scores < pos_scores), axis=1)
+        ties = np.count_nonzero(negatives & (row_scores == pos_scores), axis=1)
+        n_neg = np.count_nonzero(negatives, axis=1)
+        ratios.append((less + 0.5 * ties)[n_neg > 0] / n_neg[n_neg > 0])
+    per_row_auc = np.concatenate([np.empty(0), *ratios])
+    if not per_row_auc.size:
         raise ValueError("no test user had candidate negatives")
-    return float(np.mean(per_user_auc))
+    return float(np.mean(per_row_auc))
 
 
 def isgld_perturb(

@@ -36,7 +36,7 @@ import numpy as np
 from . import fakegrad, randresp
 from .codec import ClientUpdate, Handshake, decode_updates, encode_updates
 from .data import RatingDataset
-from .rng import TAG_CLIENT_INIT, TAG_CLIENT_ROUND, derive_rng
+from .rng import TAG_CLIENT_INIT, TAG_CLIENT_ROUND, derive_rng, derive_rngs
 from .sgld import (
     FactorModel,
     Hyperparams,
@@ -172,8 +172,9 @@ def _draw_send_sets(clients, t):
     """Each client's round stream, and all the send sets in one array with
     each client's offset into it.
 
-    A block of clients draws its ``randresp.irr`` uniforms client by client
-    into one ``(clients, n_items)`` block, which one comparison against
+    All the round streams are derived in one ``derive_rngs`` call. A block
+    of clients draws its ``randresp.irr`` uniforms client by client into one
+    ``(clients, n_items)`` block, which one comparison against
     ``where(bits_prime, q, p)`` thresholds. Blocks hold ~``_SEND_BLOCK``
     uniforms, so no round holds a float per (client, item).
     """
@@ -182,13 +183,12 @@ def _draw_send_sets(clients, t):
     n_items = len(clients[0].bits_prime)
     per_block = max(1, _SEND_BLOCK // n_items)
     uniforms = np.empty((min(per_block, len(clients)), n_items))
-    rngs, sent, counts = [], [], []
+    rngs = derive_rngs([(c.master_seed, TAG_CLIENT_ROUND, c.client_id, t) for c in clients])
+    sent, counts = [], []
     for lo in range(0, len(clients), per_block):
         block = clients[lo : lo + per_block]
-        for c, row in zip(block, uniforms):
-            rng = derive_rng(c.master_seed, TAG_CLIENT_ROUND, c.client_id, t)
+        for rng, row in zip(rngs[lo : lo + per_block], uniforms):
             rng.random(out=row)
-            rngs.append(rng)
         probs = np.where(
             np.stack([c.bits_prime for c in block]) == 1,
             np.array([c.rr.q for c in block])[:, None],

@@ -170,11 +170,13 @@ class TestCli:
         [
             ("", ["clients attacked   : 30 (skipped 0)", "0.6395", "0.4694", "0.9018"]),
             ("6", ["clients attacked   : 8 (skipped 22)", "0.7204", "0.6579", "0.9539"]),
+            ("3", ["clients attacked   : 0 (skipped 30)", "0.0000", "0.0000", "0.0000"]),
         ],
     )
     def test_attack_prints_one_block_per_eps_i(self, tmp_path, ratings_file, capsys, eps_p, first_block):
         # the eps_i[0] figures are those the attack printed when it re-implemented
-        # client_init; eps_p = 6 makes calibration fail for 22 of the 30 clients
+        # client_init; eps_p = 6 makes calibration fail for 22 of the 30 clients,
+        # eps_p = 3 for all of them
         cfg = write_config(tmp_path, ratings_file, eps_i="4, 1", eps_p=eps_p, iterations="6")
         assert main(["attack", "--config", str(cfg)]) == 0
         blocks = [b.splitlines() for b in capsys.readouterr().out.strip().split("\n\n")]

@@ -69,13 +69,11 @@ class TestAuc:
         assert value == 1.0
 
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_per_pair_mask_loop(self, seed):
-        # several positives per user, and coarse scores so that ties occur
-        ds = synthetic_dataset(20, 30, seed=seed, mean_ratings_per_user=8)
-        train, test = split(ds, SplitSpec("random-holdout", 0.3, seed=seed))
-        rng = np.random.default_rng(seed)
-        model = FactorModel(np.round(rng.normal(size=(20, 2))), np.round(rng.normal(size=(30, 2))))
+    @pytest.mark.parametrize(
+        "case", [*range(6), "no-negatives-mixed", "absent-from-train", "desk-leave-one-out"]
+    )
+    def test_matches_per_pair_mask_loop(self, case):
+        test, train, model = auc_case(case)
         expected = []
         for user, pairs in sorted(test.per_user.items()):
             known = {item for item, _ in train.per_user.get(user, [])}
@@ -88,6 +86,34 @@ class TestAuc:
                 if neg.size:
                     expected.append((np.sum(neg < pos) + 0.5 * np.sum(neg == pos)) / neg.size)
         assert auc(test, train, model) == float(np.mean(expected))
+
+
+def auc_case(case):
+    """(test, train, model) for the per-pair reference; coarse scores make ties."""
+    rng = np.random.default_rng(0)
+    if isinstance(case, int):
+        # several positives per user
+        ds = synthetic_dataset(20, 30, seed=case, mean_ratings_per_user=8)
+        train, test = split(ds, SplitSpec("random-holdout", 0.3, seed=case))
+        rng = np.random.default_rng(case)
+        return test, train, FactorModel(np.round(rng.normal(size=(20, 2))), np.round(rng.normal(size=(30, 2))))
+    if case == "desk-leave-one-out":
+        ds = synthetic_dataset(200, 400, seed=7, mean_ratings_per_user=40, signal=1.0)
+        train, test = split(ds, SplitSpec("leave-one-out", seed=7))
+        return test, train, FactorModel(rng.normal(size=(200, 10)), rng.normal(size=(400, 10)))
+    n_users, n_items = 4, 12
+    model = FactorModel(np.round(rng.normal(size=(n_users, 2))), np.round(rng.normal(size=(n_items, 2))))
+    # user 2 rated every item but its test item in train: no candidate negatives
+    train = [RatingTriple(0, 3, 4.0), RatingTriple(1, 0, 4.0), RatingTriple(1, 5, 2.0)]
+    train += [RatingTriple(2, j, 3.0) for j in range(1, n_items)]
+    test = [RatingTriple(0, 7, 5.0), RatingTriple(1, 2, 5.0), RatingTriple(1, 9, 1.0), RatingTriple(2, 0, 5.0)]
+    if case == "absent-from-train":
+        # user 3 has no train rows: every other item is a candidate negative
+        test += [RatingTriple(3, 4, 5.0), RatingTriple(3, 11, 2.0)]
+    else:
+        train += [RatingTriple(3, 6, 1.0)]
+        test += [RatingTriple(3, 8, 5.0)]
+    return build_dataset(test, n_users, n_items), build_dataset(train, n_users, n_items), model
 
 
 class TestIsgld:

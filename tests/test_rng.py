@@ -1,0 +1,91 @@
+import numpy as np
+import pytest
+
+from privmf.rng import TAG_CLIENT_ROUND, derive_rng, derive_rngs
+from privmf.sgld import Hyperparams
+
+# one word each up to 2**32 - 1, then two words, then three
+PARTS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5]
+
+
+def reference(key):
+    return np.random.default_rng(np.random.SeedSequence(list(key)))
+
+
+def assert_reference_streams(keys):
+    rngs = derive_rngs(keys)
+    assert len(rngs) == len(keys)
+    for key, rng in zip(keys, rngs):
+        expected = reference(key)
+        assert rng.bit_generator.state == expected.bit_generator.state, key
+        assert np.array_equal(rng.random(5), expected.random(5)), key
+
+
+@pytest.mark.parametrize("length", range(1, 8))
+def test_every_part_at_every_position(length):
+    # key i holds PARTS[i], PARTS[i + 1], ... cyclically, so every part sits
+    # at every position, beside parts of other word counts
+    keys = [tuple(PARTS[(i + j) % len(PARTS)] for j in range(length)) for i in range(len(PARTS))]
+    assert_reference_streams(keys)
+
+
+@pytest.mark.parametrize("length", range(1, 8))
+def test_one_word_parts(length):
+    # every part one word: fewer entropy words than the pool is zero-padded
+    rng = np.random.default_rng(length)
+    keys = [tuple(rng.integers(0, 2**32, size=length).tolist()) for _ in range(20)]
+    assert_reference_streams([(0,) * length, (2**32 - 1,) * length, *keys])
+
+
+def test_mixed_word_counts_in_one_batch():
+    keys = [
+        (7,),
+        (7, 2**32),
+        (2**64 + 5, 0, 3),
+        (1, 2, 3, 4, 5),
+        (0,),
+        (2**32 - 1, 2**64 + 5, 2**32, 1, 0, 2**31 - 1, 9),
+        (7, 5, 0, 1),
+    ]
+    assert_reference_streams(keys)
+
+
+def test_round_keys_of_a_population():
+    keys = [(seed, TAG_CLIENT_ROUND, client, t) for seed in (7, 2**40) for client in range(150) for t in (1, 25)]
+    assert_reference_streams(keys)
+
+
+def test_numpy_integer_parts():
+    assert_reference_streams([(np.int64(7), np.uint32(5), np.uint64(2**63), True)])
+
+
+def test_empty_batch():
+    assert derive_rngs([]) == []
+
+
+def test_matches_derive_rng_and_cannot_spawn():
+    (rng,) = derive_rngs([(3, 1, 4)])
+    assert rng.random() == derive_rng(3, 1, 4).random()
+    with pytest.raises(TypeError):
+        rng.spawn(1)
+
+
+@pytest.mark.parametrize("keys", [[(1, 2), (3, -1)], [(-(2**40),)]])
+def test_negative_part_raises(keys):
+    with pytest.raises(ValueError, match="rng key parts must be non-negative"):
+        derive_rngs(keys)
+    with pytest.raises(ValueError, match="rng key parts must be non-negative"):
+        derive_rng(*keys[-1])
+
+
+@pytest.mark.parametrize("part", [7.5, 7.0, np.float64(3.0), "7"])
+def test_non_integral_part_raises(part):
+    with pytest.raises(TypeError):
+        derive_rngs([(1, 2), (3, part)])
+    with pytest.raises(TypeError):
+        derive_rng(3, part)
+
+
+def test_fractional_seed_is_not_truncated():
+    with pytest.raises(TypeError):
+        Hyperparams.with_gamma_priors(4, 0.1, 0.6, seed=7.5)
