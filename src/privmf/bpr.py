@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .codec import ClientUpdate
-from .protocol import _draw_send_sets
+from .protocol import _draw_send_sets, as_population
 from .sgld import Hyperparams, UserRows, learning_rate, row_chunks
 
 
@@ -103,9 +103,10 @@ def bpr_step(
     return noise[..., 0, :], d_own
 
 
-def population_iteration(clients: list, v_snapshot: np.ndarray, t: int) -> list[ClientUpdate]:
-    """One round of the one-class task for clients that share ``hp``: one
-    ``ClientUpdate`` per client, in client order.
+def population_iteration(clients, v_snapshot: np.ndarray, t: int) -> list[ClientUpdate]:
+    """One round of the one-class task for a ``protocol.Population``, or a
+    list of ``ClientState``s that share ``hp``: one ``ClientUpdate`` per
+    client, in client order.
 
     A selected rated item pairs with a fresh uniform unrated partner and
     sends its positive-role delta; a selected unrated item pairs with a
@@ -115,16 +116,18 @@ def population_iteration(clients: list, v_snapshot: np.ndarray, t: int) -> list[
     factor applies the average of all its pair deltas once per round. No
     fake errors are needed, so the fake-gradient budget is unused. A client
     that has rated every item has no unrated partner: it sends nothing, and
-    the round is counted in its ``partnerless_rounds``.
+    the round is counted in its ``partnerless_rounds``. A list's user
+    factors and ledgers are updated in its ``ClientState``s.
     """
-    hp = clients[0].hp
+    pop, wrapped = as_population(clients, "one-class")
+    hp = pop.hp
     eta = learning_rate(t, hp)
-    rngs, items, at = _draw_send_sets(clients, t)
+    rngs, items, at = _draw_send_sets(pop, t)
     sent = [items[a:b] for a, b in zip(at, at[1:])]
-    for i, c in enumerate(clients):
-        if c.h == len(c.bits) and len(sent[i]):
-            c.partnerless_rounds += 1
-            sent[i] = sent[i][:0]
+    partnerless = (pop.h == pop.bits_prime.shape[1]) & (np.diff(at) > 0)
+    pop.partnerless_rounds += partnerless
+    for i in np.flatnonzero(partnerless).tolist():
+        sent[i] = sent[i][:0]
     counts = [len(ids) for ids in sent]
     # the round's sent ids and item deltas; each update views its rows
     ids = np.empty(sum(counts), dtype=np.int64)
@@ -135,27 +138,30 @@ def population_iteration(clients: list, v_snapshot: np.ndarray, t: int) -> list[
     for lo, hi in row_chunks([2 * n for n in counts]):
         rows = UserRows(sent[lo:hi])
         end = done + len(rows.items)
-        _chunk_iteration(clients[lo:hi], rngs[lo:hi], rows, v_snapshot, eta, deltas[done:end])
+        _chunk_iteration(pop, lo, hi, rngs[lo:hi], rows, v_snapshot, eta, deltas[done:end])
         ids[done:end] = rows.items
         first += (done + rows.start).tolist()
         done = end
+    if wrapped:
+        pop.write_ledger()
     return [
-        ClientUpdate(c.client_id, ids[a : a + n], deltas[a : a + n]) for c, a, n in zip(clients, first, counts)
+        ClientUpdate(i, ids[a : a + n], deltas[a : a + n]) for i, a, n in zip(pop.ids.tolist(), first, counts)
     ]
 
 
-def _chunk_iteration(chunk, rngs, rows: UserRows, v_snapshot, eta, deltas) -> None:
-    """One chunk of ``population_iteration``: ``rows`` lays out its clients'
-    send sets, and their item deltas are written to ``deltas``, one row per
-    row of ``rows``.
+def _chunk_iteration(pop, lo, hi, rngs, rows: UserRows, v_snapshot, eta, deltas) -> None:
+    """One chunk of ``population_iteration``: ``rows`` lays out the send
+    sets of clients ``lo`` to ``hi``, and their item deltas are written to
+    ``deltas``, one row per row of ``rows``.
 
     Pass 1 loops over the clients and only pulls the rest of each stream
-    into preallocated blocks; pass 2 steps all the chunk's pairs at once.
+    into preallocated blocks; pass 2 steps all the chunk's pairs at once
+    and updates the population's user factors in place.
     """
-    hp, n_items = chunk[0].hp, len(v_snapshot)
-    rated = UserRows([c.items for c in chunk])
-    _, positive = rated.locate(rows.owner, rows.items, n_items)
-    h = rated.h[rows.owner]
+    hp, n_items, rated = pop.hp, len(v_snapshot), pop.rated
+    users = lo + rows.owner  # each row's client, by population position
+    _, positive = rated.locate(users, rows.items, n_items)
+    h = rated.h[users]
     # a rated item draws among the unrated items, an unrated one among the rated
     high = np.where(positive, n_items - h, h)
 
@@ -169,10 +175,10 @@ def _chunk_iteration(chunk, rngs, rows: UserRows, v_snapshot, eta, deltas) -> No
 
     # pass 2: every pair of the chunk in one step
     partner = np.empty_like(draws)
-    partner[positive] = rated.unrated(rows.owner[positive], draws[positive], n_items)
+    partner[positive] = rated.unrated(users[positive], draws[positive], n_items)
     negative = ~positive
-    partner[negative] = rated.items[rated.start[rows.owner[negative]] + draws[negative]]
-    u = np.stack([c.u for c in chunk])
+    partner[negative] = rated.items[rated.start[users[negative]] + draws[negative]]
+    u = pop.u[lo:hi]
     du, d_own = bpr_step(
         u[rows.owner], v_snapshot[rows.items], v_snapshot[partner], positive, eta, hp, noise
     )
@@ -182,8 +188,6 @@ def _chunk_iteration(chunk, rngs, rows: UserRows, v_snapshot, eta, deltas) -> No
     deltas[...] = d_own
     moved = rows.h > 0  # a client that sent nothing keeps its factor
     u[moved] += sums[moved] / rows.h[moved, None]
-    for c, u_row in zip(chunk, u):
-        c.u[:] = u_row
 
 
 def sd_bpr_client_iteration(state, v_snapshot: np.ndarray, t: int) -> ClientUpdate:

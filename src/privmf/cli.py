@@ -15,7 +15,7 @@ import numpy as np
 
 from . import randresp
 from .experiment import ConfigError, load_config, load_dataset, run_experiments
-from .protocol import _draw_send_sets, client_init
+from .protocol import Population, _draw_send_sets, client_init
 from .sgld import Hyperparams
 
 
@@ -60,17 +60,18 @@ def _cmd_attack(args) -> int:
                 continue
             states.append(state)
         skipped = len(users) - len(states)
-        # how often each client sent each item: sums of 0/1, exact, so
-        # counts / rounds is the average_attack mean of the sampled send sets
-        counts = np.zeros((len(states), n_items), dtype=np.int32)
-        for t in range(1, rounds + 1) if states else ():
-            _, items, at = _draw_send_sets(states, t)
-            counts[np.repeat(np.arange(len(states)), np.diff(at)), items] += 1
         hits = np.zeros(3, dtype=np.int64)  # bits of B, rated bits of B, bits of B'
-        for state, means in zip(states, counts / rounds):
-            guess = randresp.classify_rated(means, state.rr.p_star, state.rr.q_star)
-            rated = state.bits == 1
-            hits += (np.sum(guess == rated), np.sum(guess[rated]), np.sum(guess == state.bits_prime))
+        if states:
+            pop = Population(states)
+            # how often each client sent each item: sums of 0/1, exact, so
+            # counts / rounds is the average_attack mean of the sampled send sets
+            counts = np.zeros((len(pop), n_items), dtype=np.int32)
+            for t in range(1, rounds + 1):
+                _, items, at = _draw_send_sets(pop, t)
+                counts[np.repeat(np.arange(len(pop)), np.diff(at)), items] += 1
+            guess = randresp.classify_rated(counts / rounds, pop.p_star[:, None], pop.q_star[:, None])
+            rated = np.stack([state.bits for state in states]) == 1
+            hits[:] = (np.sum(guess == rated), np.sum(guess & rated), np.sum(guess == pop.bits_prime))
         attacked, rated_total = len(states), sum(state.h for state in states)
 
         if block:

@@ -6,15 +6,21 @@ and returns one ``ClientUpdate``: a delta row per selected item (real
 gradients for rated items, fake-error gradients for unrated ones), sent as
 one gradient frame per row followed by a finish frame.
 
-The simulator runs each round for the whole population at once: the
-numerical round here (``population_iteration``), the one-class round in
+The simulator keeps a run's clients in one ``Population``: the user
+factors, permanently perturbed bits, response parameters and ledger as
+arrays, and the rated-row layouts, which are fixed for a run, built once.
+It runs each round for the whole population at once: the numerical round
+here (``population_iteration``), the one-class round in
 ``bpr.population_iteration``. Both first draw every client's send set
 (``_draw_send_sets``), then go chunk by chunk in two passes: a loop over
 the clients that only pulls the rest of each client's draws from its own
-round stream, in the order a lone client round draws them, then one array
-pass over all the chunk's rows. The streams stay per client and unchanged,
-so every update and user factor equals that client's round computed alone
-(``client_iteration``, the population of one). The server only ever
+round stream, in the order a lone client round draws them, then array
+passes over all the chunk's rows, which update the population's arrays in
+place (the numerical round draws every client's fake errors in one call
+between its user and item steps). The streams stay per client and
+unchanged, so every update, user factor and ledger entry equals that
+client's round computed alone (``client_iteration``, the population of
+one). The server only ever
 sees gradient/finish frames: ratings, rated-item bit vectors, and user
 factors never leave the client. With ``transport="bytes"`` each round's
 updates go through ``codec.encode_updates`` and ``codec.decode_updates``;
@@ -68,7 +74,6 @@ class ClientState:
     u: np.ndarray
     items: np.ndarray  # rated item ids, ascending
     ratings: np.ndarray
-    bits: np.ndarray  # 1 exactly at rated items
     bits_prime: np.ndarray  # fixed after init
     rr: randresp.RRParams
     budget: randresp.PrivacyBudget | None
@@ -85,12 +90,106 @@ class ClientState:
     def h(self) -> int:
         return len(self.items)
 
+    @property
+    def bits(self) -> np.ndarray:
+        """1 exactly at the rated items, 0 elsewhere (derived on each access)."""
+        bits = np.zeros(len(self.bits_prime), dtype=np.uint8)
+        bits[self.items] = 1
+        return bits
+
     def record(self, bound: fakegrad.AlphaBound) -> None:
         """Enter one round's fake-error bound into the ledger."""
         self.clamped_rounds += bound.clamped
         self.floored_rounds += bound.floored
         self.fallback_rounds += bound.fallback
         self.eps_g_worst = max(self.eps_g_worst, bound.eps_g_achieved)
+
+
+# a client's simulator-side privacy ledger: ClientState counters, Population arrays
+_LEDGER = ("clamped_rounds", "floored_rounds", "fallback_rounds", "partnerless_rounds", "eps_g_worst")
+
+
+class Population:
+    """A run's clients as arrays: row ``i`` of every array is ``clients[i]``'s.
+
+    The clients share ``hp``, ``budget`` and ``master_seed``. ``u`` holds
+    the user factors ``(m, k)``, and each client's ``u`` becomes a view of
+    its row, so a round that updates the block updates every
+    ``ClientState``; each
+    client's ``bits_prime`` becomes a row of the read-only ``(m, n_items)``
+    bool block the same way. ``p``, ``q``, ``p_star``, ``q_star`` and
+    ``one_minus_q_star`` hold the response parameters, ``h`` the rated
+    counts, and ``clamped_rounds``, ``floored_rounds``, ``fallback_rounds``,
+    ``partnerless_rounds`` and ``eps_g_worst`` the ledger, starting from
+    the clients' own counts.
+
+    The rated-row layouts are fixed for a run, so the ``task``'s are built
+    here, once, and read-only: ``chunks`` for ``"numerical"`` (each
+    client's ``items`` and ``ratings`` then become views of its rows),
+    ``rated`` for ``"one-class"``. Built inside the first round instead,
+    after its temporaries, they raised the peak RSS of an ML-100K-shaped
+    run by ~30 MB.
+    """
+
+    def __init__(self, clients: list[ClientState], task: str | None = None):
+        if not clients:
+            raise ValueError("a population needs at least one client")
+        self.clients = list(clients)
+        first = clients[0]
+        self.hp, self.budget, self.master_seed = first.hp, first.budget, first.master_seed
+        self.ids = np.array([c.client_id for c in clients], dtype=np.int64)
+        self.h = np.array([c.h for c in clients], dtype=np.int64)
+        self.u = np.stack([c.u for c in clients])
+        self.bits_prime = np.stack([c.bits_prime for c in clients], dtype=bool, casting="unsafe")
+        self.bits_prime.setflags(write=False)
+        for c, u_row, bits_row in zip(clients, self.u, self.bits_prime.view(np.uint8)):
+            c.u, c.bits_prime = u_row, bits_row
+        rr = np.array([(c.rr.p, c.rr.q, c.rr.p_star, c.rr.q_star, c.rr.one_minus_q_star) for c in clients])
+        self.p, self.q, self.p_star, self.q_star, self.one_minus_q_star = rr.T.copy()
+        for name in _LEDGER:
+            setattr(self, name, np.array([getattr(c, name) for c in clients]))
+        if task == "numerical":
+            # per chunk of consecutive clients holding ~sgld._CHUNK_ROWS rated
+            # rows, (lo, hi, the layout of their rated rows with ratings)
+            self.chunks = []
+            for lo, hi in row_chunks(self.h.tolist()):
+                part = self.clients[lo:hi]
+                rows = UserRows([c.items for c in part], [c.ratings for c in part]).freeze()
+                for c, a, h in zip(part, rows.start.tolist(), rows.h.tolist()):
+                    c.items, c.ratings = rows.items[a : a + h], rows.ratings[a : a + h]
+                self.chunks.append((lo, hi, rows))
+        elif task == "one-class":
+            # every client's rated items, user i being client i
+            self.rated = UserRows([c.items for c in self.clients]).freeze()
+
+    def __len__(self) -> int:
+        return len(self.clients)
+
+    def __iter__(self):
+        return iter(self.clients)
+
+    def record(self, bounds: fakegrad.AlphaBounds) -> None:
+        """Enter one round's fake-error bounds, one per client, into the ledger."""
+        self.clamped_rounds += bounds.clamped
+        self.floored_rounds += bounds.floored
+        self.fallback_rounds += bounds.fallback
+        worst = bounds.eps_g_achieved > self.eps_g_worst
+        self.eps_g_worst[worst] = bounds.eps_g_achieved[worst]
+
+    def write_ledger(self) -> None:
+        """Copy the ledger arrays back into the clients' counters."""
+        for name in _LEDGER:
+            for c, value in zip(self.clients, getattr(self, name).tolist()):
+                setattr(c, name, value)
+
+
+def as_population(clients, task: str) -> tuple[Population, bool]:
+    """``clients`` as a ``Population`` for ``task``, and whether it was a
+    list of ``ClientState``s wrapped for one round, whose ledger the caller
+    writes back."""
+    if isinstance(clients, Population):
+        return clients, False
+    return Population(clients, task), True
 
 
 @dataclass
@@ -145,7 +244,6 @@ def client_init(
         u=np.array(u0, dtype=np.float64),
         items=np.asarray(items, dtype=np.int64),
         ratings=np.asarray(ratings, dtype=np.float64),
-        bits=bits,
         bits_prime=bits_prime,
         rr=rr,
         budget=budget,
@@ -160,7 +258,7 @@ def draw_send_set(state: ClientState, t: int) -> tuple[np.random.Generator, np.n
     The send set is the stream's first draw, so every client round and the
     ``privmf attack`` redraw see the same sets.
     """
-    rngs, items, _ = _draw_send_sets([state], t)
+    rngs, items, _ = _draw_send_sets(Population([state]), t)
     return rngs[0], items
 
 
@@ -168,83 +266,110 @@ def draw_send_set(state: ClientState, t: int) -> tuple[np.random.Generator, np.n
 _SEND_BLOCK = 1 << 13
 
 
-def _draw_send_sets(clients, t):
+def _draw_send_sets(pop: Population, t: int):
     """Each client's round stream, and all the send sets in one array with
     each client's offset into it.
 
     All the round streams are derived in one ``derive_rngs`` call. A block
     of clients draws its ``randresp.irr`` uniforms client by client into one
-    ``(clients, n_items)`` block, which one comparison against
-    ``where(bits_prime, q, p)`` thresholds. Blocks hold ~``_SEND_BLOCK``
-    uniforms, so no round holds a float per (client, item).
+    ``(clients, n_items)`` block, which one comparison against its
+    thresholds, ``q`` at the block's rows of ``bits_prime`` and ``p``
+    elsewhere, turns into send sets. Blocks hold ~``_SEND_BLOCK`` uniforms,
+    so no round holds a float per (client, item).
     """
     if t < 1:
         raise ValueError(f"round index must be >= 1, got {t}")
-    n_items = len(clients[0].bits_prime)
+    m, n_items = pop.bits_prime.shape
     per_block = max(1, _SEND_BLOCK // n_items)
-    uniforms = np.empty((min(per_block, len(clients)), n_items))
-    rngs = derive_rngs([(c.master_seed, TAG_CLIENT_ROUND, c.client_id, t) for c in clients])
+    uniforms = np.empty((min(per_block, m), n_items))
+    probs = np.empty_like(uniforms)
+    rngs = derive_rngs([(pop.master_seed, TAG_CLIENT_ROUND, i, t) for i in pop.ids.tolist()])
     sent, counts = [], []
-    for lo in range(0, len(clients), per_block):
-        block = clients[lo : lo + per_block]
-        for rng, row in zip(rngs[lo : lo + per_block], uniforms):
+    for lo in range(0, m, per_block):
+        hi = min(lo + per_block, m)
+        for rng, row in zip(rngs[lo:hi], uniforms):
             rng.random(out=row)
-        probs = np.where(
-            np.stack([c.bits_prime for c in block]) == 1,
-            np.array([c.rr.q for c in block])[:, None],
-            np.array([c.rr.p for c in block])[:, None],
-        )
-        owner, ids = np.divmod(np.flatnonzero(uniforms[: len(block)] < probs), n_items)
+        n = hi - lo
+        np.copyto(probs[:n], pop.p[lo:hi, None])
+        np.copyto(probs[:n], pop.q[lo:hi, None], where=pop.bits_prime[lo:hi])
+        owner, ids = np.divmod(np.flatnonzero(uniforms[:n] < probs[:n]), n_items)
         sent.append(ids)
-        counts.append(np.bincount(owner, minlength=len(block)))
+        counts.append(np.bincount(owner, minlength=n))
     return rngs, np.concatenate(sent), np.cumsum([0, *np.concatenate(counts).tolist()]).tolist()
 
 
-def population_iteration(clients: list[ClientState], v_snapshot: np.ndarray, t: int) -> list[ClientUpdate]:
-    """One round of the numerical task for clients that share ``hp`` and
-    ``budget``: one ``ClientUpdate`` per client, in client order.
+def population_iteration(clients, v_snapshot: np.ndarray, t: int) -> list[ClientUpdate]:
+    """One round of the numerical task for a ``Population``, or a list of
+    ``ClientState``s that share ``hp`` and ``budget``: one ``ClientUpdate``
+    per client, in client order.
 
     Each client draws from its own round-``t`` stream, in one order: the
     send set, the user-step noise, the fake-error uniforms, the item-step
-    noise. The send sets are drawn first; then chunks of consecutive
-    clients holding ~``sgld._CHUNK_ROWS`` rated rows, which bound the
-    temporaries, run in two passes. Every client's update, user factor and
-    ledger entry are those of its own round computed alone.
+    noise. The send sets are drawn first. Then the population's chunks of
+    consecutive clients holding ~``sgld._CHUNK_ROWS`` rated rows, which
+    bound the temporaries, pull the rest of their streams and take the
+    user step; one ``fakegrad.fake_error_rows`` call draws every client's
+    fake errors; the chunks take the item step; and the user factors move.
+    Every client's update, user factor and ledger entry are those of its
+    own round computed alone. A list's user factors and ledgers are
+    updated in its ``ClientState``s.
     """
-    hp, budget = clients[0].hp, clients[0].budget
-    eps_g = None if budget is None else budget.eps_g
+    pop, wrapped = as_population(clients, "numerical")
+    hp, m = pop.hp, len(pop)
+    eps_g = None if pop.budget is None else pop.budget.eps_g
     eta = learning_rate(t, hp)
-    rngs, items, at = _draw_send_sets(clients, t)
-    # the round's item deltas, one row per sent item; each update views its slice
+    rngs, items, at = _draw_send_sets(pop, t)
+    # per sent item: whether it is rated, its error (a rated row's own, else
+    # a fake), room for a fake-error uniform, and its delta row, which each
+    # update views; per client: the user step's results
+    rated, e, uniforms = np.empty(at[-1], dtype=bool), np.empty(at[-1]), np.empty(at[-1])
+    mu, sigma, n_fake, du = np.empty(m), np.empty(m), np.empty(m, dtype=np.int64), np.empty_like(pop.u)
     deltas = np.empty((at[-1], hp.k))
-    for lo, hi in row_chunks([c.h for c in clients]):
-        _chunk_iteration(
-            clients[lo:hi], rngs[lo:hi], items[at[lo] : at[hi]], np.diff(at[lo : hi + 1]),
-            deltas[at[lo] : at[hi]], v_snapshot, eta, eps_g,
+    n_drawn = 0
+    for lo, hi, rows in pop.chunks:
+        a, b = at[lo], at[hi]
+        n_drawn += _chunk_user_step(
+            pop, lo, hi, rows, rngs[lo:hi], items[a:b], np.diff(at[lo : hi + 1]), v_snapshot, eta,
+            rated[a:b], e[a:b], uniforms[n_drawn:], deltas[a:b], mu, sigma, n_fake, du,
         )
-    return [ClientUpdate(c.client_id, items[a:b], deltas[a:b]) for c, a, b in zip(clients, at, at[1:])]
+    e[~rated], bounds = fakegrad.fake_error_rows(mu, sigma, eps_g, n_fake, uniforms[:n_drawn])
+    pop.record(bounds)
+    for lo, hi, rows in pop.chunks:
+        a, b = at[lo], at[hi]
+        owner = lo + np.repeat(np.arange(hi - lo), np.diff(at[lo : hi + 1]))
+        out = item_pass(v_snapshot, e[a:b], pop.u[owner], items[a:b], eta, hp,
+                        deltas[a:b] if hp.noise_enabled else None)
+        if not hp.noise_enabled:
+            deltas[a:b] = out
+    pop.u += du / pop.h[:, None]
+    if wrapped:
+        pop.write_ledger()
+    return [ClientUpdate(i, items[a:b], deltas[a:b]) for i, a, b in zip(pop.ids.tolist(), at, at[1:])]
 
 
-def _chunk_iteration(chunk, rngs, items, counts, deltas, v_snapshot, eta, eps_g) -> None:
-    """One chunk of ``population_iteration``: ``items`` holds its clients'
-    send sets back to back, ``counts[i]`` ids each, and their item deltas
-    are written to ``deltas``, one row per id.
+def _chunk_user_step(pop, lo, hi, rows, rngs, items, counts, v_snapshot, eta,
+                     rated, e, uniforms, deltas, mu, sigma, n_fake, du) -> int:
+    """Clients ``lo`` to ``hi`` of ``population_iteration`` up to their fake
+    errors; returns how many fake-error uniforms they drew.
 
-    Pass 1 loops over the clients and only pulls the rest of each stream
-    into preallocated blocks; pass 2 runs the arithmetic once over the rows
-    of all the chunk's clients.
+    ``rows`` lays out their rated rows, and ``items`` holds their send sets
+    back to back, ``counts[i]`` ids each. Pass 1 loops over the clients and
+    only pulls the rest of each stream: the user-step noise, the fake-error
+    uniforms to the front of ``uniforms``, the item-step noise to
+    ``deltas``, one row per id. Pass 2 takes the user step over all the
+    chunk's rated rows at once: each id's ``rated`` flag and, if rated, its
+    error in ``e``, and each client's error mean and spread, fake count and
+    summed user deltas at its rows of ``mu``, ``sigma``, ``n_fake`` and ``du``.
     """
-    hp, noise = chunk[0].hp, chunk[0].hp.noise_enabled
-    rows = UserRows([c.items for c in chunk], [c.ratings for c in chunk])
-    owner = np.repeat(np.arange(len(chunk)), counts)
-    row, rated = rows.locate(owner, items, len(v_snapshot))
-    n_fake = np.bincount(owner[~rated], minlength=len(chunk))
+    hp, noise = pop.hp, pop.hp.noise_enabled
+    owner = np.repeat(np.arange(hi - lo), counts)
+    row, rated[...] = rows.locate(owner, items, len(v_snapshot))
+    n_fake[lo:hi] = np.bincount(owner[~rated], minlength=hi - lo)
     sent_at = np.cumsum([0, *counts.tolist()]).tolist()
-    fake_at = np.cumsum([0, *n_fake.tolist()]).tolist()
+    fake_at = np.cumsum([0, *n_fake[lo:hi].tolist()]).tolist()
 
     # pass 1: the rest of each client's stream, in its order
     user_noise = np.empty((len(rows.items), hp.k)) if noise else None
-    uniforms = np.empty(fake_at[-1])
     for i, (rng, first, h) in enumerate(zip(rngs, rows.start.tolist(), rows.h.tolist())):
         if noise:
             rng.standard_normal(out=user_noise[first : first + h])
@@ -252,31 +377,20 @@ def _chunk_iteration(chunk, rngs, items, counts, deltas, v_snapshot, eta, eps_g)
         if noise:
             rng.standard_normal(out=deltas[sent_at[i] : sent_at[i + 1]])
 
-    # pass 2: the arithmetic, once over all the chunk's rows
-    u = np.stack([c.u for c in chunk])
-    errs, du = user_pass(u, v_snapshot, rows, eta, hp, user_noise)
-    del user_noise  # freed before the item step's temporaries
-    mu = rows.per_user(errs, lambda block: block.mean(axis=1))
-    sigma = rows.per_user(errs, lambda block: block.std(axis=1))
-    fakes, bounds = fakegrad.fake_error_rows(mu, sigma, eps_g, n_fake, uniforms)
-    e = np.empty(len(items))
+    # pass 2: the user step, once over all the chunk's rows
+    errs, du[lo:hi] = user_pass(pop.u[lo:hi], v_snapshot, rows, eta, hp, user_noise)
     e[rated] = errs[row[rated]]
-    e[~rated] = fakes
-    out = item_pass(v_snapshot, e, u[owner], items, eta, hp, deltas if noise else None)
-    if not noise:
-        deltas[...] = out
-    u += du / rows.h[:, None]
-    for c, u_row, bound in zip(chunk, u, bounds):
-        c.u[:] = u_row
-        c.record(bound)
+    mu[lo:hi] = rows.per_user(errs, lambda block: block.mean(axis=1))
+    sigma[lo:hi] = rows.per_user(errs, lambda block: block.std(axis=1))
+    return fake_at[-1]
 
 
 def client_iteration(state: ClientState, v_snapshot: np.ndarray, t: int) -> ClientUpdate:
     """One client round: ``population_iteration`` of that client alone.
 
     The update lists the sent items in ascending id order; the user factor
-    is updated in place afterwards, from the per-rated-item deltas averaged
-    over the number of ratings.
+    is updated afterwards, from the per-rated-item deltas averaged over the
+    number of ratings.
     """
     return population_iteration([state], v_snapshot, t)[0]
 
@@ -301,9 +415,12 @@ def server_collect(server: ServerState, updates: list[ClientUpdate], n_clients: 
     unknown = (ids < 0) | (ids >= server.n_items)
     if unknown.any():
         raise ProtocolError(f"gradient for unknown item {ids[np.argmax(unknown)]}")
+    del ids, unknown  # freed before the reduce's temporaries
     finished = len({update.client_id for update in updates})
     if finished != n_clients:
         raise ProtocolError(f"round aborted: finish received from {finished}/{n_clients} clients")
+    # the reduce replaces the zeroed accumulator, which is freed first
+    server.accumulator = server.item_counts = None
     server.accumulator, server.item_counts = reduce_item_deltas(
         [(update.item_ids, update.deltas) for update in updates], server.n_items, server.k
     )
@@ -331,8 +448,7 @@ def server_round(server: ServerState, clients, step_fn, transport: str = "memory
     ``transport="bytes"`` the updates cross the wire format; the session's
     first round opens with the handshake.
     """
-    snapshot = server_begin_round(server)
-    updates = step_fn(clients, snapshot, server.t)
+    updates = step_fn(clients, server_begin_round(server), server.t)
     if transport == "bytes":
         handshake = Handshake(server.k, server.n_items) if server.t == 1 else None
         updates = decode_updates(encode_updates(updates, handshake), server.k, server.n_items)
@@ -394,6 +510,7 @@ def run_training(
         logger.warning("excluded %d client(s) with no ratings", train.n_users - len(clients))
     if not clients:
         raise ProtocolError("no clients with ratings")
+    pop = Population(clients, task)
 
     if task == "one-class":
         from . import bpr
@@ -402,23 +519,22 @@ def run_training(
     else:
         step_fn = population_iteration
 
-    server = ServerState(
-        v=model0.v.copy(), n_items=train.n_items, k=hp.k, per_item_average=per_item_average
-    )
+    # the server's item factors start as model0's own: only model0.u is read again
+    server = ServerState(v=model0.v, n_items=train.n_items, k=hp.k, per_item_average=per_item_average)
 
     curve: list[RoundRecord] = []
     for _ in range(n_rounds):
         started = time.perf_counter()
         t = server.t
-        n_grad = server_round(server, clients, step_fn, transport)
+        n_grad = server_round(server, pop, step_fn, transport)
         metric = None
         if evaluator is not None:
-            metric = float(evaluator(assemble_model(model0, clients, server)))
+            metric = float(evaluator(assemble_model(model0, pop, server)))
         curve.append(RoundRecord(t, metric, n_grad, time.perf_counter() - started))
 
     # one WARNING per kind of ledger event the run hit, with its client-round count
     eps_g = None if budget is None else budget.eps_g
-    worst = max(c.eps_g_worst for c in clients)
+    worst = float(pop.eps_g_worst.max())
     for counter, text in (
         ("clamped_rounds", "requested eps_g={eps_g:g} not met in {n} client-round(s): "
          "bound clamped at alpha_max, worst achieved eps_g={worst:g}"),
@@ -429,15 +545,14 @@ def run_training(
         ("partnerless_rounds", "{n} client-round(s) sent nothing: the client has rated every "
          "item; cannot sample a pair partner"),
     ):
-        n = sum(getattr(c, counter) for c in clients)
+        n = int(getattr(pop, counter).sum())
         if n:
             logger.warning(text.format(n=n, eps_g=eps_g, worst=worst))
-    return TrainingResult(assemble_model(model0, clients, server), curve)
+    return TrainingResult(assemble_model(model0, pop, server), curve)
 
 
-def assemble_model(model0: FactorModel, clients: list[ClientState], server: ServerState) -> FactorModel:
+def assemble_model(model0: FactorModel, pop: Population, server: ServerState) -> FactorModel:
     """Combine client-held user rows with the server's item factors."""
     u = model0.u.copy()
-    for c in clients:
-        u[c.client_id] = c.u
+    u[pop.ids] = pop.u
     return FactorModel(u, server.v.copy())

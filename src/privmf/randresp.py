@@ -69,6 +69,12 @@ class RRParams:
     q_star: float
     h: int
     z: float
+    # 1 - q*, without the cancellation of subtracting a q* near 1; 1.0 - q_star when unset
+    one_minus_q_star: float | None = None
+
+    def __post_init__(self):
+        if self.one_minus_q_star is None:
+            object.__setattr__(self, "one_minus_q_star", 1.0 - self.q_star)
 
 
 def solve_f(eps_p: float, h: int) -> float:
@@ -87,13 +93,19 @@ def epsilon_p_of(f: float, h: int) -> float:
     return 2.0 * h * math.log((1.0 - 0.5 * f) / (0.5 * f))
 
 
-def epsilon_i_of(p_star: float, q_star: float, h: int) -> float:
-    """Instantaneous-stage budget from the composite send probabilities."""
-    if not (0.0 < p_star < 1.0 and 0.0 < q_star < 1.0):
+def epsilon_i_of(p_star: float, q_star: float, h: int, one_minus_q_star: float | None = None) -> float:
+    """Instantaneous-stage budget from the composite send probabilities.
+
+    ``one_minus_q_star`` is ``1 - q*`` as ``calibrate`` computes it
+    (``RRParams.one_minus_q_star``), exact where q* rounds to 1; unset, it
+    is ``1.0 - q_star``.
+    """
+    q_rest = 1.0 - q_star if one_minus_q_star is None else one_minus_q_star
+    if not (0.0 < p_star < 1.0 and 0.0 < q_star and 0.0 < q_rest):
         raise ValueError(f"boundary probabilities p*={p_star}, q*={q_star} give an infinite budget")
     if q_star < p_star:
         raise ValueError(f"expected q* >= p*, got p*={p_star}, q*={q_star}")
-    return h * math.log(q_star * (1.0 - p_star) / (p_star * (1.0 - q_star)))
+    return h * math.log(q_star * (1.0 - p_star) / (p_star * q_rest))
 
 
 def effective_probs(f: float, p: float, q: float) -> tuple[float, float]:
@@ -129,10 +141,12 @@ def calibrate(
         (n - h)(r - 1) p*^2 + (h r + n - h - z_target (r - 1)) p* - z_target = 0
 
     whose one root in (0, 1) (z rises from 0 to n there) is taken in its
-    cancellation-free form. q* follows, f comes from eps_p (default
-    2 * eps_i), and (p, q) are recovered by inverting the composite-
-    probability relations. Raises CalibrationError, naming the violated
-    bound, when the inversion leaves [0, 1].
+    cancellation-free form. q* follows, and so does its complement
+    1 - q* = (1 - p*) / (1 + (r - 1) p*), free of the cancellation of
+    subtracting a q* near 1. f comes from eps_p (default 2 * eps_i), and
+    (p, q) are recovered by inverting the composite-probability relations.
+    Raises CalibrationError, naming the violated bound, when the inversion
+    leaves [0, 1].
     """
     if eps_i <= 0:
         raise CalibrationError(f"eps_i={eps_i} violates eps_i > 0")
@@ -152,6 +166,7 @@ def calibrate(
     root = math.sqrt(b * b + 4.0 * a * z_target)
     p_star = 2.0 * z_target / (b + root) if b > 0.0 else (root - b) / (2.0 * a)
     q_star = (1.0 + rm1) * p_star / (1.0 + rm1 * p_star)
+    one_minus_q_star = (1.0 - p_star) / (1.0 + rm1 * p_star)
 
     f = solve_f(eps_p_val, h)
     det = 1.0 - f
@@ -174,6 +189,7 @@ def calibrate(
         q_star=q_star,
         h=h,
         z=expected_sends(h, n_items, p_star, q_star),
+        one_minus_q_star=one_minus_q_star,
     )
 
 

@@ -229,6 +229,14 @@ class UserRows:
         self._rank = np.empty_like(order)
         self._rank[order] = np.arange(len(order))
 
+    def freeze(self) -> "UserRows":
+        """Mark the layout's arrays read-only, for a layout kept across rounds."""
+        for array in (self.h, self.items, self.ratings, self.owner, self.start, self._rank,
+                      *(users for users, _, _ in self.groups)):
+            if array is not None:
+                array.setflags(write=False)
+        return self
+
     def per_user(self, values: np.ndarray, reduce) -> np.ndarray:
         """``reduce`` of each group's ``(m, h, ...)`` view of the row
         ``values``, one result row per user, in user order."""

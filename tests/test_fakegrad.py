@@ -1,5 +1,6 @@
 import math
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,21 +12,121 @@ from privmf.fakegrad import (
     _OPEN_UNIT,
     _inverse_cdf,
     SIGMA_FLOOR,
+    UNBOUNDED,
     AlphaBound,
     DegenerateBoundError,
     alpha_max_of,
     coverage,
     epsilon_g_of,
     error_stats,
+    fake_error_rows,
     fake_errors,
     sample_fake_error,
     sample_fake_errors,
     solve_alpha,
+    solve_alphas,
 )
 
 # standard-normal quantiles, frozen from scipy.stats.norm.ppf(0.75) / ppf(0.975)
 Q75 = 0.6744897501960817
 Q975 = 1.959963984540054
+
+# The scalar bound search and fake-error sampler, one client at a time, as
+# they ran before the lockstep solver: the oracles of solve_alphas and
+# fake_error_rows, which must match them bit for bit.
+SQRT2 = math.sqrt(2.0)
+SQRT_2PI = math.sqrt(2.0 * math.pi)
+GL3 = ((-math.sqrt(0.6), 5.0 / 9.0), (0.0, 8.0 / 9.0), (math.sqrt(0.6), 5.0 / 9.0))
+
+
+def oracle_pdf(z):
+    return math.exp(-0.5 * z * z) / SQRT_2PI
+
+
+def oracle_cdf(z):
+    return 0.5 * math.erfc(-z / SQRT2)
+
+
+def oracle_coverage(alpha, mu, sigma):
+    m, h = abs(mu) / sigma, alpha / sigma
+    if h > m:
+        return 0.5 * (math.erf((h - m) / SQRT2) + math.erf((h + m) / SQRT2))
+    if h < 1e-3:
+        return h * sum(w * oracle_pdf(x * h - m) for x, w in GL3)
+    return oracle_cdf(h - m) - oracle_cdf(-h - m)
+
+
+def oracle_solve_alpha(eps_g, mu, sigma, delta=1e-6):
+    """The bound and the number of coverage evaluations its search took."""
+    amax = max(abs(mu + 2.0 * sigma), abs(mu - 2.0 * sigma))
+    eps_at_max = -math.log(oracle_coverage(amax, mu, sigma))
+    if eps_g <= eps_at_max:
+        return AlphaBound(alpha=amax, eps_g_achieved=eps_at_max, alpha_max=amax, clamped=True), 0
+    c = math.exp(-eps_g)
+    alpha = sigma * max(statistics.NormalDist().inv_cdf(0.5 + 0.5 * c), c * math.sqrt(0.5 * math.pi))
+    target = eps_g - 0.5 * delta
+    lo, hi = 0.0, amax
+    for steps in range(1, 201):
+        if not lo < alpha < hi:
+            alpha = 0.5 * (lo + hi)
+        c = oracle_coverage(alpha, mu, sigma)
+        achieved = -math.log(c) if c > 0.0 else math.inf
+        if achieved > eps_g:
+            lo = alpha
+        elif achieved < eps_g - delta:
+            hi = alpha
+        else:
+            return AlphaBound(alpha=alpha, eps_g_achieved=achieved, alpha_max=amax), steps
+        dc = (oracle_pdf((alpha - mu) / sigma) + oracle_pdf((alpha + mu) / sigma)) / sigma
+        alpha = alpha + (achieved - target) * c / dc if dc > 0.0 else math.nan
+    raise ArithmeticError("no landing")
+
+
+def oracle_window(mu, sigma, alpha):
+    lo, hi = (-alpha - mu) / sigma, (alpha - mu) / sigma
+    sign = 1.0
+    if mu < 0.0:
+        lo, hi, sign = -hi, -lo, -1.0
+    p_lo, p_hi = oracle_cdf(lo), oracle_cdf(hi)
+    if not p_hi > p_lo:
+        raise DegenerateBoundError("no mass")
+    return p_lo, p_hi - p_lo, mu, sign * sigma, math.nextafter(-alpha, 0.0), math.nextafter(alpha, 0.0)
+
+
+def oracle_fake_error_rows(mu, sigma, eps_g, counts, uniforms):
+    errors, bounds, at = [], [], 0
+    for m, s, n in zip(mu, sigma, counts):
+        sd = s if s > 0.0 else SIGMA_FLOOR
+        bound = UNBOUNDED
+        if eps_g is not None:
+            bound = replace(oracle_solve_alpha(eps_g, m, sd)[0], floored=s <= 0.0)
+        if n:
+            try:
+                window = oracle_window(m, sd, bound.alpha)
+            except DegenerateBoundError:
+                amax = bound.alpha_max
+                bound = replace(bound, alpha=amax, eps_g_achieved=-math.log(oracle_coverage(amax, m, sd)),
+                                fallback=True)
+                window = oracle_window(m, sd, amax)
+            p_lo, width, m_, scale, clip_lo, clip_hi = window
+            for r in uniforms[at : at + n].tolist():
+                p = min(max(p_lo + width * r, _OPEN_UNIT[0]), _OPEN_UNIT[1])
+                z = statistics.NormalDist().inv_cdf(p)
+                errors.append(min(max(m_ + scale * z, clip_lo), clip_hi))
+            at += n
+        bounds.append(bound)
+    return np.array(errors), bounds
+
+
+def bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+def assert_same_bound(got, want):
+    assert [bits(getattr(got, f)) for f in ("alpha", "eps_g_achieved", "alpha_max")] == [
+        bits(getattr(want, f)) for f in ("alpha", "eps_g_achieved", "alpha_max")
+    ]
+    assert (got.clamped, got.floored, got.fallback) == (want.clamped, want.floored, want.fallback)
 
 
 class TestErrorStats:
@@ -277,3 +378,80 @@ class TestFakeErrors:
         assert len(draws) == 50 and np.all(np.abs(draws) < bound.alpha_max)
         # the failed draw consumed nothing: one uniform block, as at any budget
         assert np.array_equal(draws, sample_fake_errors(0.0, 1.0, bound.alpha_max, 50, reference))
+
+
+class TestLockstepSolver:
+    """``solve_alphas`` and ``fake_error_rows`` against the scalar oracles."""
+
+    # below ~0.047 every bound clamps, above ~37 some hold no mass
+    BUDGETS = (0.01, 0.03, 0.0625, 0.25, 1.0, 4.0, 12.0, 27.0, 33.0, 40.0)
+
+    def grid(self, seed, n):
+        rng = np.random.default_rng(seed)
+        mu = rng.uniform(-3.0, 3.0, n)
+        sigma = np.exp(rng.uniform(math.log(1e-3), math.log(2.0), n))
+        return mu, sigma
+
+    @pytest.mark.parametrize("eps_g", BUDGETS)
+    def test_grid_matches_the_scalar_search(self, eps_g):
+        mu, sigma = self.grid(int(eps_g * 16), 300)
+        sigma[:10] = SIGMA_FLOOR  # floored spreads, as fake_error_rows passes them
+        mu[10:20] = 0.0
+        got = solve_alphas(eps_g, mu, sigma)
+        for i, (m, s) in enumerate(zip(mu.tolist(), sigma.tolist())):
+            assert_same_bound(got.lane(i), oracle_solve_alpha(eps_g, m, s)[0])
+
+    def test_grid_reaches_every_path(self):
+        # clamped bounds, Newton searches, and searches that end on the
+        # narrow Gauss-Legendre branch (a bound below the mean, < 1e-3 sigma)
+        paths = set()
+        for eps_g in self.BUDGETS:
+            mu, sigma = self.grid(int(eps_g * 16), 300)
+            for m, s in zip(mu.tolist(), sigma.tolist()):
+                bound, steps = oracle_solve_alpha(eps_g, m, s)
+                if bound.clamped:
+                    paths.add("clamped")
+                elif bound.alpha <= abs(m) and bound.alpha / s < 1e-3:
+                    paths.add("narrow")
+                elif steps > 1:
+                    paths.add("newton")
+        assert paths == {"clamped", "narrow", "newton"}
+
+    def test_lanes_that_land_at_different_steps(self):
+        # one batch, per-lane budgets: lanes leave the lockstep one by one
+        mu, sigma = self.grid(5, 400)
+        eps_g = np.resize(self.BUDGETS, 400)
+        lanes = list(zip(eps_g.tolist(), mu.tolist(), sigma.tolist()))
+        want = [oracle_solve_alpha(*lane) for lane in lanes]
+        assert len({steps for _, steps in want}) >= 5
+        got = solve_alphas(eps_g, mu, sigma)
+        for i, (bound, _) in enumerate(want):
+            assert_same_bound(got.lane(i), bound)
+
+    def test_one_client_is_solve_alpha(self):
+        assert solve_alpha(4.0, 0.3, 0.8) == solve_alphas(4.0, [0.3], [0.8]).lane(0)
+        with pytest.raises(ValueError, match="eps_g must be positive"):
+            solve_alphas([1.0, 0.0], [0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            solve_alphas(1.0, [0.0], [0.0])
+
+    @pytest.mark.parametrize("eps_g", [None, 0.0625, 4.0, 40.0])
+    def test_fake_error_rows_match_per_client_draws(self, eps_g):
+        # zero spreads are floored; at eps_g = 40 bounds near the mean hold no
+        # mass and fall back to alpha_max; clients with no fakes keep their bound
+        mu, sigma = self.grid(11, 120)
+        mu[::7] = 0.0
+        sigma[::5] = 0.0
+        counts = np.random.default_rng(12).integers(0, 4, 120)
+        uniforms = np.random.default_rng(13).random(int(counts.sum()))
+        errors, bounds = fake_error_rows(mu, sigma, eps_g, counts, uniforms)
+        want_errors, want_bounds = oracle_fake_error_rows(
+            mu.tolist(), sigma.tolist(), eps_g, counts.tolist(), uniforms
+        )
+        assert np.array_equal(errors.view(np.uint64), want_errors.view(np.uint64))
+        for i, want in enumerate(want_bounds):
+            assert_same_bound(bounds.lane(i), want)
+        if eps_g is not None:
+            assert bounds.floored.any()
+        if eps_g == 40.0:
+            assert bounds.fallback.any() and not bounds.fallback[counts == 0].any()

@@ -299,3 +299,87 @@ def test_benchmark_workload_streams_unchanged(name, monkeypatch):
     assert [r.messages for r in got.curve] == [r.messages for r in want.curve]
     assert np.array_equal(bits(got.model.u), bits(want.model.u))
     assert np.array_equal(bits(got.model.v), bits(want.model.v))
+
+
+def make_clients(ds, hp, budget):
+    model0 = init_model(ds.n_users, ds.n_items, hp)
+    z_target = len(ds) / ds.n_users
+    return [
+        client_init(i, *ds.user_items(i), model0.u[i], ds.n_items, hp, budget, z_target, hp.seed)
+        for i in ds.active_users()
+    ]
+
+
+def test_run_fixed_blocks_are_read_only():
+    ds = synthetic_dataset(30, 60, seed=1, mean_ratings_per_user=8)
+    hp = Hyperparams(3, 0.1, 0.6, np.full(3, 0.01), np.full(3, 0.01), 0)
+    budget = PrivacyBudget(eps_i=1.0, eps_g=4.0)
+    numerical = protocol.Population(make_clients(ds, hp, budget), "numerical")
+    one_class = protocol.Population(make_clients(ds, hp, budget), "one-class")
+    layouts = [rows for _, _, rows in numerical.chunks] + [one_class.rated]
+    arrays = [numerical.bits_prime, one_class.bits_prime]
+    for rows in layouts:
+        arrays += [rows.h, rows.items, rows.owner, rows.start, *(users for users, _, _ in rows.groups)]
+        arrays += [] if rows.ratings is None else [rows.ratings]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
+    # each client's bit vector and user factor are its rows of the blocks
+    for i, c in enumerate(numerical):
+        assert np.shares_memory(c.bits_prime, numerical.bits_prime) and not c.bits_prime.flags.writeable
+        assert np.shares_memory(c.u, numerical.u[i])
+
+
+@pytest.mark.parametrize("task, eps_g", [("numerical", 0.01), ("numerical", 40.0), ("one-class", None)])
+def test_two_sessions_give_the_same_model_and_ledger(task, eps_g, monkeypatch):
+    # user 0 rated every item, so a one-class run has partnerless rounds
+    ds = synthetic_dataset(30, 60, seed=1, mean_ratings_per_user=8)
+    triples = [t for t in ds.triples if t.user_id != 0] + [RatingTriple(0, j, 4.0) for j in range(60)]
+    ds = build_dataset(triples, ds.n_users, ds.n_items)
+    hp = Hyperparams(3, 0.1, 0.6, np.full(3, 0.01), np.full(3, 0.01), 0)
+    pops = []
+    assemble = protocol.assemble_model
+
+    def recording(model0, pop, server):
+        pops.append(pop)
+        return assemble(model0, pop, server)
+
+    monkeypatch.setattr(protocol, "assemble_model", recording)
+    budget = PrivacyBudget(eps_i=1.0, eps_g=eps_g)
+    runs = [protocol.run_training(ds, hp, 3, budget=budget, task=task) for _ in range(2)]
+    first, second = pops[0], pops[-1]
+    assert first is not second
+    assert np.array_equal(bits(runs[0].model.u), bits(runs[1].model.u))
+    assert np.array_equal(bits(runs[0].model.v), bits(runs[1].model.v))
+    for name in ("clamped_rounds", "floored_rounds", "fallback_rounds", "partnerless_rounds", "eps_g_worst"):
+        assert np.array_equal(getattr(first, name), getattr(second, name)), name
+    counter = {0.01: "clamped_rounds", 40.0: "fallback_rounds", None: "partnerless_rounds"}[eps_g]
+    assert getattr(first, counter).sum() > 0
+
+
+def test_population_of_one_updates_the_client_state():
+    ds = synthetic_dataset(6, 12, seed=3, mean_ratings_per_user=4)
+    hp = Hyperparams(2, 0.1, 0.6, np.full(2, 0.01), np.full(2, 0.01), 0)
+    v = init_model(ds.n_users, ds.n_items, hp).v
+    # numerical: every bound clamps at eps_g = 0.01
+    budget = PrivacyBudget(eps_i=1.0, eps_g=0.01)
+    ours, theirs = make_clients(ds, hp, budget), make_clients(ds, hp, budget)
+    for t in (1, 2):
+        for a, b in zip(ours, theirs):
+            got, want = protocol.client_iteration(a, v, t), oracle_iteration(b, v, t)
+            assert np.array_equal(bits(got.deltas), bits(want.deltas))
+            assert np.array_equal(bits(a.u), bits(b.u))
+            assert [getattr(a, f) for f in LEDGER] == [getattr(b, f) for f in LEDGER]
+    assert all(c.clamped_rounds == 2 for c in ours)
+    # one-class: a client that rated every item counts a partnerless round
+    triples = [RatingTriple(0, j, 4.0) for j in range(5)] + [RatingTriple(1, 0, 3.0), RatingTriple(1, 3, 5.0)]
+    ds = build_dataset(triples, 2, 5)
+    v = init_model(2, 5, hp).v
+    ours, theirs = make_clients(ds, hp, None), make_clients(ds, hp, None)
+    for a, b in zip(ours, theirs):
+        got, want = bpr.sd_bpr_client_iteration(a, v, 1), oracle_bpr_iteration(b, v, 1)
+        assert np.array_equal(bits(got.deltas), bits(want.deltas))
+        assert np.array_equal(bits(a.u), bits(b.u))
+        assert a.partnerless_rounds == b.partnerless_rounds
+    assert [c.partnerless_rounds for c in ours] == [1, 0]

@@ -6,6 +6,7 @@ import pytest
 from privmf.randresp import (
     CalibrationError,
     PrivacyBudget,
+    RRParams,
     average_attack,
     calibrate,
     classify_rated,
@@ -120,6 +121,22 @@ class TestCalibrate:
                 continue
             assert epsilon_i_of(params.p_star, params.q_star, 20) == pytest.approx(eps_i, rel=1e-9)
             assert expected_sends(20, 1682, params.p_star, params.q_star) == pytest.approx(0.5, rel=1e-9)
+
+    @pytest.mark.parametrize("eps_i, z", [(64.0, 10.0), (16.0, 999.0)])
+    def test_complement_of_q_star_recomputes_the_budget_exactly(self, eps_i, z):
+        # q* within ~1e-10 of 1 (and rounded to 1.0 at eps_i = 64): 1.0 - q*
+        # cancels, the closed-form complement does not
+        params = calibrate(eps_i, 1, 1000, z)
+        recomputed = epsilon_i_of(params.p_star, params.q_star, 1, params.one_minus_q_star)
+        assert recomputed == pytest.approx(eps_i, rel=1e-12)
+        if params.q_star == 1.0:
+            with pytest.raises(ValueError, match="boundary probabilities"):
+                epsilon_i_of(params.p_star, params.q_star, 1)
+
+    def test_complement_defaults_to_the_difference(self):
+        params = RRParams(f=0.5, p=0.1, q=0.6, p_star=0.2, q_star=0.7, h=3, z=1.0)
+        assert params.one_minus_q_star == 1.0 - 0.7
+        assert epsilon_i_of(0.2, 0.7, 3, params.one_minus_q_star) == epsilon_i_of(0.2, 0.7, 3)
 
     def test_impossible_targets_named(self):
         with pytest.raises(CalibrationError, match="z_target"):
