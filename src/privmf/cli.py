@@ -15,7 +15,7 @@ import numpy as np
 
 from . import randresp
 from .experiment import ConfigError, load_config, load_dataset, run_experiments
-from .protocol import Population, _draw_send_sets, client_init
+from .protocol import Population, _draw_send_sets, client_init, client_init_rngs
 from .sgld import Hyperparams
 
 
@@ -51,10 +51,10 @@ def _cmd_attack(args) -> int:
     for block, eps_i in enumerate(config.eps_i):
         budget = randresp.PrivacyBudget(eps_i, config.eps_p)
         users, states = dataset.active_users(), []
-        for user in users:
+        for user, rng0 in zip(users, client_init_rngs(config.seed, users, budget)):
             try:
                 state = client_init(
-                    user, *dataset.user_items(user), u0, n_items, hp, budget, z_target, config.seed
+                    user, *dataset.user_items(user), u0, n_items, hp, budget, z_target, config.seed, rng0
                 )
             except randresp.CalibrationError:
                 continue
@@ -76,7 +76,7 @@ def _cmd_attack(args) -> int:
 
         if block:
             print()
-        print(f"clients attacked   : {dataset.n_users - skipped} (skipped {skipped})")
+        print(f"clients attacked   : {attacked} (skipped {skipped})")
         print(f"rounds observed    : {rounds}")
         print(f"eps_i              : {eps_i:g}")
         bit_total = max(attacked * n_items, 1)

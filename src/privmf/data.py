@@ -27,9 +27,9 @@ class RatingDataset:
 
     Row ``r`` says ``users[r]`` rated ``items[r]`` with ``ratings[r]``; rows
     are in file order for parsed data and construction order otherwise.
-    The index is CSR: ``order`` is the stable ``np.lexsort((items, users))``
-    permutation, so user ``u``'s rows by item id are
-    ``order[indptr[u]:indptr[u + 1]]``. Ids are dense and 0-based;
+    The index is CSR: ``order`` sorts the rows stably by (user, item), the
+    permutation ``np.lexsort((items, users))``, so user ``u``'s rows by item
+    id are ``order[indptr[u]:indptr[u + 1]]``. Ids are dense and 0-based;
     ``user_ids`` / ``item_ids`` map them back to the external ids. The
     arrays are not writeable: instances are read-only and safe to share.
     """
@@ -49,7 +49,8 @@ class RatingDataset:
         self.users = np.array(self.users, dtype=np.int64)
         self.items = np.array(self.items, dtype=np.int64)
         self.ratings = np.array(self.ratings, dtype=np.float64)
-        self.order = np.lexsort((self.items, self.users))
+        # one packed key per row sorts as (user, item) for the in-range ids held
+        self.order = np.argsort(self.users * self.n_items + self.items, kind="stable")
         self.indptr = np.zeros(self.n_users + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.users, minlength=self.n_users), out=self.indptr[1:])
         for array in (self.users, self.items, self.ratings, self.order, self.indptr):
@@ -164,23 +165,11 @@ def _reindex(external: list[int]) -> tuple[np.ndarray, np.ndarray]:
     return dense[inverse], unique[by_appearance]
 
 
-def parse_ratings(
-    text: str,
-    delimiter: str | None = None,
-    score_range: tuple[float, float] = (1.0, 5.0),
-) -> RatingDataset:
-    """Parse ``user item rating [timestamp]`` lines into a dataset.
-
-    Tab- or comma-delimited files are auto-detected; extra trailing fields
-    (timestamps) are ignored. External ids are reindexed to dense 0-based
-    ids in order of first appearance, and the mapping is preserved. A
-    malformed line, a negative id, a rating outside ``score_range`` or a
-    repeated (user, item) pair raises DataError naming the earliest faulty
-    line.
-    """
+def _parse_lines(text: str, delimiter: str | None):
+    """The line loop: ``(line numbers, users, items, ratings)`` of the lines
+    before the first malformed one, and that line's DataError or None."""
     rows: list[tuple[int, int, int, float]] = []  # (line number, user, item, rating)
     malformed: DataError | None = None  # rows stop at the first line that does not parse
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -196,8 +185,97 @@ def parse_ratings(
         except ValueError as exc:
             malformed = DataError(f"line {lineno}: {exc}")
             break
+    return *(zip(*rows) if rows else ((),) * 4), malformed
 
-    linenos, ext_users, ext_items, values = zip(*rows) if rows else ((),) * 4
+
+_POW10 = np.array([float(10**k) for k in range(16)])  # exact
+_BLOCK_CHARS = 1 << 16  # per block of the array path, which bounds its temporaries
+
+
+def _digits(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Each field ``buf[start:end]`` of digits and dots: the value of its
+    digits, its dot count, and its digit count after the first dot."""
+    value, dots, scale = np.zeros((3, *starts.shape), dtype=np.int64)
+    for j in range(int((ends - starts).max(initial=0))):
+        at = starts + j
+        digit = buf.take(at, mode="clip").astype(np.int64) - ord("0")
+        inside, is_digit = at < ends, (at < ends) & (digit >= 0)
+        value = np.where(is_digit, value * 10 + digit, value)
+        scale += is_digit & (dots > 0)
+        dots += inside & ~is_digit
+    return value, dots, scale
+
+
+def _parse_block(text: str, delimiter: str):
+    """``(users, items, ratings)`` of a block of whole lines if it is plain, else None."""
+    buf = np.frombuffer(text.encode() + b"\n"[text.endswith("\n"):], dtype=np.uint8)
+    counts = np.bincount(buf, minlength=256)
+    ends = np.flatnonzero(buf < ord("."))  # the byte after each field: both separators sort below "."
+    line_end = buf[ends] == ord("\n")
+    n = int(np.argmax(line_end)) + 1  # fields per line
+    if (
+        counts[ord("0") : ord("9") + 1].sum() + counts[[ord("."), ord("\n"), ord(delimiter)]].sum() < len(buf)
+        or n < 3 or not line_end[n - 1 :: n].all() or counts[ord("\n")] != len(ends) // n
+    ):
+        return None
+    # the line loop strips a line and reads its first three fields: they must
+    # not be empty, and the later fields are never read
+    end = np.stack([ends[0::n], ends[1::n], ends[2::n]])
+    start = np.stack([np.concatenate(([-1], ends[n - 1 : -1 : n])), end[0], end[1]]) + 1
+    width = end - start
+    if width.min() < 1 or width.max() > 18:
+        return None
+    value, dots, scale = _digits(buf, start, end)
+    digits = width[2] - dots[2]
+    if dots[:2].any() or dots[2].max() > 1 or digits.min() < 1 or digits.max() > 15:
+        return None
+    # both operands are exact, so the quotient is the correctly rounded float()
+    return value[0], value[1], value[2] / _POW10[scale[2]]
+
+
+def _parse_columns(text: str, delimiter: str | None):
+    """``(users, items, ratings)`` of a plain text as arrays, read block by
+    block; None for any other text."""
+    if delimiter is None:
+        delimiter = _detect_delimiter(text[: text.find("\n") + 1 or None])  # the first line
+    if not text or delimiter not in ("\t", ",") or not text.isascii():
+        return None
+    blocks, start = [], 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        blocks.append(_parse_block(text[start:end], delimiter))
+        if blocks[-1] is None:
+            return None
+        start = end
+    return tuple(map(np.concatenate, zip(*blocks)))
+
+
+def parse_ratings(
+    text: str,
+    delimiter: str | None = None,
+    score_range: tuple[float, float] = (1.0, 5.0),
+) -> RatingDataset:
+    """Parse ``user item rating [timestamp]`` lines into a dataset.
+
+    Tab- or comma-delimited files are auto-detected; extra trailing fields
+    (timestamps) are ignored. External ids are reindexed to dense 0-based
+    ids in order of first appearance, and the mapping is preserved. A
+    malformed line, a negative id, a rating outside ``score_range`` or a
+    repeated (user, item) pair raises DataError naming the earliest faulty
+    line.
+
+    Plain texts are read as arrays, in blocks of whole lines: ASCII digits
+    and dots, one tab or comma delimiter, ``\\n`` line ends, the same number
+    (>= 3) of fields on each line of a block, ids of 1 to 18 digits, ratings
+    of 1 to 15 digits and at most one dot. Any other text (whitespace, CRLF,
+    blank lines, signs, exponents, ``nan``, longer ids) is read line by
+    line, with the same dataset and the same errors.
+    """
+    columns = _parse_columns(text, delimiter)
+    linenos, malformed = None, None  # a plain text's row r is on line r + 1
+    if columns is None:
+        linenos, *columns, malformed = _parse_lines(text, delimiter)
+    ext_users, ext_items, values = columns
     users, user_ids = _reindex(ext_users)
     items, item_ids = _reindex(ext_items)
     ratings = np.array(values, dtype=np.float64)
@@ -205,10 +283,10 @@ def parse_ratings(
     fault = _first_fault(negative, users, items, ratings, len(item_ids), score_range)
     if fault is not None:
         k = fault[0]
-        raise DataError(f"line {linenos[k]}: " + (
+        raise DataError(f"line {k + 1 if linenos is None else linenos[k]}: " + (
             "negative id",
-            f"rating {values[k]} outside range {score_range}",
-            f"duplicate rating for (user={ext_users[k]}, item={ext_items[k]})",
+            f"rating {float(ratings[k])} outside range {score_range}",
+            f"duplicate rating for (user={user_ids[users[k]]}, item={item_ids[items[k]]})",
         )[fault[1]])
     if malformed is not None:
         raise malformed
@@ -219,13 +297,18 @@ def parse_ratings(
 
 
 def format_ratings(dataset: RatingDataset, delimiter: str = "\t") -> str:
-    """Serialize a dataset back to delimited text using external ids."""
-    user_ids, item_ids = dataset.user_ids, dataset.item_ids
-    lines = [
-        f"{user_ids[u]}{delimiter}{item_ids[i]}{delimiter}{r:g}"
-        for u, i, r in zip(dataset.users.tolist(), dataset.items.tolist(), dataset.ratings.tolist())
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Serialize a dataset back to delimited text using external ids.
+
+    Each distinct id and rating is formatted once. A rating is written as
+    ``:g`` when that reads back as the same float, and as its ``repr``
+    otherwise, so ``parse_ratings`` recovers every rating exactly.
+    """
+    bits, at = np.unique(dataset.ratings.view(np.int64), return_inverse=True)
+    texts = [f"{r:g}" if float(f"{r:g}") == r else repr(r) for r in bits.view(np.float64).tolist()]
+    columns = [np.array([f"{x}{end}" for x in table], dtype=object)[keys] for keys, table, end in (
+        (dataset.users, dataset.user_ids, delimiter), (dataset.items, dataset.item_ids, delimiter), (at, texts, "\n"),
+    )]
+    return "".join(np.stack(columns, axis=1).ravel().tolist())
 
 
 def split(dataset: RatingDataset, spec: SplitSpec) -> tuple[RatingDataset, RatingDataset]:

@@ -215,9 +215,12 @@ def client_init(
     budget: randresp.PrivacyBudget | None,
     z_target: float | None,
     master_seed: int,
+    rng0: np.random.Generator | None = None,
 ) -> ClientState:
     """One-time client setup: solve the response probabilities and fix the
-    permanently perturbed bit vector. Deterministic per (master seed, id)."""
+    permanently perturbed bit vector. Deterministic per (master seed, id):
+    the perturbation draws from ``rng0``, the client's ``TAG_CLIENT_INIT``
+    stream, derived here when not handed in."""
     h = len(items)
     if h < 1:
         raise ValueError(f"client {client_id} has no ratings and cannot participate")
@@ -236,7 +239,8 @@ def client_init(
             )
         except randresp.CalibrationError as exc:
             raise randresp.CalibrationError(f"client {client_id}: {exc}") from exc
-        rng0 = derive_rng(master_seed, TAG_CLIENT_INIT, client_id)
+        if rng0 is None:
+            rng0 = derive_rng(master_seed, TAG_CLIENT_INIT, client_id)
         bits_prime = randresp.prr(bits, rr.f, rng0)
 
     return ClientState(
@@ -250,6 +254,14 @@ def client_init(
         hp=hp,
         master_seed=master_seed,
     )
+
+
+def client_init_rngs(master_seed: int, client_ids: list[int], budget: randresp.PrivacyBudget | None) -> list:
+    """The clients' ``TAG_CLIENT_INIT`` streams from one ``derive_rngs``
+    pass; Nones when ``budget`` is None and no client perturbs its bits."""
+    if budget is None:
+        return [None] * len(client_ids)
+    return derive_rngs([(master_seed, TAG_CLIENT_INIT, i) for i in client_ids])
 
 
 def draw_send_set(state: ClientState, t: int) -> tuple[np.random.Generator, np.ndarray]:
@@ -502,9 +514,10 @@ def run_training(
         z_target = len(train) / train.n_users
 
     model0 = init_model(train.n_users, train.n_items, hp)
+    active = train.active_users()
     clients = [
-        client_init(i, *train.user_items(i), model0.u[i], train.n_items, hp, budget, z_target, hp.seed)
-        for i in train.active_users()
+        client_init(i, *train.user_items(i), model0.u[i], train.n_items, hp, budget, z_target, hp.seed, rng0)
+        for i, rng0 in zip(active, client_init_rngs(hp.seed, active, budget))
     ]
     if len(clients) < train.n_users:
         logger.warning("excluded %d client(s) with no ratings", train.n_users - len(clients))

@@ -199,8 +199,7 @@ def prr(bits: BitVector, f: float, rng: np.random.Generator) -> BitVector:
     if not (0.0 <= f <= 1.0):
         raise ValueError(f"f={f} is not a probability")
     u = rng.random(len(bits))
-    out = np.where(u < 0.5 * f, 1, np.where(u < f, 0, bits))
-    return out.astype(np.uint8)
+    return ((u < 0.5 * f) | ((u >= f) & (bits == 1))).astype(np.uint8)
 
 
 def irr(bits_prime: BitVector, p: float, q: float, rng: np.random.Generator) -> BitVector:

@@ -9,6 +9,13 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
+
+from privmf import protocol
+from privmf.data import build_dataset, synthetic_dataset
+from privmf.randresp import PrivacyBudget
+from privmf.sgld import Hyperparams
+
 RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
 
@@ -28,3 +35,27 @@ def test_every_layer_target_resolves():
         fn = getattr(module, attr, None)
         assert callable(fn), f"{name}: {module.__name__}.{attr} is gone"
         assert inspect.isgeneratorfunction(fn) == generator, f"{name}: generator kind changed"
+
+
+def test_run_training_calls_client_init_through_the_module_once_per_active_client(monkeypatch):
+    # the benchmark's correctness gate wraps protocol.client_init and checks
+    # each captured state's budget; it fails a run that captures no inits
+    base = synthetic_dataset(6, 9, seed=4, mean_ratings_per_user=3)
+    ds = build_dataset(base.triples, base.n_users + 2, base.n_items)  # two users without ratings
+    hp = Hyperparams.with_gamma_priors(2, 0.1, 0.6, seed=3)
+    budget = PrivacyBudget(eps_i=2.0)
+    expected = protocol.run_training(ds, hp, 2, budget=budget)
+    calls = []
+    client_init = protocol.client_init
+
+    def counting(*args, **kwargs):
+        state = client_init(*args, **kwargs)
+        calls.append((args[0], state))
+        return state
+
+    monkeypatch.setattr(protocol, "client_init", counting)
+    result = protocol.run_training(ds, hp, 2, budget=budget)
+    assert [i for i, _ in calls] == ds.active_users() == list(range(base.n_users))
+    assert all(state.rr.h == len(ds.user_items(i)[0]) for i, state in calls)
+    assert np.array_equal(result.model.u, expected.model.u)
+    assert np.array_equal(result.model.v, expected.model.v)

@@ -1,5 +1,6 @@
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from privmf.data import (
     DataError,
+    RatingDataset,
     RatingTriple,
     SplitSpec,
+    _parse_columns,
     build_dataset,
     format_ratings,
     parse_ratings,
@@ -79,6 +82,50 @@ class TestParse:
             (again.user_ids[t.user_id], again.item_ids[t.item_id], t.rating) for t in again.triples
         }
         assert recovered == original
+
+    def test_format_keeps_every_digit_of_a_rating(self):
+        # :g writes 1.0000001 as "1" and 3.14159265 as "3.14159": such ratings
+        # are written in full, and the grid ratings stay in :g form
+        values = [1.0000001, 3.14159265, 4.5, 3.0, 1 + 2**-52, 2.0000000000000004, 5.0]
+        ds = build_dataset([RatingTriple(u, u % 2, r) for u, r in enumerate(values)], len(values), 2)
+        text = format_ratings(ds)
+        assert text.splitlines()[2:4] == ["2\t0\t4.5", "3\t1\t3"]
+        again = parse_ratings(text)
+        assert again.ratings.tobytes() == ds.ratings.tobytes()
+        assert (again.user_ids, again.item_ids) == (ds.user_ids, ds.item_ids)
+
+    @pytest.mark.parametrize("delimiter", ["\t", ","])
+    def test_format_equals_the_line_by_line_f_string(self, delimiter):
+        ds = parse_ratings("70\t5\t1\n3\t9\t4.5\n70\t9\t2.25\n2\t5\t5\n")
+        for dataset in (ds, synthetic_dataset(20, 30, seed=3, mean_ratings_per_user=6), ds._rows(np.zeros(4, bool))):
+            expected = "".join(
+                f"{dataset.user_ids[u]}{delimiter}{dataset.item_ids[i]}{delimiter}{r:g}\n"
+                for u, i, r in zip(dataset.users.tolist(), dataset.items.tolist(), dataset.ratings.tolist())
+            )
+            assert format_ratings(dataset, delimiter) == expected
+
+
+class TestOrder:
+    """``order`` is a packed-key argsort; it must stay the lexsort permutation."""
+
+    @staticmethod
+    def assert_lexsort(ds: RatingDataset):
+        assert ds.order.dtype == np.int64
+        assert np.array_equal(ds.order, np.lexsort((ds.items, ds.users)))
+
+    def test_every_way_a_dataset_is_built(self):
+        synth = synthetic_dataset(30, 40, seed=2, mean_ratings_per_user=6)
+        parsed = parse_ratings("9\t4\t3\n2\t4\t1\n9\t1\t5\n2\t7\t2\n5\t4\t4\n")
+        for ds in (synth, parsed, synthetic_dataset(30, 60, seed=4, mean_ratings_per_user=2)):
+            self.assert_lexsort(ds)
+            for part in split(ds, SplitSpec("random-holdout", 0.3, seed=1)):
+                self.assert_lexsort(part)
+            for part in split(ds, SplitSpec("leave-one-out", seed=1)):
+                self.assert_lexsort(part)
+            self.assert_lexsort(subsample(ds, 2, 3, min_ratings=1, seed=0))
+        self.assert_lexsort(parse_ratings(""))
+        self.assert_lexsort(build_dataset([], 3, 4))
+        self.assert_lexsort(subsample(synth, 5, 10, min_ratings=100, seed=0))
 
 
 class TestSplit:
@@ -219,11 +266,10 @@ def oracle_build(triples, n_users, n_items, score_range=(1.0, 5.0)):
     return list(triples), per_user
 
 
-def oracle_parse(text, score_range=(1.0, 5.0)):
+def oracle_parse(text, score_range=(1.0, 5.0), delimiter=None):
     """The line-by-line parser that the array-backed dataset replaced."""
     triples, user_map, item_map, seen = [], {}, {}, set()
     lo, hi = score_range
-    delimiter = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -319,3 +365,79 @@ class TestArrayDatasetAgainstOracle:
         ds = parse_ratings(text)
         assert (ds.triples, ds.user_ids, ds.item_ids) == expected
         assert (ds.n_users, ds.n_items) == (len(expected[1]), len(expected[2]))
+
+
+# field forms the array path reads (plain) and forms only the line loop reads
+PLAIN_IDS = ["{}", "0{}"]
+OTHER_IDS = ["+{}", "-{}", "{}_0", "{}.5", " {}", "{}e0"]
+PLAIN_BASES = [0, 1, 2, 3, 17, 2**53 + 1, 10**17 + 3]
+OTHER_BASES = [10**18, 2**63 - 1, 2**63 + 5, 2**70]
+PLAIN_RATINGS = ["1", "3", "5", "4.5", "2.25", "3.", "1.0000001", "3.14159265", "05", "0.5", "9", "0"]
+OTHER_RATINGS = ["1e0", "2.5E0", "nan", "inf", "-inf", "+3", "-0", "5.000000000000001", "1_0", ".", "3 "]
+BAD_LINES = ["", "  ", "\t", "bogus line", "1\t2", "1,2", "1\tx\t3", "1\t2\t3\t4"]
+
+
+@st.composite
+def rating_texts(draw):
+    """Rating files: plain ones, which the array path reads, and files with
+    whitespace or comma delimiters, CRLF, blank lines, signs, exponents,
+    ``nan``/``inf``, ids past 2**63, non-integral ids, out-of-range
+    ratings, repeated pairs, extra fields and malformed lines."""
+    plain = draw(st.integers(0, 2)) > 0
+
+    def pick(plain_forms, other_forms):
+        return draw(st.sampled_from(plain_forms if plain else plain_forms + other_forms))
+
+    delimiter = pick(["\t", ","], [" ", "\t ", " ,"])
+    newline = pick(["\n"], ["\r\n", "\r"])
+    n_extra = draw(st.integers(0, 2))
+    lines = []
+    for _ in range(draw(st.integers(int(plain), 10))):
+        ids = [pick(PLAIN_IDS, OTHER_IDS).format(pick(PLAIN_BASES, OTHER_BASES)) for _ in range(2)]
+        extra = [pick(["881250949", "7.5.1"], ["x", ""]) for _ in range(n_extra)]
+        lines.append(delimiter.join(ids + [pick(PLAIN_RATINGS, OTHER_RATINGS)] + extra))
+    if not plain:
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BAD_LINES)))
+    return newline.join(lines) + draw(st.sampled_from(["", newline])), delimiter
+
+
+class TestParsePaths:
+    @settings(max_examples=400, deadline=None)
+    @given(case=rating_texts(), explicit=st.booleans(), block_chars=st.sampled_from([1, 12, 1 << 16]))
+    def test_parse_matches_the_line_loop_oracle(self, case, explicit, block_chars):
+        text, delimiter = case
+        delimiter = delimiter if explicit and delimiter in ("\t", ",") else None
+        with mock.patch("privmf.data._BLOCK_CHARS", block_chars):  # one or several lines per block
+            try:
+                triples, user_ids, item_ids = oracle_parse(text, delimiter=delimiter)
+            except DataError as exc:
+                with pytest.raises(DataError) as raised:
+                    parse_ratings(text, delimiter)
+                assert str(raised.value) == str(exc)
+                return
+            ds = parse_ratings(text, delimiter)
+        assert (ds.user_ids, ds.item_ids) == (user_ids, item_ids)
+        users = np.array([t.user_id for t in triples], dtype=np.int64)
+        items = np.array([t.item_id for t in triples], dtype=np.int64)
+        ratings = np.array([t.rating for t in triples], dtype=np.float64)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(users, minlength=len(user_ids)))))
+        expected = (users, items, ratings, np.lexsort((items, users)), indptr)
+        for got, want in zip((ds.users, ds.items, ds.ratings, ds.order, ds.indptr), expected):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "1\t2\t3\n", "1\t2\t3", "1\t2\t3\t\n", "1,2,3\n4,5,6\n", "01\t2\t3.\t9.9\n", "1\t2\t.5\n",
+        f"{10**17}\t2\t3\n", "1\t2\t123456789012345\n", "1\t2\t3\n4\t5\t6\n",
+    ])
+    def test_plain_texts_take_the_array_path(self, text):
+        assert _parse_columns(text, None) is not None
+
+    @pytest.mark.parametrize("text", [
+        "", "\n1\t2\t3\n", "1\t2\t3\n\n4\t5\t6\n", "1\t2\t3\r\n", "1 2 3\n", "\t1\t2\t3\n",
+        "1\t2\t3\n4\t5\t6\t7\n", "1\t2\t3\n4\t5\n6\t7\t8\t9\n", "1\t2\n", "+1\t2\t3\n", "1\t2\t-3\n", "1.5\t2\t3\n",
+        "1\t2\t3.5.1\n", f"{10**18}\t2\t3\n", "1\t2\t1234567890123456\n", "1\t2\t.\n",
+        "1\t2\t1e0\n", "1\t2\tnan\n", "1,2\t3\n", "1\t2,3\n", "1\t\t3\n", "\u00b9\t2\t3\n",
+    ])
+    def test_other_texts_take_the_line_loop(self, text):
+        assert _parse_columns(text, None) is None

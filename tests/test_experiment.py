@@ -11,6 +11,7 @@ from privmf.experiment import (
     ConfigError,
     ExperimentConfig,
     load_config,
+    load_dataset,
     run_experiments,
 )
 from privmf.randresp import calibrate
@@ -185,3 +186,16 @@ class TestCli:
         head, *figures = first_block
         assert blocks[0][0] == head
         assert [line.split(": ")[1] for line in blocks[0][3:]] == figures
+
+    def test_attack_counts_only_clients_with_ratings(self, tmp_path, ratings_file, capsys):
+        # desk_min_ratings = 0 keeps users with no rating among the 4 kept
+        # items; they are not clients and the attack does not count them
+        cfg = write_config(
+            tmp_path, ratings_file, eps_i="4", iterations="6",
+            desk_scale="true", desk_users="30", desk_items="4", desk_min_ratings="0",
+        )
+        dataset = load_dataset(load_config(cfg))
+        active = len(dataset.active_users())
+        assert active < dataset.n_users == 30
+        assert main(["attack", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"clients attacked   : {active} (skipped 0)"

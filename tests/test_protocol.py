@@ -20,6 +20,7 @@ from privmf.protocol import (
     ProtocolError,
     ServerState,
     client_init,
+    client_init_rngs,
     client_iteration,
     draw_send_set,
     population_iteration,
@@ -30,7 +31,7 @@ from privmf.protocol import (
     server_round,
 )
 from privmf.randresp import PrivacyBudget, RRParams, effective_probs, irr, solve_f
-from privmf.rng import TAG_CLIENT_ROUND, derive_rng
+from privmf.rng import TAG_CLIENT_INIT, TAG_CLIENT_ROUND, derive_rng, derive_rngs
 from privmf.sgld import (
     Hyperparams,
     centralized_train,
@@ -78,6 +79,24 @@ class TestClientInit:
         hp = make_hp()
         with pytest.raises(ValueError, match="no ratings"):
             client_init(0, np.array([], dtype=int), np.array([]), np.zeros(3), 10, hp, None, None, 0)
+
+    def test_handed_in_stream_equals_the_derived_one(self):
+        # run_training and privmf attack derive every init stream in one
+        # derive_rngs pass and hand each to client_init
+        hp, budget = make_hp(), PrivacyBudget(eps_i=1.0)
+        ids = [0, 3, 8]
+        rngs = client_init_rngs(99, ids, budget)
+        assert [r.random() for r in rngs] == [
+            r.random() for r in derive_rngs([(99, TAG_CLIENT_INIT, i) for i in ids])
+        ]
+        assert client_init_rngs(99, ids, None) == [None] * 3
+        for cid, rng0 in zip(ids, client_init_rngs(99, ids, budget)):
+            items = np.array([1, 4, 7]) + cid
+            args = (cid, items, np.linspace(2.0, 4.0, 3), np.full(hp.k, 0.05), 16, hp, budget, 4.0, 99)
+            handed, derived = client_init(*args, rng0), client_init(*args)
+            assert np.array_equal(handed.bits_prime, derived.bits_prime)
+            assert handed.bits_prime.dtype == derived.bits_prime.dtype == np.uint8
+            assert handed.rr == derived.rr
 
     def test_bits_flag_rated_items(self):
         state = make_client(make_hp(), items=(2, 5))

@@ -172,6 +172,14 @@ class TestSamplers:
         b = prr(bits, 0.4, derive_rng(77, 4, 13))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("f", [0.0, 0.3, 0.5, 0.99, 1.0])
+    def test_prr_equals_the_nested_where_form(self, f):
+        bits = (np.random.default_rng(9).random(5000) < 0.4).astype(np.uint8)
+        u = derive_rng(77, 4, 13).random(len(bits))
+        expected = np.where(u < 0.5 * f, 1, np.where(u < f, 0, bits)).astype(np.uint8)
+        out = prr(bits, f, derive_rng(77, 4, 13))
+        assert out.dtype == np.uint8 and np.array_equal(out, expected)
+
     def test_irr_degenerate_copies_input(self):
         bits = (np.random.default_rng(4).random(1000) < 0.5).astype(np.uint8)
         out = irr(bits, 0.0, 1.0, np.random.default_rng(5))
