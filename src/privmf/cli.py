@@ -51,7 +51,7 @@ def _cmd_attack(args) -> int:
     for block, eps_i in enumerate(config.eps_i):
         budget = randresp.PrivacyBudget(eps_i, config.eps_p)
         users, states = dataset.active_users(), []
-        for user, rng0 in zip(users, client_init_rngs(config.seed, users, budget)):
+        for user, rng0 in zip(users, client_init_rngs(config.seed, users)):
             try:
                 state = client_init(
                     user, *dataset.user_items(user), u0, n_items, hp, budget, z_target, config.seed, rng0

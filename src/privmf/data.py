@@ -188,27 +188,13 @@ def _parse_lines(text: str, delimiter: str | None):
     return *(zip(*rows) if rows else ((),) * 4), malformed
 
 
-_POW10 = np.array([float(10**k) for k in range(16)])  # exact
 _BLOCK_CHARS = 1 << 16  # per block of the array path, which bounds its temporaries
-
-
-def _digits(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """Each field ``buf[start:end]`` of digits and dots: the value of its
-    digits, its dot count, and its digit count after the first dot."""
-    value, dots, scale = np.zeros((3, *starts.shape), dtype=np.int64)
-    for j in range(int((ends - starts).max(initial=0))):
-        at = starts + j
-        digit = buf.take(at, mode="clip").astype(np.int64) - ord("0")
-        inside, is_digit = at < ends, (at < ends) & (digit >= 0)
-        value = np.where(is_digit, value * 10 + digit, value)
-        scale += is_digit & (dots > 0)
-        dots += inside & ~is_digit
-    return value, dots, scale
 
 
 def _parse_block(text: str, delimiter: str):
     """``(users, items, ratings)`` of a block of whole lines if it is plain, else None."""
-    buf = np.frombuffer(text.encode() + b"\n"[text.endswith("\n"):], dtype=np.uint8)
+    encoded = text.encode() + b"\n"[text.endswith("\n"):]
+    buf = np.frombuffer(encoded, dtype=np.uint8)
     counts = np.bincount(buf, minlength=256)
     ends = np.flatnonzero(buf < ord("."))  # the byte after each field: both separators sort below "."
     line_end = buf[ends] == ord("\n")
@@ -218,19 +204,13 @@ def _parse_block(text: str, delimiter: str):
         or n < 3 or not line_end[n - 1 :: n].all() or counts[ord("\n")] != len(ends) // n
     ):
         return None
-    # the line loop strips a line and reads its first three fields: they must
-    # not be empty, and the later fields are never read
-    end = np.stack([ends[0::n], ends[1::n], ends[2::n]])
-    start = np.stack([np.concatenate(([-1], ends[n - 1 : -1 : n])), end[0], end[1]]) + 1
-    width = end - start
-    if width.min() < 1 or width.max() > 18:
+    # numpy reads each field with int() or float(), as the line loop does;
+    # the fields after the third are never read
+    fields = encoded.replace(b"\n", delimiter.encode()).split(delimiter.encode())[:-1]
+    try:
+        return tuple(np.array(fields[k::n], dtype=t) for k, t in enumerate((np.int64, np.int64, np.float64)))
+    except (ValueError, OverflowError):  # an empty field, a dotted id, an id past int64
         return None
-    value, dots, scale = _digits(buf, start, end)
-    digits = width[2] - dots[2]
-    if dots[:2].any() or dots[2].max() > 1 or digits.min() < 1 or digits.max() > 15:
-        return None
-    # both operands are exact, so the quotient is the correctly rounded float()
-    return value[0], value[1], value[2] / _POW10[scale[2]]
 
 
 def _parse_columns(text: str, delimiter: str | None):
@@ -266,10 +246,10 @@ def parse_ratings(
 
     Plain texts are read as arrays, in blocks of whole lines: ASCII digits
     and dots, one tab or comma delimiter, ``\\n`` line ends, the same number
-    (>= 3) of fields on each line of a block, ids of 1 to 18 digits, ratings
-    of 1 to 15 digits and at most one dot. Any other text (whitespace, CRLF,
-    blank lines, signs, exponents, ``nan``, longer ids) is read line by
-    line, with the same dataset and the same errors.
+    (>= 3) of fields on each line of a block, integer ids below 2**63 and
+    ratings that ``float()`` reads. Any other text (whitespace, CRLF, blank
+    lines, signs, exponents, ``nan``, longer ids, a malformed field) is read
+    line by line, with the same dataset and the same errors.
     """
     columns = _parse_columns(text, delimiter)
     linenos, malformed = None, None  # a plain text's row r is on line r + 1

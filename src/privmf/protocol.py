@@ -220,7 +220,8 @@ def client_init(
     """One-time client setup: solve the response probabilities and fix the
     permanently perturbed bit vector. Deterministic per (master seed, id):
     the perturbation draws from ``rng0``, the client's ``TAG_CLIENT_INIT``
-    stream, derived here when not handed in."""
+    stream. Population builders hand it in from ``client_init_rngs``; the
+    default derives it here, for callers that set up a single client."""
     h = len(items)
     if h < 1:
         raise ValueError(f"client {client_id} has no ratings and cannot participate")
@@ -256,11 +257,8 @@ def client_init(
     )
 
 
-def client_init_rngs(master_seed: int, client_ids: list[int], budget: randresp.PrivacyBudget | None) -> list:
-    """The clients' ``TAG_CLIENT_INIT`` streams from one ``derive_rngs``
-    pass; Nones when ``budget`` is None and no client perturbs its bits."""
-    if budget is None:
-        return [None] * len(client_ids)
+def client_init_rngs(master_seed: int, client_ids: list[int]) -> list[np.random.Generator]:
+    """The clients' ``TAG_CLIENT_INIT`` streams from one ``derive_rngs`` pass."""
     return derive_rngs([(master_seed, TAG_CLIENT_INIT, i) for i in client_ids])
 
 
@@ -517,7 +515,7 @@ def run_training(
     active = train.active_users()
     clients = [
         client_init(i, *train.user_items(i), model0.u[i], train.n_items, hp, budget, z_target, hp.seed, rng0)
-        for i, rng0 in zip(active, client_init_rngs(hp.seed, active, budget))
+        for i, rng0 in zip(active, client_init_rngs(hp.seed, active))
     ]
     if len(clients) < train.n_users:
         logger.warning("excluded %d client(s) with no ratings", train.n_users - len(clients))

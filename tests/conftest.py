@@ -1,10 +1,7 @@
-"""Hypothesis profiles: ``HYPOTHESIS_PROFILE=ci`` prints the blob of a
-failing example, so a CI failure reproduces locally with
-``@reproduce_failure``."""
-
-import os
+"""A failing hypothesis example prints its ``@reproduce_failure`` blob, so a
+failure seen in CI reproduces locally."""
 
 from hypothesis import settings
 
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+settings.register_profile("privmf", print_blob=True)
+settings.load_profile("privmf")

@@ -370,10 +370,13 @@ class TestArrayDatasetAgainstOracle:
 # field forms the array path reads (plain) and forms only the line loop reads
 PLAIN_IDS = ["{}", "0{}"]
 OTHER_IDS = ["+{}", "-{}", "{}_0", "{}.5", " {}", "{}e0"]
-PLAIN_BASES = [0, 1, 2, 3, 17, 2**53 + 1, 10**17 + 3]
-OTHER_BASES = [10**18, 2**63 - 1, 2**63 + 5, 2**70]
-PLAIN_RATINGS = ["1", "3", "5", "4.5", "2.25", "3.", "1.0000001", "3.14159265", "05", "0.5", "9", "0"]
-OTHER_RATINGS = ["1e0", "2.5E0", "nan", "inf", "-inf", "+3", "-0", "5.000000000000001", "1_0", ".", "3 "]
+PLAIN_BASES = [0, 1, 2, 3, 17, 2**53 + 1, 10**17 + 3, 10**18, 2**63 - 1]
+OTHER_BASES = [2**63, 2**63 + 5, 2**70]
+PLAIN_RATINGS = [
+    "1", "3", "5", "4.5", "2.25", "3.", "1.0000001", "3.14159265", "05", "0.5", "9", "0", "5.000000000000001",
+    "3.14159265358979323846",
+]
+OTHER_RATINGS = ["1e0", "2.5E0", "nan", "inf", "-inf", "+3", "-0", "1_0", ".", "3 "]
 BAD_LINES = ["", "  ", "\t", "bogus line", "1\t2", "1,2", "1\tx\t3", "1\t2\t3\t4"]
 
 
@@ -428,7 +431,7 @@ class TestParsePaths:
 
     @pytest.mark.parametrize("text", [
         "1\t2\t3\n", "1\t2\t3", "1\t2\t3\t\n", "1,2,3\n4,5,6\n", "01\t2\t3.\t9.9\n", "1\t2\t.5\n",
-        f"{10**17}\t2\t3\n", "1\t2\t123456789012345\n", "1\t2\t3\n4\t5\t6\n",
+        f"{2**63 - 1}\t2\t3\n", "1\t2\t1234567890123456789\n", "1\t2\t3\n4\t5\t6\n", "1\t2\t4.5\n3\t4\t5\n",
     ])
     def test_plain_texts_take_the_array_path(self, text):
         assert _parse_columns(text, None) is not None
@@ -436,7 +439,7 @@ class TestParsePaths:
     @pytest.mark.parametrize("text", [
         "", "\n1\t2\t3\n", "1\t2\t3\n\n4\t5\t6\n", "1\t2\t3\r\n", "1 2 3\n", "\t1\t2\t3\n",
         "1\t2\t3\n4\t5\t6\t7\n", "1\t2\t3\n4\t5\n6\t7\t8\t9\n", "1\t2\n", "+1\t2\t3\n", "1\t2\t-3\n", "1.5\t2\t3\n",
-        "1\t2\t3.5.1\n", f"{10**18}\t2\t3\n", "1\t2\t1234567890123456\n", "1\t2\t.\n",
+        "1\t2\t3.5.1\n", f"{2**63}\t2\t3\n", "1\t2\t.\n",
         "1\t2\t1e0\n", "1\t2\tnan\n", "1,2\t3\n", "1\t2,3\n", "1\t\t3\n", "\u00b9\t2\t3\n",
     ])
     def test_other_texts_take_the_line_loop(self, text):

@@ -85,12 +85,11 @@ class TestClientInit:
         # derive_rngs pass and hand each to client_init
         hp, budget = make_hp(), PrivacyBudget(eps_i=1.0)
         ids = [0, 3, 8]
-        rngs = client_init_rngs(99, ids, budget)
+        rngs = client_init_rngs(99, ids)
         assert [r.random() for r in rngs] == [
             r.random() for r in derive_rngs([(99, TAG_CLIENT_INIT, i) for i in ids])
         ]
-        assert client_init_rngs(99, ids, None) == [None] * 3
-        for cid, rng0 in zip(ids, client_init_rngs(99, ids, budget)):
+        for cid, rng0 in zip(ids, client_init_rngs(99, ids)):
             items = np.array([1, 4, 7]) + cid
             args = (cid, items, np.linspace(2.0, 4.0, 3), np.full(hp.k, 0.05), 16, hp, budget, 4.0, 99)
             handed, derived = client_init(*args, rng0), client_init(*args)
