@@ -7,14 +7,13 @@ gradients for unrated items indistinguishable from real ones, with
 per-round differential-privacy budgets calibrated in closed form.
 """
 
-from .bpr import bpr_errors, bpr_margin, bpr_step, sd_bpr_client_iteration
+from .bpr import bpr_step, sd_bpr_client_iteration
 from .codec import (
-    ClientUpdate,
     CodecError,
     FinishMessage,
     GradientMessage,
     Handshake,
-    decode_message,
+    RoundUpdates,
     decode_updates,
     encode_message,
     encode_updates,
@@ -38,7 +37,6 @@ from .fakegrad import (
     coverage,
     epsilon_g_of,
     error_stats,
-    fake_errors,
     sample_fake_error,
     sample_fake_errors,
     solve_alpha,
@@ -51,7 +49,6 @@ from .protocol import (
     TrainingResult,
     client_init,
     client_iteration,
-    draw_send_set,
     run_training,
     server_round,
 )
@@ -59,10 +56,8 @@ from .randresp import (
     CalibrationError,
     PrivacyBudget,
     RRParams,
-    average_attack,
     calibrate,
     classify_rated,
-    effective_probs,
     epsilon_i_of,
     epsilon_p_of,
     expected_sends,
@@ -77,8 +72,6 @@ from .sgld import (
     init_model,
     item_step,
     learning_rate,
-    predict,
-    rating_error,
     user_step,
 )
 

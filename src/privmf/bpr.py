@@ -12,9 +12,10 @@ The simulator runs a one-class round for the whole population at once
 (``population_iteration``), chunk by chunk, in two passes, as the
 numerical round does: a loop over the clients that only pulls each
 client's partner draws and pair noise from its own round stream, then one
-``bpr_step`` over all the chunk's pairs. Every update and user factor
-equals that client's round computed alone (``sd_bpr_client_iteration``,
-the population of one).
+``bpr_step`` over all the chunk's pairs, whose item deltas go straight to
+their clients' segments of the round's block, the layout of the numerical
+round. Every update and user factor equals that client's round computed
+alone (``sd_bpr_client_iteration``, the population of one).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 
 import numpy as np
 
-from .codec import ClientUpdate
+from .codec import RoundUpdates
 from .protocol import _draw_send_sets, as_population
 from .sgld import Hyperparams, UserRows, learning_rate, row_chunks
 
@@ -37,19 +38,6 @@ def sigma_bar(x):
     x = np.asarray(x, dtype=np.float64)
     e = np.fromiter(map(math.exp, (-np.abs(x)).ravel().tolist()), np.float64, x.size).reshape(x.shape)
     return np.where(x >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
-
-
-def bpr_margin(u: np.ndarray, v_pos: np.ndarray, v_neg: np.ndarray) -> float:
-    """Predicted-score distance between the rated and the unrated item."""
-    if not (u.shape == v_pos.shape == v_neg.shape):
-        raise ValueError("dimension mismatch between factors")
-    return float(np.dot(u, v_pos) - np.dot(u, v_neg))
-
-
-def bpr_errors(x: float) -> tuple[float, float]:
-    """Pairwise error pair (-sigma_bar(x), sigma_bar(x)); sums to zero."""
-    s = float(sigma_bar(x))
-    return -s, s
 
 
 def bpr_step(
@@ -76,7 +64,7 @@ def bpr_step(
     """
     if not (u.shape == v_own.shape == v_other.shape):
         raise ValueError("dimension mismatch between factors")
-    # np.vecdot takes one BLAS dot per row, so margins round as bpr_margin's
+    # np.vecdot takes one BLAS dot per row, so margins round as np.dot's
     own, other = np.vecdot(v_own, u), np.vecdot(v_other, u)
     s = sigma_bar(np.where(positive, own - other, other - own))
     pos = np.asarray(positive)[..., None]
@@ -103,10 +91,10 @@ def bpr_step(
     return noise[..., 0, :], d_own
 
 
-def population_iteration(clients, v_snapshot: np.ndarray, t: int) -> list[ClientUpdate]:
+def population_iteration(clients, v_snapshot: np.ndarray, t: int) -> RoundUpdates:
     """One round of the one-class task for a ``protocol.Population``, or a
-    list of ``ClientState``s that share ``hp``: one ``ClientUpdate`` per
-    client, in client order.
+    list of ``ClientState``s that share ``hp``: every client's update, in
+    client order.
 
     A selected rated item pairs with a fresh uniform unrated partner and
     sends its positive-role delta; a selected unrated item pairs with a
@@ -123,36 +111,30 @@ def population_iteration(clients, v_snapshot: np.ndarray, t: int) -> list[Client
     hp = pop.hp
     eta = learning_rate(t, hp)
     rngs, items, at = _draw_send_sets(pop, t)
-    sent = [items[a:b] for a, b in zip(at, at[1:])]
-    partnerless = (pop.h == pop.bits_prime.shape[1]) & (np.diff(at) > 0)
+    counts = np.diff(at)
+    partnerless = (pop.h == pop.bits_prime.shape[1]) & (counts > 0)
     pop.partnerless_rounds += partnerless
-    for i in np.flatnonzero(partnerless).tolist():
-        sent[i] = sent[i][:0]
-    counts = [len(ids) for ids in sent]
-    # the round's sent ids and item deltas; each update views its rows
-    ids = np.empty(sum(counts), dtype=np.int64)
-    deltas = np.empty((len(ids), hp.k))
-    first, done = [], 0
+    if partnerless.any():
+        items = items[~np.repeat(partnerless, counts)]
+        counts[partnerless] = 0
+    offsets = np.cumsum([0, *counts.tolist()])
+    # the round's item deltas, in the clients' segments of the sent ids
+    deltas = np.empty((len(items), hp.k))
     # a pair steps through four (rows, k) blocks, twice a rated row's two,
     # so it counts twice towards the chunk size
-    for lo, hi in row_chunks([2 * n for n in counts]):
-        rows = UserRows(sent[lo:hi])
-        end = done + len(rows.items)
-        _chunk_iteration(pop, lo, hi, rngs[lo:hi], rows, v_snapshot, eta, deltas[done:end])
-        ids[done:end] = rows.items
-        first += (done + rows.start).tolist()
-        done = end
+    for lo, hi in row_chunks((2 * counts).tolist()):
+        a, b = offsets[lo], offsets[hi]
+        rows = UserRows(np.split(items[a:b], offsets[lo + 1 : hi] - a))
+        _chunk_iteration(pop, lo, hi, rngs[lo:hi], rows, v_snapshot, eta, deltas[a:b])
     if wrapped:
         pop.write_ledger()
-    return [
-        ClientUpdate(i, ids[a : a + n], deltas[a : a + n]) for i, a, n in zip(pop.ids.tolist(), first, counts)
-    ]
+    return RoundUpdates(pop.ids, offsets, items, deltas)
 
 
 def _chunk_iteration(pop, lo, hi, rngs, rows: UserRows, v_snapshot, eta, deltas) -> None:
     """One chunk of ``population_iteration``: ``rows`` lays out the send
     sets of clients ``lo`` to ``hi``, and their item deltas are written to
-    ``deltas``, one row per row of ``rows``.
+    ``deltas``, their segments of the round's block, in client order.
 
     Pass 1 loops over the clients and only pulls the rest of each stream
     into preallocated blocks; pass 2 steps all the chunk's pairs at once
@@ -185,11 +167,13 @@ def _chunk_iteration(pop, lo, hi, rngs, rows: UserRows, v_snapshot, eta, deltas)
     del noise
     sums = rows.per_user(du, lambda block: block.sum(axis=1))
     del du  # freed before the delta write
-    deltas[...] = d_own
+    # row r, the j-th of its client's, goes to that client's segment at j
+    segment = np.cumsum(rows.h) - rows.h
+    deltas[(segment - rows.start)[rows.owner] + np.arange(len(rows.items))] = d_own
     moved = rows.h > 0  # a client that sent nothing keeps its factor
     u[moved] += sums[moved] / rows.h[moved, None]
 
 
-def sd_bpr_client_iteration(state, v_snapshot: np.ndarray, t: int) -> ClientUpdate:
+def sd_bpr_client_iteration(state, v_snapshot: np.ndarray, t: int) -> RoundUpdates:
     """One-class client round: ``population_iteration`` of that client alone."""
-    return population_iteration([state], v_snapshot, t)[0]
+    return population_iteration([state], v_snapshot, t)

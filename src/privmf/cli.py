@@ -64,7 +64,7 @@ def _cmd_attack(args) -> int:
         if states:
             pop = Population(states)
             # how often each client sent each item: sums of 0/1, exact, so
-            # counts / rounds is the average_attack mean of the sampled send sets
+            # counts / rounds is the per-item mean of the sampled send sets
             counts = np.zeros((len(pop), n_items), dtype=np.int32)
             for t in range(1, rounds + 1):
                 _, items, at = _draw_send_sets(pop, t)

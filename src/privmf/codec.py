@@ -9,12 +9,14 @@ Frames are self-delimiting:
 All integers are little-endian unsigned 32-bit; reals are little-endian
 IEEE-754 doubles. decode(encode(m)) == m exactly.
 
-A gradient frame has a fixed size, 9 + 8k bytes, so a run of them is one
-packed record array ``[u1 type, <u4 item, <u4 k, (k,)<f8 delta]``:
-``encode_updates`` fills one such array for a whole round and splices the
-finish frames in between the clients' runs of its bytes, and
-``decode_updates`` reads each run of gradient frames with one
-``frombuffer``. The bytes are those of frame-by-frame ``encode_message``.
+A round travels as one ``RoundUpdates`` value: every client's delta rows
+in one block, with each client's segment of it. A gradient frame has a
+fixed size, 9 + 8k bytes, so a run of them is one packed record array
+``[u1 type, <u4 item, <u4 k, (k,)<f8 delta]``: ``encode_updates`` fills
+one such array from the round's block and splices the finish frames in
+between the clients' runs of its bytes, and ``decode_updates`` reads each
+run of gradient frames with one ``frombuffer`` back into one block. The
+bytes are those of frame-by-frame ``encode_message``.
 """
 
 from __future__ import annotations
@@ -65,13 +67,33 @@ Message = GradientMessage | FinishMessage | Handshake
 
 
 @dataclass(frozen=True, eq=False)
-class ClientUpdate:
-    """One client's round: a delta row per sent item, ids ascending. On the
-    wire it is a gradient frame per row, then the client's finish frame."""
+class RoundUpdates:
+    """A round's updates: client ``client_ids[i]`` sent rows ``offsets[i]``
+    to ``offsets[i + 1]`` of ``item_ids`` and ``deltas``, the segments in
+    client order. On the wire each row is a gradient frame and each segment
+    ends with its client's finish frame. The arrays are read-only views; a
+    malformed shape raises ``ValueError`` when the round is built, so both
+    transports reject it alike."""
 
-    client_id: int
-    item_ids: np.ndarray = field(repr=False)  # (n,) int64
-    deltas: np.ndarray = field(repr=False)  # (n, k) float64
+    client_ids: np.ndarray  # (m,) int64
+    offsets: np.ndarray  # (m + 1,) int64, from 0 to n, never decreasing
+    item_ids: np.ndarray  # (n,) int64
+    deltas: np.ndarray  # (n, k) float64
+
+    def __post_init__(self):
+        for name in ("client_ids", "offsets", "item_ids", "deltas"):
+            array = np.asarray(getattr(self, name), np.float64 if name == "deltas" else np.int64).view()
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        clients, offsets, n = self.client_ids, self.offsets, len(self.item_ids)
+        if clients.ndim != 1 or offsets.ndim != 1 or self.item_ids.ndim != 1:
+            raise ValueError("client_ids, offsets and item_ids must be 1-D")
+        if self.deltas.ndim != 2 or len(self.deltas) != n:
+            raise ValueError(f"deltas of shape {self.deltas.shape} for {n} item ids: need ({n}, k)")
+        if len(offsets) != len(clients) + 1:
+            raise ValueError(f"{len(offsets)} offsets for {len(clients)} clients: need {len(clients) + 1}")
+        if offsets[0] != 0 or offsets[-1] != n or np.any(offsets[1:] < offsets[:-1]):
+            raise ValueError(f"offsets must run from 0 to {n} without decreasing")
 
 
 def encode_message(msg: Message) -> bytes:
@@ -121,11 +143,6 @@ def _decode_at(data: bytes, offset: int, expect_k: int | None) -> tuple[Message,
     raise CodecError(f"unknown frame type byte 0x{msg_type:02x}")
 
 
-def decode_message(data: bytes, expect_k: int | None = None) -> tuple[Message, int]:
-    """Decode one frame from the head of ``data``; returns (message, bytes consumed)."""
-    return _decode_at(data, 0, expect_k)
-
-
 def iter_messages(data: bytes, expect_k: int | None = None):
     """Decode a concatenation of frames."""
     offset = 0
@@ -145,42 +162,33 @@ def _first_outside_u32(values) -> int | None:
     return int(np.argmax(bad)) if bad.any() else None
 
 
-def encode_updates(updates, handshake: Handshake | None = None) -> bytes:
-    """Frames for a round's updates, in order, each client's gradient frames
+def encode_updates(updates: RoundUpdates, handshake: Handshake | None = None) -> bytes:
+    """Frames for a round, in client order, each client's gradient frames
     followed by its finish frame; the handshake, when given, goes first.
 
-    The round's gradient frames are one packed record array, so they share
-    one dimension ``k``; each client's run of its bytes is spliced in
-    through a memoryview, and the frames are joined once.
+    The round's gradient frames are one packed record array, filled with
+    one assignment of the delta block; each client's run of its bytes is
+    spliced in through a memoryview, and the frames are joined once.
     """
-    counts = [len(update.item_ids) for update in updates]
-    dims = {update.deltas.shape[1] for update, n in zip(updates, counts) if n}
-    if len(dims) > 1:
-        raise CodecError(f"gradient dimensions {sorted(dims)} differ within one round")
-    ends = np.cumsum(counts, dtype=np.int64)
-    ids = np.concatenate([np.empty(0, dtype=np.int64), *(update.item_ids for update in updates)])
+    clients, offsets = updates.client_ids, updates.offsets
     # the first client, in order, with an id or an item id outside u32
-    bad_client = _first_outside_u32(np.array([update.client_id for update in updates]))
-    bad_row = _first_outside_u32(ids)
-    bad_item = len(updates) if bad_row is None else int(np.searchsorted(ends, bad_row, side="right"))
+    bad_client = _first_outside_u32(clients)
+    bad_row = _first_outside_u32(updates.item_ids)
+    bad_item = len(clients) if bad_row is None else int(np.searchsorted(offsets[1:], bad_row, side="right"))
     if bad_client is not None and bad_client <= bad_item:
-        update = updates[bad_client]
-        raise CodecError(f"client id {update.client_id} outside [0, 2**32)")
+        raise CodecError(f"client id {clients[bad_client]} outside [0, 2**32)")
     if bad_row is not None:
-        raise CodecError(f"client {updates[bad_item].client_id}: item id outside [0, 2**32)")
+        raise CodecError(f"client {clients[bad_item]}: item id outside [0, 2**32)")
 
-    records = np.empty(len(ids), dtype=_gradient_dtype(dims.pop() if dims else 1))
-    records["type"] = TYPE_GRADIENT
-    records["item"] = ids
-    records["k"] = records.dtype["delta"].shape[0]
-    delta = records["delta"]
+    k = updates.deltas.shape[1]
+    records = np.empty(len(updates.item_ids), dtype=_gradient_dtype(k))
+    records["type"], records["item"], records["k"] = TYPE_GRADIENT, updates.item_ids, k
+    records["delta"] = updates.deltas
     frames = [] if handshake is None else [encode_message(handshake)]
     raw, size = memoryview(records.view(np.uint8)), records.itemsize
-    for update, end, n in zip(updates, ends.tolist(), counts):
-        if n:
-            delta[end - n : end] = update.deltas
-        frames.append(raw[(end - n) * size : end * size])
-        frames.append(encode_message(FinishMessage(update.client_id)))
+    for client, a, b in zip(clients.tolist(), offsets[:-1].tolist(), offsets[1:].tolist()):
+        frames.append(raw[a * size : b * size])
+        frames.append(encode_message(FinishMessage(client)))
     return b"".join(frames)
 
 
@@ -200,19 +208,20 @@ def _run_length(data: bytes, offset: int, records: np.dtype, k: int) -> int:
     return n
 
 
-def decode_updates(data: bytes, k: int, n_items: int) -> list[ClientUpdate]:
-    """Regroup a round's frames into updates, one per finish frame.
+def decode_updates(data: bytes, k: int, n_items: int) -> RoundUpdates:
+    """Regroup a round's frames into a ``RoundUpdates``, one client segment
+    per finish frame.
 
     A first pass over the frame headers finds each run of gradient frames;
     the frame that ends a run is decoded on its own, so a malformed one
     raises the same ``CodecError`` as frame-by-frame decoding. The runs are
-    then copied into one item array and one delta block, and each update
-    views its slice. Rejects a handshake that differs from the session's
-    ``(k, n_items)`` and gradient frames that no finish frame closes.
+    then copied into one item array and one delta block. Rejects a
+    handshake that differs from the session's ``(k, n_items)`` and gradient
+    frames that no finish frame closes.
     """
     records = _gradient_dtype(k)
-    runs, ends, clients = [], [], []
-    offset, total, pending = 0, 0, 0
+    runs, offsets, clients = [], [0], []
+    offset, pending = 0, 0
     while offset < len(data):
         n = _run_length(data, offset, records, k)
         if n:
@@ -223,22 +232,17 @@ def decode_updates(data: bytes, k: int, n_items: int) -> list[ClientUpdate]:
                 break
         msg, offset = _decode_at(data, offset, k)
         if isinstance(msg, FinishMessage):
-            total += pending
-            ends.append(total)
+            offsets.append(offsets[-1] + pending)
             clients.append(msg.client_id)
             pending = 0
         elif (msg.k, msg.n_items) != (k, n_items):
             raise CodecError(f"handshake mismatch: {msg} vs session ({k}, {n_items})")
     if pending:
         raise CodecError(f"{pending} gradient frame(s) without a finish frame")
-    items, deltas = np.empty(total, dtype=np.int64), np.empty((total, k))
+    items, deltas = np.empty(offsets[-1], dtype=np.int64), np.empty((offsets[-1], k))
     at = 0
     for offset, n in runs:
         frames = np.frombuffer(data, records, count=n, offset=offset)
         items[at : at + n], deltas[at : at + n] = frames["item"], frames["delta"]
         at += n
-    starts = [0, *ends[:-1]]
-    return [
-        ClientUpdate(client, items[a:b], deltas[a:b])
-        for client, a, b in zip(clients, starts, ends)
-    ]
+    return RoundUpdates(clients, offsets, items, deltas)

@@ -111,39 +111,6 @@ def _first_fault(bad_id, users, items, ratings, n_items, score_range) -> tuple[i
     return row, next(kind for kind, mask in enumerate(faults) if mask[row])
 
 
-def build_dataset(
-    triples: list[RatingTriple],
-    n_users: int,
-    n_items: int,
-    score_range: tuple[float, float] = (1.0, 5.0),
-    user_ids: list[int] | None = None,
-    item_ids: list[int] | None = None,
-) -> RatingDataset:
-    """Assemble a dataset and enforce its invariants.
-
-    The first triple with an id outside the universe, a rating outside
-    ``score_range`` or an already seen (user, item) pair raises DataError.
-    """
-    n = len(triples)
-    users = np.fromiter((t.user_id for t in triples), dtype=np.int64, count=n)
-    items = np.fromiter((t.item_id for t in triples), dtype=np.int64, count=n)
-    ratings = np.fromiter((t.rating for t in triples), dtype=np.float64, count=n)
-    bad_id = (users < 0) | (users >= n_users) | (items < 0) | (items >= n_items)
-    fault = _first_fault(bad_id, users, items, ratings, n_items, score_range)
-    if fault is not None:
-        t = triples[fault[0]]
-        raise DataError((
-            f"id out of range in triple {t}",
-            f"rating {t.rating} outside declared range {score_range}",
-            f"duplicate (user, item) pair {(t.user_id, t.item_id)}",
-        )[fault[1]])
-    return RatingDataset(
-        n_users, n_items, users, items, ratings, score_range,
-        list(range(n_users) if user_ids is None else user_ids),
-        list(range(n_items) if item_ids is None else item_ids),
-    )
-
-
 def _detect_delimiter(line: str) -> str | None:
     if "\t" in line:
         return "\t"

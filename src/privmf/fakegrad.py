@@ -22,10 +22,9 @@ operations round the same in numpy, and ``math.erf``, ``erfc``, ``exp``,
 ``log`` and AS241 are mapped value by value (``_map``, ``_quantiles``),
 since numpy's own ``exp`` and scipy's ``erf`` round differently.
 
-``fake_error_rows``, a numerical round's one call per chunk of clients
-(``fake_errors`` is its one-client case), has no per-client loop: the
-bounds, the sigma floor, the fallback and the inverse-CDF windows are
-array operations over the clients. It fails closed: it returns one
+``fake_error_rows``, a numerical round's one call for every client's
+fakes, has no per-client loop: the bounds, the sigma floor, the fallback
+and the inverse-CDF windows are array operations over the clients. It fails closed: it returns one
 error per fake item at any budget. Above eps_g ~ 27 a bound near the mean
 is narrower than ~1e-12 sigma, so the draws are visibly quantized; above
 ~37 it can hold no mass in double precision, and the errors are drawn at
@@ -117,11 +116,6 @@ def error_stats(errors) -> ErrorStats:
     return ErrorStats(mu=float(errors.mean()), sigma=float(errors.std()), n=int(errors.size))
 
 
-def alpha_max_of(mu: float, sigma: float) -> float:
-    """Largest searched bound: covers at least 95% of N(mu, sigma)."""
-    return max(abs(mu + 2.0 * sigma), abs(mu - 2.0 * sigma))
-
-
 def _map(fn, x: np.ndarray) -> np.ndarray:
     """``fn`` of each value of a 1-d array, rounded as the scalar call rounds."""
     return np.fromiter(map(fn, x.tolist()), np.float64, len(x))
@@ -141,13 +135,9 @@ def _pdfs(z: np.ndarray) -> np.ndarray:
     return _map(math.exp, -0.5 * z * z) / _SQRT_2PI
 
 
-def _cdf(z: float) -> float:
-    """Standard normal CDF, with full relative precision in the lower tail."""
-    return 0.5 * math.erfc(-z / _SQRT2)
-
-
 def _cdfs(z: np.ndarray) -> np.ndarray:
-    """``_cdf`` of each value."""
+    """Standard normal CDF of each value, with full relative precision in
+    the lower tail."""
     return 0.5 * _map(math.erfc, -z / _SQRT2)
 
 
@@ -367,10 +357,3 @@ def fake_error_rows(mu, sigma, eps_g: float | None, counts, uniforms: np.ndarray
             raise DegenerateBoundError(f"no mass inside alpha_max={amax[np.argmin(widened)]}")
     return _inverse_cdf(np.repeat(windows, counts[sending], axis=0), uniforms), bounds
 
-
-def fake_errors(errors, eps_g: float | None, n: int, rng: np.random.Generator):
-    """n fake errors from a round's rated ``errors``, and the ``AlphaBound``
-    drawn at: ``fake_error_rows`` for one client, from one ``rng.random(n)``."""
-    stats = error_stats(errors)
-    fakes, bounds = fake_error_rows([stats.mu], [stats.sigma], eps_g, [n], rng.random(n))
-    return fakes, bounds.lane(0)

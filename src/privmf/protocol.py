@@ -2,9 +2,10 @@
 
 Each round the server broadcasts the item factors, every client locally
 updates its user factor from its own ratings, draws a randomized send-set,
-and returns one ``ClientUpdate``: a delta row per selected item (real
-gradients for rated items, fake-error gradients for unrated ones), sent as
-one gradient frame per row followed by a finish frame.
+and sends a delta row per selected item (real gradients for rated items,
+fake-error gradients for unrated ones), one gradient frame per row followed
+by a finish frame. A round is one ``codec.RoundUpdates``: every client's
+rows in one block, each client's segment of it in client order.
 
 The simulator keeps a run's clients in one ``Population``: the user
 factors, permanently perturbed bits, response parameters and ledger as
@@ -20,11 +21,11 @@ place (the numerical round draws every client's fake errors in one call
 between its user and item steps). The streams stay per client and
 unchanged, so every update, user factor and ledger entry equals that
 client's round computed alone (``client_iteration``, the population of
-one). The server only ever
-sees gradient/finish frames: ratings, rated-item bit vectors, and user
-factors never leave the client. With ``transport="bytes"`` each round's
-updates go through ``codec.encode_updates`` and ``codec.decode_updates``;
-in memory they go straight to ``server_collect``.
+one). The server only ever sees gradient/finish frames: ratings,
+rated-item bit vectors, and user factors never leave the client. With
+``transport="bytes"`` a round crosses ``codec.encode_updates`` and
+``codec.decode_updates``; in memory ``server_collect`` reduces the
+population step's ``RoundUpdates`` as it is.
 
 The server applies ``V <- V + (sum of deltas per item) / (total message
 count)`` once all clients have finished, so the reduction is a commutative
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fakegrad, randresp
-from .codec import ClientUpdate, Handshake, decode_updates, encode_updates
+from .codec import Handshake, RoundUpdates, decode_updates, encode_updates
 from .data import RatingDataset
 from .rng import TAG_CLIENT_INIT, TAG_CLIENT_ROUND, derive_rng, derive_rngs
 from .sgld import (
@@ -62,12 +63,6 @@ class ProtocolError(RuntimeError):
     pass
 
 
-# Randomized-response parameters for a run with privacy disabled: the send
-# set equals the true rated set and nothing is perturbed.
-def _disabled_rr(h: int) -> randresp.RRParams:
-    return randresp.RRParams(f=0.0, p=0.0, q=1.0, p_star=0.0, q_star=1.0, h=h, z=float(h))
-
-
 @dataclass
 class ClientState:
     client_id: int
@@ -79,7 +74,7 @@ class ClientState:
     budget: randresp.PrivacyBudget | None
     hp: Hyperparams
     master_seed: int
-    # simulator-side privacy ledger, in client-rounds; never part of a ClientUpdate
+    # simulator-side privacy ledger, in client-rounds; never part of a round's updates
     clamped_rounds: int = 0  # eps_g out of reach: bound clamped at alpha_max
     floored_rounds: int = 0  # no error spread: bound solved at the sigma floor
     fallback_rounds: int = 0  # bound without mass: fakes drawn at alpha_max
@@ -96,13 +91,6 @@ class ClientState:
         bits = np.zeros(len(self.bits_prime), dtype=np.uint8)
         bits[self.items] = 1
         return bits
-
-    def record(self, bound: fakegrad.AlphaBound) -> None:
-        """Enter one round's fake-error bound into the ledger."""
-        self.clamped_rounds += bound.clamped
-        self.floored_rounds += bound.floored
-        self.fallback_rounds += bound.fallback
-        self.eps_g_worst = max(self.eps_g_worst, bound.eps_g_achieved)
 
 
 # a client's simulator-side privacy ledger: ClientState counters, Population arrays
@@ -229,7 +217,8 @@ def client_init(
     bits[items] = 1
 
     if budget is None:
-        rr = _disabled_rr(h)
+        # privacy disabled: the send set is the rated set, nothing perturbed
+        rr = randresp.RRParams(f=0.0, p=0.0, q=1.0, p_star=0.0, q_star=1.0, h=h, z=float(h))
         bits_prime = bits.copy()
     else:
         if z_target is None:
@@ -260,16 +249,6 @@ def client_init(
 def client_init_rngs(master_seed: int, client_ids: list[int]) -> list[np.random.Generator]:
     """The clients' ``TAG_CLIENT_INIT`` streams from one ``derive_rngs`` pass."""
     return derive_rngs([(master_seed, TAG_CLIENT_INIT, i) for i in client_ids])
-
-
-def draw_send_set(state: ClientState, t: int) -> tuple[np.random.Generator, np.ndarray]:
-    """The client's round-``t`` stream and the ids it sends, ascending.
-
-    The send set is the stream's first draw, so every client round and the
-    ``privmf attack`` redraw see the same sets.
-    """
-    rngs, items, _ = _draw_send_sets(Population([state]), t)
-    return rngs[0], items
 
 
 # uniforms per send-set block: bounds the block of clients drawn at once
@@ -308,10 +287,10 @@ def _draw_send_sets(pop: Population, t: int):
     return rngs, np.concatenate(sent), np.cumsum([0, *np.concatenate(counts).tolist()]).tolist()
 
 
-def population_iteration(clients, v_snapshot: np.ndarray, t: int) -> list[ClientUpdate]:
+def population_iteration(clients, v_snapshot: np.ndarray, t: int) -> RoundUpdates:
     """One round of the numerical task for a ``Population``, or a list of
-    ``ClientState``s that share ``hp`` and ``budget``: one ``ClientUpdate``
-    per client, in client order.
+    ``ClientState``s that share ``hp`` and ``budget``: every client's
+    update, in client order.
 
     Each client draws from its own round-``t`` stream, in one order: the
     send set, the user-step noise, the fake-error uniforms, the item-step
@@ -330,8 +309,8 @@ def population_iteration(clients, v_snapshot: np.ndarray, t: int) -> list[Client
     eta = learning_rate(t, hp)
     rngs, items, at = _draw_send_sets(pop, t)
     # per sent item: whether it is rated, its error (a rated row's own, else
-    # a fake), room for a fake-error uniform, and its delta row, which each
-    # update views; per client: the user step's results
+    # a fake), room for a fake-error uniform, and its delta row, the round's
+    # block; per client: the user step's results
     rated, e, uniforms = np.empty(at[-1], dtype=bool), np.empty(at[-1]), np.empty(at[-1])
     mu, sigma, n_fake, du = np.empty(m), np.empty(m), np.empty(m, dtype=np.int64), np.empty_like(pop.u)
     deltas = np.empty((at[-1], hp.k))
@@ -354,7 +333,7 @@ def population_iteration(clients, v_snapshot: np.ndarray, t: int) -> list[Client
     pop.u += du / pop.h[:, None]
     if wrapped:
         pop.write_ledger()
-    return [ClientUpdate(i, items[a:b], deltas[a:b]) for i, a, b in zip(pop.ids.tolist(), at, at[1:])]
+    return RoundUpdates(pop.ids, at, items, deltas)
 
 
 def _chunk_user_step(pop, lo, hi, rows, rngs, items, counts, v_snapshot, eta,
@@ -395,14 +374,14 @@ def _chunk_user_step(pop, lo, hi, rows, rngs, items, counts, v_snapshot, eta,
     return fake_at[-1]
 
 
-def client_iteration(state: ClientState, v_snapshot: np.ndarray, t: int) -> ClientUpdate:
+def client_iteration(state: ClientState, v_snapshot: np.ndarray, t: int) -> RoundUpdates:
     """One client round: ``population_iteration`` of that client alone.
 
     The update lists the sent items in ascending id order; the user factor
     is updated afterwards, from the per-rated-item deltas averaged over the
     number of ratings.
     """
-    return population_iteration([state], v_snapshot, t)[0]
+    return population_iteration([state], v_snapshot, t)
 
 
 def server_begin_round(server: ServerState) -> np.ndarray:
@@ -414,26 +393,23 @@ def server_begin_round(server: ServerState) -> np.ndarray:
     return snapshot
 
 
-def server_collect(server: ServerState, updates: list[ClientUpdate], n_clients: int) -> int:
-    """Reduce one round's client updates into the accumulator.
+def server_collect(server: ServerState, updates: RoundUpdates, n_clients: int) -> int:
+    """Reduce one round's updates into the accumulator.
 
     Returns the number of gradients received. Raises ProtocolError for a
     gradient to an item outside ``[0, n_items)``, or when updates from
     fewer than ``n_clients`` distinct clients arrived (aborted round).
     """
-    ids = np.concatenate([np.empty(0, np.int64), *(update.item_ids for update in updates)])
-    unknown = (ids < 0) | (ids >= server.n_items)
-    if unknown.any():
+    ids = updates.item_ids
+    if len(ids) and (ids.min() < 0 or ids.max() >= server.n_items):
+        unknown = (ids < 0) | (ids >= server.n_items)
         raise ProtocolError(f"gradient for unknown item {ids[np.argmax(unknown)]}")
-    del ids, unknown  # freed before the reduce's temporaries
-    finished = len({update.client_id for update in updates})
+    finished = len(set(updates.client_ids.tolist()))
     if finished != n_clients:
         raise ProtocolError(f"round aborted: finish received from {finished}/{n_clients} clients")
     # the reduce replaces the zeroed accumulator, which is freed first
     server.accumulator = server.item_counts = None
-    server.accumulator, server.item_counts = reduce_item_deltas(
-        [(update.item_ids, update.deltas) for update in updates], server.n_items, server.k
-    )
+    server.accumulator, server.item_counts = reduce_item_deltas(ids, updates.deltas, server.n_items)
     return int(server.item_counts.sum())
 
 
@@ -454,9 +430,9 @@ def server_end_round(server: ServerState) -> None:
 def server_round(server: ServerState, clients, step_fn, transport: str = "memory") -> int:
     """Run one synchronous round over all clients; returns messages received.
 
-    ``step_fn(clients, snapshot, t)`` returns one update per client. With
-    ``transport="bytes"`` the updates cross the wire format; the session's
-    first round opens with the handshake.
+    ``step_fn(clients, snapshot, t)`` returns the round's ``RoundUpdates``.
+    With ``transport="bytes"`` the round crosses the wire format; the
+    session's first round opens with the handshake.
     """
     updates = step_fn(clients, server_begin_round(server), server.t)
     if transport == "bytes":

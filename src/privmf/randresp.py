@@ -108,16 +108,6 @@ def epsilon_i_of(p_star: float, q_star: float, h: int, one_minus_q_star: float |
     return h * math.log(q_star * (1.0 - p_star) / (p_star * q_rest))
 
 
-def effective_probs(f: float, p: float, q: float) -> tuple[float, float]:
-    """Composite (p*, q*) of the permanent stage followed by one send draw."""
-    for name, v in (("f", f), ("p", p), ("q", q)):
-        if not (0.0 <= v <= 1.0):
-            raise ValueError(f"{name}={v} is not a probability")
-    p_star = 0.5 * f * q + (1.0 - 0.5 * f) * p
-    q_star = (1.0 - 0.5 * f) * q + 0.5 * f * p
-    return p_star, q_star
-
-
 def expected_sends(h: int, n_items: int, p_star: float, q_star: float) -> float:
     """Expected gradient messages per round for a client with h rated items."""
     if h > n_items:
@@ -209,20 +199,6 @@ def irr(bits_prime: BitVector, p: float, q: float, rng: np.random.Generator) -> 
             raise ValueError(f"{name}={v} is not a probability")
     probs = np.where(bits_prime == 1, q, p)
     return (rng.random(len(bits_prime)) < probs).astype(np.uint8)
-
-
-def average_attack(samples: np.ndarray) -> np.ndarray:
-    """Adversarial estimator: per-item mean of observed send-sets.
-
-    ``samples`` is a (rounds, n_items) 0/1 array of one client's send-sets.
-    The long-run mean converges to q* for rated items and p* for unrated
-    ones; with f = 0 that separates the true rated set, with f > 0 it can
-    at most recover the permanently perturbed vector.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[0] < 1:
-        raise ValueError("expected a non-empty (rounds, n_items) array")
-    return samples.mean(axis=0)
 
 
 def classify_rated(means: np.ndarray, p_star: float, q_star: float) -> np.ndarray:

@@ -104,16 +104,6 @@ def learning_rate(t: int, hp: Hyperparams) -> float:
     return hp.eta0 / float(t) ** hp.gamma
 
 
-def predict(u: np.ndarray, v: np.ndarray) -> float:
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return float(np.dot(u, v))
-
-
-def rating_error(r: float, u: np.ndarray, v: np.ndarray) -> float:
-    return r - predict(u, v)
-
-
 def prediction_errors(
     u: np.ndarray, v_matrix: np.ndarray, items: np.ndarray, ratings: np.ndarray
 ) -> np.ndarray:
@@ -289,15 +279,15 @@ def item_pass(
     return _step(v[items], e, u_rows, hp.lambda_v, eta_t, noise)
 
 
-def reduce_item_deltas(blocks, n_items: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Order-independent reduction of a round's ``(item_ids, deltas)`` blocks.
+def reduce_item_deltas(item_ids, deltas, n_items: int) -> tuple[np.ndarray, np.ndarray]:
+    """Order-independent reduction of a round's delta rows, one per item id.
 
     Returns per-item delta sums ``(n_items, k)`` and row counts ``(n_items,)``.
     Each item's rows are summed one after another from ``0.0`` in a canonical
     order: item id, then the delta's memory bytes. So any permutation of the
-    same multiset of rows, across or within blocks, reduces to
-    bitwise-identical sums. Raises ``ValueError`` for an id outside
-    ``[0, n_items)``.
+    same multiset of rows reduces to bitwise-identical sums. Raises
+    ``ValueError`` for an id outside ``[0, n_items)``. The arguments are
+    only read.
 
     The order comes from one sort of a packed ``uint64`` key per row: the id
     in the top ``s`` bits, then the first column's big-endian reading, whose
@@ -307,10 +297,9 @@ def reduce_item_deltas(blocks, n_items: int, k: int) -> tuple[np.ndarray, np.nda
     count, the ``r``-th add gathers each item's ``r``-th row, as the running
     per-item sum of ``np.add.at`` over the sorted rows would.
     """
-    ids = np.concatenate([np.empty(0, np.int64), *(np.asarray(i, dtype=np.int64) for i, _ in blocks)])
-    d = np.concatenate(
-        [np.empty((0, k)), *(np.reshape(rows, (len(i), k)) for i, rows in blocks)], dtype=np.float64
-    )
+    ids = np.asarray(item_ids, dtype=np.int64)
+    d = np.ascontiguousarray(deltas, dtype=np.float64)
+    k = d.shape[1]
     if len(ids) and (ids.min() < 0 or ids.max() >= n_items):
         outside = (ids < 0) | (ids >= n_items)
         raise ValueError(f"item id {ids[np.argmax(outside)]} outside [0, {n_items})")
@@ -318,13 +307,10 @@ def reduce_item_deltas(blocks, n_items: int, k: int) -> tuple[np.ndarray, np.nda
     if len(ids) == 0 or k == 0:
         return np.zeros((n_items, k)), counts
 
-    # besides the joined block, only O(n) keys are alive: the packed keys
-    # overwrite the joined ids, both go before the adds, and the joined
-    # block goes before the sums are laid out
+    # the packed keys, a copy of the ids, go before the adds
     keys = d.view(">u8")
     s = max(1, (n_items - 1).bit_length())
-    packed = ids.view(np.uint64)
-    del ids
+    packed = ids.astype(np.uint64)
     packed <<= np.uint64(64 - s)
     packed |= keys[:, 0] >> np.uint64(s)
     # rows whose packed keys tie are re-sorted below, so any sort kind will do
@@ -346,7 +332,6 @@ def reduce_item_deltas(blocks, n_items: int, k: int) -> tuple[np.ndarray, np.nda
     acc = np.zeros((len(by_count), k))
     for r, m_r in enumerate(m.tolist()):
         acc[:m_r] += d[perm[first[:m_r] + r]]
-    del d, keys
     sums = np.zeros((n_items, k))
     sums[by_count] = acc
     return sums, counts
@@ -365,30 +350,32 @@ def centralized_train(train, hp: Hyperparams, n_rounds: int) -> FactorModel:
     rng = derive_rng(hp.seed, TAG_CENTRAL_TRAIN)
     users = train.active_users()
     data = [train.user_items(i) for i in users]
-    chunks = []
+    chunks, at = [], 0
     for lo, hi in row_chunks([len(items) for items, _ in data]):
         rows = UserRows(*zip(*data[lo:hi]))
         # the stream holds, user by user, h rows of user-step noise, then h
         # rows of item-step noise: each rated row's two rows in that draw
         first = 2 * (np.cumsum(rows.h) - rows.h)
-        at = first[rows.owner] + np.arange(len(rows.items)) - rows.start[rows.owner]
-        chunks.append((users[lo:hi], rows, at, at + rows.h[rows.owner]))
+        user_at = first[rows.owner] + np.arange(len(rows.items)) - rows.start[rows.owner]
+        chunks.append((users[lo:hi], rows, user_at, user_at + rows.h[rows.owner], at, at + len(rows.items)))
+        at += len(rows.items)
+    # the round's item ids, one per rated row, chunk by chunk
+    items = np.concatenate([np.empty(0, np.int64), *(c[1].items for c in chunks)])
 
     for t in range(1, n_rounds + 1):
         eta = learning_rate(t, hp)
-        blocks = []
-        for ids, rows, user_at, item_at in chunks:
+        deltas = np.empty((len(items), hp.k))
+        for ids, rows, user_at, item_at, a, b in chunks:
             user_noise = item_noise = None
             if hp.noise_enabled:
                 draws = rng.standard_normal((2 * len(rows.items), hp.k))
                 user_noise, item_noise = draws[user_at], draws[item_at]
             u = model.u[ids]
             errs, du = user_pass(u, model.v, rows, eta, hp, user_noise)
-            deltas = item_pass(model.v, errs, u[rows.owner], rows.items, eta, hp, item_noise)
-            blocks.append((rows.items, deltas))
+            deltas[a:b] = item_pass(model.v, errs, u[rows.owner], rows.items, eta, hp, item_noise)
             # user factors move only after this round's item deltas are computed
             model.u[ids] = u + du / rows.h[:, None]
-        sums, counts = reduce_item_deltas(blocks, train.n_items, hp.k)
+        sums, counts = reduce_item_deltas(items, deltas, train.n_items)
         total = int(counts.sum())
         if total:
             model.v += sums / total

@@ -15,14 +15,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import alpha_max_of, average_attack, decode_message, effective_probs, rating_error
 from privmf import bpr, fakegrad, randresp
-from privmf.codec import FinishMessage, GradientMessage, decode_message, encode_message
+from privmf.codec import FinishMessage, GradientMessage, encode_message
 from privmf.data import SplitSpec, parse_ratings, split, subsample, synthetic_dataset
 from privmf.metrics import auc, rmse
 from privmf.protocol import run_training
 from privmf.randresp import PrivacyBudget
 from privmf.rng import TAG_REPETITION, derive_rng
-from privmf.sgld import Hyperparams, centralized_train, item_step, rating_error, user_step
+from privmf.sgld import Hyperparams, centralized_train, item_step, user_step
 
 DESK_SEED = 3
 
@@ -110,7 +111,7 @@ def test_02_randomized_response_likelihood_ratios():
 def test_03_fake_error_bound_calibration():
     failures = []
     for mu, sigma in ((0.0, 1.0), (0.3, 0.8)):
-        eps_floor = fakegrad.epsilon_g_of(fakegrad.alpha_max_of(mu, sigma), mu, sigma)
+        eps_floor = fakegrad.epsilon_g_of(alpha_max_of(mu, sigma), mu, sigma)
         for eps_g in (4.0, 1.0, 0.25, 0.0625):
             bound = fakegrad.solve_alpha(eps_g, mu, sigma)
             if eps_g < eps_floor:
@@ -211,7 +212,7 @@ def test_06_average_attack_contrast():
     master = derive_rng(606, 1)
 
     def attack_agreement(f):
-        p_star, q_star = randresp.effective_probs(f, p, q)
+        p_star, q_star = effective_probs(f, p, q)
         all_hits, rated_hits, rated_total = 0, 0, 0
         for _ in range(clients):
             bits = np.zeros(n_items, dtype=np.uint8)
@@ -220,7 +221,7 @@ def test_06_average_attack_contrast():
             samples = (
                 master.random((rounds, n_items)) < np.where(bp == 1, q, p)[None, :]
             ).astype(np.uint8)
-            guess = randresp.classify_rated(randresp.average_attack(samples), p_star, q_star)
+            guess = randresp.classify_rated(average_attack(samples), p_star, q_star)
             all_hits += int(np.sum(guess == bits.astype(bool)))
             rated_hits += int(np.sum(guess[bits == 1]))
             rated_total += h

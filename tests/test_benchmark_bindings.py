@@ -10,9 +10,11 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 
-from privmf import protocol
-from privmf.data import build_dataset, synthetic_dataset
+from oracles import build_dataset
+from privmf import fakegrad, protocol, randresp
+from privmf.data import synthetic_dataset
 from privmf.randresp import PrivacyBudget
 from privmf.sgld import Hyperparams
 
@@ -59,3 +61,37 @@ def test_run_training_calls_client_init_through_the_module_once_per_active_clien
     assert all(state.rr.h == len(ds.user_items(i)[0]) for i, state in calls)
     assert np.array_equal(result.model.u, expected.model.u)
     assert np.array_equal(result.model.v, expected.model.v)
+
+
+def test_every_untraced_read_resolves(monkeypatch):
+    # the attributes the benchmark reads outside layer_targets: the data
+    # set's rows and index, the correctness gate's budget recompute and
+    # coverage, and the fields of a session's result
+    ds = synthetic_dataset(6, 9, seed=4, mean_ratings_per_user=3)
+    assert all(isinstance(row.rating, float) for row in ds.triples)
+    per_user = ds.per_user
+    assert sum(1 for pairs in per_user.values() if pairs) == len(ds.active_users())
+    assert sorted(j for pairs in per_user.values() for j, _ in pairs) == sorted(ds.items.tolist())
+    assert 0.0 < fakegrad.coverage(1.0, 0.2, 0.5) < 1.0
+
+    hp = Hyperparams.with_gamma_priors(2, 0.1, 0.6, seed=3)
+    budget = PrivacyBudget(eps_i=2.0)
+    states = []
+    client_init = protocol.client_init
+
+    def capturing(*args, **kwargs):
+        states.append(client_init(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(protocol, "client_init", capturing)
+    result = protocol.run_training(ds, hp, 2, budget=budget, evaluator=lambda model: 0.5)
+    assert len(states) == len(ds.active_users())
+    for state in states:
+        rr = state.rr
+        assert randresp.epsilon_i_of(rr.p_star, rr.q_star, rr.h) == pytest.approx(budget.eps_i)
+        assert randresp.epsilon_p_of(rr.f, rr.h) == pytest.approx(budget.resolved_eps_p())
+    assert len(result.curve) == 2
+    assert all(isinstance(r.messages, int) and r.messages > 0 for r in result.curve)
+    assert all(r.seconds > 0.0 for r in result.curve)
+    assert result.final_metric() == 0.5
+    assert result.model.u.shape == (ds.n_users, hp.k) and result.model.v.shape == (ds.n_items, hp.k)

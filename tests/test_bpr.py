@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from privmf.bpr import bpr_errors, bpr_margin, bpr_step, sd_bpr_client_iteration, sigma_bar
+from oracles import bpr_errors, bpr_margin, build_dataset
+from privmf.bpr import bpr_step, sd_bpr_client_iteration, sigma_bar
 from privmf.codec import FinishMessage, encode_updates, iter_messages
-from privmf.data import RatingTriple, build_dataset
+from privmf.data import RatingTriple
 from privmf.protocol import client_init, run_training
 from privmf.randresp import RRParams
 from privmf.rng import TAG_CLIENT_ROUND, derive_rng
@@ -221,7 +222,7 @@ class TestClientIteration:
         state = make_bpr_client(hp, items=(4,), seed=9)
         update = sd_bpr_client_iteration(state, np.zeros((10, hp.k)), 1)
         assert len(update.item_ids) == 1 and update.item_ids[0] == 4
-        assert list(iter_messages(encode_updates([update])))[-1] == FinishMessage(state.client_id)
+        assert list(iter_messages(encode_updates(update)))[-1] == FinishMessage(state.client_id)
 
     def test_unrated_selection_sends_negative_role_delta(self):
         hp = make_hp(k=2, eta0=0.2, seed=3)

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import decode_message, round_of, segments
 from privmf.codec import (
-    ClientUpdate,
     CodecError,
     FinishMessage,
     GradientMessage,
     Handshake,
-    decode_message,
+    RoundUpdates,
     decode_updates,
     encode_message,
     encode_updates,
@@ -77,28 +77,29 @@ class TestRoundTrips:
 
 
 def sample_updates():
-    return [
-        ClientUpdate(4, np.array([1, 9]), np.array([[1.5, -2.5, 0.0], [0.25, 0.5, 4.0]])),
-        ClientUpdate(2, np.empty(0, dtype=np.int64), np.empty((0, 3))),
-        ClientUpdate(7, np.array([0]), np.array([[-0.0, 1e-300, 3.0]])),
-    ]
+    return round_of([
+        (4, [1, 9], [[1.5, -2.5, 0.0], [0.25, 0.5, 4.0]]),
+        (2, [], np.empty((0, 3))),
+        (7, [0], [[-0.0, 1e-300, 3.0]]),
+    ], 3)
 
 
 def assert_updates_equal(got, expected):
-    assert [u.client_id for u in got] == [u.client_id for u in expected]
-    for a, b in zip(got, expected):
-        assert np.array_equal(a.item_ids, b.item_ids)
-        assert a.deltas.shape == b.deltas.shape
-        assert np.array_equal(a.deltas.view(np.uint64), b.deltas.view(np.uint64))
+    assert isinstance(got, RoundUpdates)
+    assert np.array_equal(got.client_ids, expected.client_ids)
+    assert np.array_equal(got.offsets, expected.offsets)
+    assert np.array_equal(got.item_ids, expected.item_ids)
+    assert got.deltas.shape == expected.deltas.shape
+    assert np.array_equal(got.deltas.view(np.uint64), expected.deltas.view(np.uint64))
 
 
 class TestUpdates:
     def test_updates_are_frame_sequences(self):
         updates = sample_updates()
         frames = [Handshake(3, 10)]
-        for up in updates:
-            frames += [GradientMessage(int(j), d) for j, d in zip(up.item_ids, up.deltas)]
-            frames.append(FinishMessage(up.client_id))
+        for client, ids, deltas in segments(updates):
+            frames += [GradientMessage(int(j), d) for j, d in zip(ids, deltas)]
+            frames.append(FinishMessage(client))
         expected = b"".join(encode_message(m) for m in frames)
         assert encode_updates(updates, Handshake(3, 10)) == expected
         assert encode_updates(updates) == expected[len(encode_message(Handshake(3, 10))):]
@@ -122,17 +123,15 @@ def update_lists(draw):
         ids = draw(st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=n, max_size=n))
         values = draw(st.lists(delta, min_size=n * k, max_size=n * k))
         client = draw(st.integers(min_value=0, max_value=2**32 - 1))
-        updates.append(
-            ClientUpdate(client, np.array(ids, dtype=np.int64), np.array(values).reshape(n, k))
-        )
-    return k, updates
+        updates.append((client, ids, values))
+    return k, round_of(updates, k)
 
 
 def frame_by_frame(updates, handshake=None):
     frames = [] if handshake is None else [handshake]
-    for up in updates:
-        frames += [GradientMessage(int(j), d) for j, d in zip(up.item_ids, up.deltas)]
-        frames.append(FinishMessage(up.client_id))
+    for client, ids, deltas in segments(updates):
+        frames += [GradientMessage(int(j), d) for j, d in zip(ids, deltas)]
+        frames.append(FinishMessage(client))
     return b"".join(encode_message(m) for m in frames)
 
 
@@ -144,14 +143,13 @@ def decode_frame_by_frame(data, k, n_items):
             ids.append(msg.item_id)
             rows.append(msg.delta)
         elif isinstance(msg, FinishMessage):
-            deltas = np.array(rows, dtype=np.float64).reshape(len(ids), k)
-            updates.append(ClientUpdate(msg.client_id, np.array(ids, dtype=np.int64), deltas))
+            updates.append((msg.client_id, ids, rows))
             ids, rows = [], []
         elif (msg.k, msg.n_items) != (k, n_items):
             raise CodecError(f"handshake mismatch: {msg} vs session ({k}, {n_items})")
     if ids:
         raise CodecError(f"{len(ids)} gradient frame(s) without a finish frame")
-    return updates
+    return round_of(updates, k)
 
 
 def assert_same_decoding(data, k, n_items):
@@ -186,8 +184,8 @@ class TestBatchProperties:
 
 class TestBatchErrors:
     def rows(self, n, k=3, item=0):
-        update = ClientUpdate(1, np.arange(item, item + n), np.ones((n, k)))
-        return encode_updates([update])[:-5]  # gradient frames only, no finish
+        update = round_of([(1, np.arange(item, item + n), np.ones((n, k)))], k)
+        return encode_updates(update)[:-5]  # gradient frames only, no finish
 
     def test_dimension_mismatch_inside_a_run(self):
         bad = encode_message(GradientMessage(2, np.zeros(2)))
@@ -211,15 +209,15 @@ class TestBatchErrors:
 
     @pytest.mark.parametrize("bad", [-1, 2**32])
     def test_item_id_outside_u32(self, bad):
-        update = ClientUpdate(0, np.array([3, bad]), np.zeros((2, 3)))
+        update = round_of([(0, [3, bad], np.zeros((2, 3)))], 3)
         with pytest.raises(CodecError, match="item id outside"):
-            encode_updates([update])
+            encode_updates(update)
 
     @pytest.mark.parametrize("bad", [-1, 2**32])
     def test_client_id_outside_u32(self, bad):
-        update = ClientUpdate(bad, np.array([3]), np.zeros((1, 3)))
+        update = round_of([(bad, [3], np.zeros((1, 3)))], 3)
         with pytest.raises(CodecError, match="client id .* outside"):
-            encode_updates([update])
+            encode_updates(update)
 
 
 class TestWholeRound:
@@ -227,24 +225,27 @@ class TestWholeRound:
         block = np.random.default_rng(3).normal(size=(9, 4))
         ids = np.arange(9, dtype=np.int64)
         cuts = [(0, 4), (4, 4), (4, 9)]  # the middle client sends nothing
-        views = [ClientUpdate(c, ids[a:b], block[a:b]) for c, (a, b) in enumerate(cuts)]
-        copies = [ClientUpdate(c, ids[a:b].copy(), block[a:b].copy()) for c, (a, b) in enumerate(cuts)]
-        assert encode_updates(views) == encode_updates(copies) == frame_by_frame(copies)
-        assert encode_updates([]) == frame_by_frame([]) == b""
+        whole = RoundUpdates([0, 1, 2], [0, 4, 4, 9], ids, block)
+        copies = round_of([(c, ids[a:b].copy(), block[a:b].copy()) for c, (a, b) in enumerate(cuts)], 4)
+        assert encode_updates(whole) == encode_updates(copies) == frame_by_frame(copies)
+        empty = round_of([], 4)
+        assert encode_updates(empty) == frame_by_frame(empty) == b""
 
     @pytest.mark.parametrize("bad_client", [False, True])
     def test_u32_error_names_the_first_offending_client(self, bad_client):
-        ok = ClientUpdate(7, np.array([1, 2]), np.zeros((2, 3)))
-        late = ClientUpdate(9, np.array([2**32]), np.zeros((1, 3)))
-        first = ClientUpdate(-1 if bad_client else 8, np.array([3, -1]), np.zeros((2, 3)))
+        ok = (7, [1, 2], np.zeros((2, 3)))
+        late = (9, [2**32], np.zeros((1, 3)))
+        first = (-1 if bad_client else 8, [3, -1], np.zeros((2, 3)))
         match = "client id -1 outside" if bad_client else "client 8: item id outside"
         with pytest.raises(CodecError, match=match):
-            encode_updates([ok, first, late])
+            encode_updates(round_of([ok, first, late], 3))
 
     def test_round_shares_one_dimension(self):
-        updates = [ClientUpdate(0, np.array([1]), np.zeros((1, 3))), ClientUpdate(1, np.array([2]), np.zeros((1, 2)))]
-        with pytest.raises(CodecError, match="differ within one round"):
-            encode_updates(updates)
+        # one delta block: every gradient frame of a round has its width
+        frames = list(iter_messages(encode_updates(sample_updates())))
+        assert {len(m.delta) for m in frames if isinstance(m, GradientMessage)} == {3}
+        with pytest.raises(ValueError):
+            RoundUpdates([0, 1], [0, 1, 2], [1, 2], [np.zeros(3), np.zeros(2)])
 
 
 class TestErrors:

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import build_dataset
 from privmf.data import (
     DataError,
     RatingDataset,
     RatingTriple,
     SplitSpec,
     _parse_columns,
-    build_dataset,
     format_ratings,
     parse_ratings,
     split,

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from oracles import alpha_max_of, fake_errors
 from privmf.fakegrad import (
     _OPEN_UNIT,
     _inverse_cdf,
@@ -15,12 +16,10 @@ from privmf.fakegrad import (
     UNBOUNDED,
     AlphaBound,
     DegenerateBoundError,
-    alpha_max_of,
     coverage,
     epsilon_g_of,
     error_stats,
     fake_error_rows,
-    fake_errors,
     sample_fake_error,
     sample_fake_errors,
     solve_alpha,

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from privmf.data import RatingTriple, build_dataset, synthetic_dataset, SplitSpec, split
+from oracles import build_dataset
+from privmf.data import RatingTriple, synthetic_dataset, SplitSpec, split
 from privmf.metrics import auc, isgld_perturb, rmse
 from privmf.sgld import FactorModel
 

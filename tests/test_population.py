@@ -22,9 +22,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import build_dataset, record, round_of, segments
 from privmf import bpr, fakegrad, protocol, sgld
-from privmf.codec import ClientUpdate
-from privmf.data import RatingTriple, build_dataset, synthetic_dataset
+from privmf.data import RatingTriple, synthetic_dataset
 from privmf.protocol import client_init, population_iteration
 from privmf.randresp import PrivacyBudget, irr
 from privmf.rng import TAG_CLIENT_ROUND, derive_rng
@@ -41,12 +41,16 @@ def oracle_step(x, e, other, lam, eta_t, hp, rng):
     return delta
 
 
+def oracle_cdf(z):
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
 def oracle_sample(mu, sigma, alpha, n, rng):
     lo, hi = (-alpha - mu) / sigma, (alpha - mu) / sigma
     sign = 1.0
     if mu < 0.0:
         lo, hi, sign = -hi, -lo, -1.0
-    p_lo, p_hi = fakegrad._cdf(lo), fakegrad._cdf(hi)
+    p_lo, p_hi = oracle_cdf(lo), oracle_cdf(hi)
     if not p_hi > p_lo:
         raise fakegrad.DegenerateBoundError("no mass")
     u = (p_lo + (p_hi - p_lo) * rng.random(n)).clip(*_OPEN_UNIT)
@@ -91,15 +95,15 @@ def oracle_iteration(state, v_snapshot, t):
     e[rated] = errs[np.searchsorted(state.items, selected[rated])]
     eps_g = None if state.budget is None else state.budget.eps_g
     e[~rated], bound = oracle_fake_errors(errs, eps_g, int(np.count_nonzero(~rated)), rng)
-    state.record(bound)
+    record(state, bound)
     deltas = oracle_step(v_snapshot[selected], e, state.u, hp.lambda_v, eta, hp, rng)
 
     state.u += du / state.h
-    return ClientUpdate(state.client_id, selected, deltas)
+    return state.client_id, selected, deltas
 
 
 def oracle_population(clients, v, t):
-    return [oracle_iteration(c, v, t) for c in clients]
+    return round_of([oracle_iteration(c, v, t) for c in clients], v.shape[1])
 
 
 def oracle_sigma_bar(x):
@@ -130,7 +134,7 @@ def oracle_bpr_iteration(state, v_snapshot, t):
     unrated = np.flatnonzero(state.bits == 0)
     if len(unrated) == 0 and len(selected):
         state.partnerless_rounds += 1
-        return ClientUpdate(state.client_id, selected[:0], np.empty((0, hp.k)))
+        return state.client_id, selected[:0], np.empty((0, hp.k))
     rated = state.bits[selected].astype(bool)
     draws = rng.integers(0, np.where(rated, len(unrated), state.h))
     partner = np.empty_like(selected)
@@ -143,11 +147,11 @@ def oracle_bpr_iteration(state, v_snapshot, t):
     )
     if len(selected):
         state.u += du.sum(axis=0) / len(selected)
-    return ClientUpdate(state.client_id, selected, np.where(role, dpos, dneg))
+    return state.client_id, selected, np.where(role, dpos, dneg)
 
 
 def oracle_bpr_population(clients, v, t):
-    return [oracle_bpr_iteration(c, v, t) for c in clients]
+    return round_of([oracle_bpr_iteration(c, v, t) for c in clients], v.shape[1])
 
 
 LEDGER = ("clamped_rounds", "floored_rounds", "fallback_rounds", "eps_g_worst")
@@ -184,19 +188,14 @@ def assert_same_rounds(ds, hp, budget, rounds, chunk_rows, task="numerical", sil
     v.setflags(write=False)  # a broadcast snapshot
     with mock.patch.object(sgld, "_CHUNK_ROWS", chunk_rows):
         for t in range(1, rounds + 1):
-            got = step(ours, v, t)
-            want = oracle(theirs, v, t)
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert a.client_id == b.client_id
-                assert np.array_equal(a.item_ids, b.item_ids)
-                assert np.array_equal(bits(a.deltas), bits(b.deltas))
+            got, want = step(ours, v, t), oracle(theirs, v, t)
+            for name in ("client_ids", "offsets", "item_ids"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert np.array_equal(bits(got.deltas), bits(want.deltas))
             for a, b in zip(ours, theirs):
                 assert np.array_equal(bits(a.u), bits(b.u))
                 assert [getattr(a, f) for f in ledger] == [getattr(b, f) for f in ledger]
-            sums, counts = sgld.reduce_item_deltas(
-                [(u.item_ids, u.deltas) for u in want], ds.n_items, hp.k
-            )
+            sums, counts = sgld.reduce_item_deltas(want.item_ids, want.deltas, ds.n_items)
             v = v + sums / max(int(counts.sum()), 1)
             v.setflags(write=False)
     return theirs
@@ -367,8 +366,8 @@ def test_population_of_one_updates_the_client_state():
     ours, theirs = make_clients(ds, hp, budget), make_clients(ds, hp, budget)
     for t in (1, 2):
         for a, b in zip(ours, theirs):
-            got, want = protocol.client_iteration(a, v, t), oracle_iteration(b, v, t)
-            assert np.array_equal(bits(got.deltas), bits(want.deltas))
+            got, (_, _, want) = protocol.client_iteration(a, v, t), oracle_iteration(b, v, t)
+            assert np.array_equal(bits(got.deltas), bits(want))
             assert np.array_equal(bits(a.u), bits(b.u))
             assert [getattr(a, f) for f in LEDGER] == [getattr(b, f) for f in LEDGER]
     assert all(c.clamped_rounds == 2 for c in ours)
@@ -378,8 +377,32 @@ def test_population_of_one_updates_the_client_state():
     v = init_model(2, 5, hp).v
     ours, theirs = make_clients(ds, hp, None), make_clients(ds, hp, None)
     for a, b in zip(ours, theirs):
-        got, want = bpr.sd_bpr_client_iteration(a, v, 1), oracle_bpr_iteration(b, v, 1)
-        assert np.array_equal(bits(got.deltas), bits(want.deltas))
+        got, (_, _, want) = bpr.sd_bpr_client_iteration(a, v, 1), oracle_bpr_iteration(b, v, 1)
+        assert np.array_equal(bits(got.deltas), bits(want))
         assert np.array_equal(bits(a.u), bits(b.u))
         assert a.partnerless_rounds == b.partnerless_rounds
     assert [c.partnerless_rounds for c in ours] == [1, 0]
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, 4096])
+def test_one_class_segments_equal_lone_client_rounds(chunk_rows):
+    # segment i of the population round is client i's round alone; user 0
+    # rated every item, so its segment is empty and the round partnerless
+    ds = synthetic_dataset(12, 15, seed=2, mean_ratings_per_user=5)
+    triples = [t for t in ds.triples if t.user_id != 0] + [RatingTriple(0, j, 4.0) for j in range(15)]
+    ds = build_dataset(triples, ds.n_users, ds.n_items)
+    hp = Hyperparams(3, 0.2, 0.6, np.full(3, 0.01), np.full(3, 0.01), 5)
+    budget = PrivacyBudget(eps_i=2.0)
+    v = init_model(ds.n_users, ds.n_items, hp).v
+    ours, theirs = make_clients(ds, hp, budget), make_clients(ds, hp, budget)
+    with mock.patch.object(sgld, "_CHUNK_ROWS", chunk_rows):
+        for t in (1, 2):
+            got = bpr.population_iteration(ours, v, t)
+            assert got.client_ids.tolist() == ds.active_users()
+            for (client, items, deltas), state in zip(segments(got), theirs):
+                alone = bpr.sd_bpr_client_iteration(state, v, t)
+                assert alone.client_ids.tolist() == [client] and alone.offsets.tolist() == [0, len(items)]
+                assert np.array_equal(items, alone.item_ids)
+                assert np.array_equal(bits(deltas), bits(alone.deltas))
+    assert ours[0].partnerless_rounds == theirs[0].partnerless_rounds == 2
+    assert all(np.array_equal(bits(a.u), bits(b.u)) for a, b in zip(ours, theirs))

@@ -4,25 +4,25 @@ import math
 import numpy as np
 import pytest
 
-from privmf import fakegrad, protocol
+from oracles import build_dataset, draw_send_set, fake_errors, round_of, segments
+from privmf import protocol
 from privmf.codec import (
-    ClientUpdate,
     FinishMessage,
     GradientMessage,
     Handshake,
+    RoundUpdates,
     decode_updates,
     encode_message,
     encode_updates,
     iter_messages,
 )
-from privmf.data import RatingTriple, build_dataset, synthetic_dataset
+from privmf.data import RatingTriple, synthetic_dataset
 from privmf.protocol import (
     ProtocolError,
     ServerState,
     client_init,
     client_init_rngs,
     client_iteration,
-    draw_send_set,
     population_iteration,
     run_training,
     server_begin_round,
@@ -30,7 +30,7 @@ from privmf.protocol import (
     server_end_round,
     server_round,
 )
-from privmf.randresp import PrivacyBudget, RRParams, effective_probs, irr, solve_f
+from privmf.randresp import PrivacyBudget, RRParams, irr, solve_f
 from privmf.rng import TAG_CLIENT_INIT, TAG_CLIENT_ROUND, derive_rng, derive_rngs
 from privmf.sgld import (
     Hyperparams,
@@ -54,12 +54,8 @@ def make_client(hp, n_items=12, items=(1, 4, 7), budget=None, z_target=None, see
     return client_init(cid, items, ratings, u0, n_items, hp, budget, z_target, seed)
 
 
-def update(cid, item_ids, deltas):
-    return ClientUpdate(cid, np.array(item_ids, dtype=np.int64), np.array(deltas, dtype=np.float64))
-
-
 def frames_of(update):
-    return list(iter_messages(encode_updates([update])))
+    return list(iter_messages(encode_updates(update)))
 
 
 class TestClientInit:
@@ -162,7 +158,7 @@ class TestClientIteration:
         collect = protocol.server_collect
 
         def recording(server, updates, n_clients):
-            received.append(updates)
+            received.append(segments(updates))
             return collect(server, updates, n_clients)
 
         monkeypatch.setattr(protocol, "server_collect", recording)
@@ -174,7 +170,7 @@ class TestClientIteration:
                 rng, selected = draw_send_set(state, t)
                 errs = prediction_errors(state.u, v, state.items, state.ratings)
                 rated = state.bits[selected] == 1
-                fakes, bound = fakegrad.fake_errors(errs, eps_g, int(np.sum(~rated)), rng)
+                fakes, bound = fake_errors(errs, eps_g, int(np.sum(~rated)), rng)
                 assert np.all(np.abs(fakes) < bound.alpha_max)
                 if bound.fallback:
                     assert bound.alpha == bound.alpha_max
@@ -187,9 +183,9 @@ class TestClientIteration:
             server_round(server, clients, population_iteration)
             # the whole send set reaches the server, carrying exactly these fakes
             assert len(received[-1]) == len(clients)
-            for up, (selected, deltas) in zip(received[-1], expected):
-                assert np.array_equal(up.item_ids, selected)
-                assert np.array_equal(up.deltas, deltas)
+            for (_, ids, got), (selected, deltas) in zip(received[-1], expected):
+                assert np.array_equal(ids, selected)
+                assert np.array_equal(got, deltas)
         assert sum(c.fallback_rounds for c in clients) == fallbacks
         assert fallbacks > 0 or eps_g < 40.0
         fallback_lines = [m for m in messages if "drawn at alpha_max" in m]
@@ -203,7 +199,7 @@ class TestServer:
     def test_round_with_no_messages_is_noop(self):
         server = ServerState(v=np.ones((5, 2)), n_items=5, k=2)
         server_begin_round(server)
-        server_collect(server, [update(0, [], np.empty((0, 2)))], n_clients=1)
+        server_collect(server, round_of([(0, [], np.empty((0, 2)))], 2), n_clients=1)
         server_end_round(server)
         assert np.array_equal(server.v, np.ones((5, 2)))
         assert server.t == 2
@@ -211,7 +207,7 @@ class TestServer:
     def test_single_message_updates_one_row(self):
         server = ServerState(v=np.zeros((5, 2)), n_items=5, k=2)
         server_begin_round(server)
-        server_collect(server, [update(0, [3], [[1.0, 2.0]])], 1)
+        server_collect(server, round_of([(0, [3], [[1.0, 2.0]])], 2), 1)
         server_end_round(server)
         assert np.array_equal(server.v[3], [1.0, 2.0])
         assert np.array_equal(server.v[[0, 1, 2, 4]], np.zeros((4, 2)))
@@ -225,14 +221,14 @@ class TestServer:
             server = ServerState(v=np.zeros((8, 2)), n_items=8, k=2)
             server_begin_round(server)
             order = np.random.default_rng(order_seed)
-            # rows shuffled across four clients' updates, updates shuffled too
+            # rows shuffled across four clients' segments, segments shuffled too
             perm = order.permutation(50)
             cuts = np.sort(order.choice(np.arange(1, 50), size=3, replace=False))
             updates = [
-                update(cid, item_ids[rows], deltas[rows])
+                (cid, item_ids[rows], deltas[rows])
                 for cid, rows in enumerate(np.split(perm, cuts))
             ]
-            shuffled = [updates[i] for i in order.permutation(len(updates))]
+            shuffled = round_of([updates[i] for i in order.permutation(len(updates))], 2)
             server_collect(server, shuffled, 4)
             server_end_round(server)
             results.append(server.v.copy())
@@ -243,12 +239,12 @@ class TestServer:
         server = ServerState(v=np.zeros((5, 2)), n_items=5, k=2)
         server_begin_round(server)
         with pytest.raises(ProtocolError, match="round aborted"):
-            server_collect(server, [update(0, [1], np.zeros((1, 2)))], n_clients=2)
+            server_collect(server, round_of([(0, [1], np.zeros((1, 2)))], 2), n_clients=2)
 
     def test_per_item_average_mode(self):
         server = ServerState(v=np.zeros((4, 1)), n_items=4, k=1, per_item_average=True)
         server_begin_round(server)
-        server_collect(server, [update(0, [0, 0, 2], [[2.0], [4.0], [9.0]])], 1)
+        server_collect(server, round_of([(0, [0, 0, 2], [[2.0], [4.0], [9.0]])], 1), 1)
         server_end_round(server)
         assert np.array_equal(server.v[:, 0], [3.0, 0.0, 9.0, 0.0])
 
@@ -256,16 +252,16 @@ class TestServer:
         server = ServerState(v=np.zeros((5, 2)), n_items=5, k=2)
         server_begin_round(server)
         with pytest.raises(ProtocolError, match="unknown item 5"):
-            server_collect(server, [update(0, [1, 5], np.zeros((2, 2)))], n_clients=1)
+            server_collect(server, round_of([(0, [1, 5], np.zeros((2, 2)))], 2), n_clients=1)
 
     def test_unknown_item_error_names_the_first_bad_id_in_update_order(self):
         server = ServerState(v=np.zeros((5, 2)), n_items=5, k=2)
         server_begin_round(server)
-        updates = [
-            update(0, [1, 2], np.zeros((2, 2))),
-            update(1, [3, 9], np.zeros((2, 2))),
-            update(2, [-1, 6], np.zeros((2, 2))),
-        ]
+        updates = round_of([
+            (0, [1, 2], np.zeros((2, 2))),
+            (1, [3, 9], np.zeros((2, 2))),
+            (2, [-1, 6], np.zeros((2, 2))),
+        ], 2)
         with pytest.raises(ProtocolError) as exc:
             server_collect(server, updates, n_clients=3)
         assert str(exc.value) == "gradient for unknown item 9"
@@ -276,6 +272,53 @@ class TestServer:
         data = encode_message(GradientMessage(5, np.zeros(2))) + encode_message(FinishMessage(0))
         with pytest.raises(ProtocolError, match="unknown item 5"):
             server_collect(server, decode_updates(data, 2, 5), n_clients=1)
+
+
+# malformed rounds: (client ids, offsets, item ids, deltas), and the error
+MALFORMED = {
+    "one-delta-row-for-three-ids": (([0], [0, 3], [1, 2, 3], np.ones((1, 2))), r"shape \(1, 2\) for 3 item ids"),
+    "deltas-not-2d": (([0], [0, 2], [1, 3], np.zeros(2)), r"shape \(2,\) for 2 item ids"),
+    "deltas-3d": (([0], [0, 2], [1, 3], np.zeros((2, 2, 1))), r"shape \(2, 2, 1\) for 2 item ids"),
+    "offsets-start-above-0": (([0, 1], [1, 1, 2], [1, 3], np.zeros((2, 2))), "from 0 to 2"),
+    "offsets-decrease": (([0, 1, 2], [0, 2, 1, 2], [1, 3], np.zeros((2, 2))), "without decreasing"),
+    "offsets-end-short": (([0, 1], [0, 1, 1], [1, 3], np.zeros((2, 2))), "from 0 to 2"),
+    "offsets-one-too-few": (([0, 1], [0, 2], [1, 3], np.zeros((2, 2))), "2 offsets for 2 clients: need 3"),
+    "ids-not-1d": (([0], [0, 2], [[1, 3]], np.zeros((2, 2))), "must be 1-D"),
+}
+
+
+class TestRoundUpdates:
+    @pytest.mark.parametrize("transport", ["memory", "bytes"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_round_rejected_alike_by_both_transports(self, case, transport):
+        fields, error = MALFORMED[case]
+        server = ServerState(v=np.zeros((5, 2)), n_items=5, k=2)
+        with pytest.raises(ValueError, match=error):
+            server_round(server, [0] * len(fields[0]), lambda c, v, t: RoundUpdates(*fields), transport)
+        assert np.array_equal(server.v, np.zeros((5, 2))) and server.t == 1
+
+    def test_arrays_are_read_only_views(self):
+        ids, deltas = np.array([1, 3]), np.ones((2, 2))
+        updates = RoundUpdates([4], [0, 2], ids, deltas)
+        for array in (updates.client_ids, updates.offsets, updates.item_ids, updates.deltas):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+        # the caller's arrays stay writable
+        ids[0], deltas[0, 0] = 2, 5.0
+        assert updates.item_ids[0] == 2 and updates.deltas[0, 0] == 5.0
+
+    def test_population_round_is_read_only(self):
+        ds = synthetic_dataset(6, 10, seed=1, mean_ratings_per_user=4)
+        hp = make_hp(seed=2)
+        v = init_model(ds.n_users, ds.n_items, hp).v
+        clients = [client_init(i, *ds.user_items(i), np.zeros(hp.k), ds.n_items, hp, None, None, 7)
+                   for i in ds.active_users()]
+        updates = population_iteration(clients, v, 1)
+        assert updates.client_ids.tolist() == ds.active_users()
+        assert updates.deltas.shape == (len(ds), hp.k)
+        with pytest.raises(ValueError):
+            updates.deltas[0] = 0.0
 
 
 class TestInformationFlow:
@@ -289,12 +332,17 @@ class TestInformationFlow:
             clients.append(client_init(i, items, ratings, model0.u[i], ds.n_items, hp, None, None, 7))
         server = ServerState(v=model0.v.copy(), n_items=ds.n_items, k=hp.k)
         snapshot = server_begin_round(server)
-        updates = [client_iteration(c, snapshot, 1) for c in clients]
+        updates = population_iteration(clients, snapshot, 1)
         data = encode_updates(updates, Handshake(hp.k, ds.n_items))
         seen = list(iter_messages(data, expect_k=hp.k))
         assert seen[0] == Handshake(hp.k, ds.n_items)
         assert all(isinstance(m, (GradientMessage, FinishMessage)) for m in seen[1:])
-        server_collect(server, decode_updates(data, hp.k, ds.n_items), len(clients))
+        # bytes == memory: the decoded round is the round, bit for bit
+        decoded = decode_updates(data, hp.k, ds.n_items)
+        for name in ("client_ids", "offsets", "item_ids"):
+            assert np.array_equal(getattr(decoded, name), getattr(updates, name))
+        assert np.array_equal(decoded.deltas.view(np.uint64), updates.deltas.view(np.uint64))
+        server_collect(server, decoded, len(clients))
         server_end_round(server)
 
 
@@ -350,8 +398,8 @@ class TestRunTraining:
         collect = protocol.server_collect
 
         def recording(server, updates, n_clients):
-            for up in updates:
-                sent[up.client_id, server.t] = up.item_ids
+            for client, ids, _ in segments(updates):
+                sent[client, server.t] = ids
             return collect(server, updates, n_clients)
 
         monkeypatch.setattr(protocol, "server_collect", recording)

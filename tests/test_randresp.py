@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import average_attack, effective_probs
 from privmf.randresp import (
     CalibrationError,
     PrivacyBudget,
     RRParams,
-    average_attack,
     calibrate,
     classify_rated,
-    effective_probs,
     epsilon_i_of,
     epsilon_p_of,
     expected_sends,

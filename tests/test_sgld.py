@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from privmf.data import RatingTriple, build_dataset
+from oracles import build_dataset, predict, rating_error
+from privmf.data import RatingTriple
 from privmf.metrics import rmse
 from privmf.sgld import (
     FactorModel,
@@ -10,9 +11,7 @@ from privmf.sgld import (
     init_model,
     item_step,
     learning_rate,
-    predict,
     prediction_errors,
-    rating_error,
     reduce_item_deltas,
     user_step,
 )
@@ -151,6 +150,13 @@ class TestBlockSteps:
         assert np.array_equal(errs.view(np.uint64), expected.view(np.uint64))
 
 
+def reduce_blocks(blocks, n_items, k):
+    """``reduce_item_deltas`` of the rows of ``(ids, deltas)`` blocks."""
+    ids = np.concatenate([np.empty(0, np.int64), *(np.asarray(i, dtype=np.int64) for i, _ in blocks)])
+    deltas = np.concatenate([np.empty((0, k)), *(np.reshape(rows, (len(i), k)) for i, rows in blocks)])
+    return reduce_item_deltas(ids, deltas, n_items)
+
+
 def sorted_loop_reduce(blocks, n_items, k):
     """The reduction as a sort of (item, delta bytes) and a running sum."""
     pairs = [(int(j), d) for ids, deltas in blocks for j, d in zip(ids, deltas)]
@@ -188,7 +194,7 @@ def signed_zero_blocks(k=3):
 
 
 def assert_reduces_like_oracle(blocks, n_items, k):
-    sums, counts = reduce_item_deltas(blocks, n_items, k)
+    sums, counts = reduce_blocks(blocks, n_items, k)
     ref_sums, ref_counts = sorted_loop_reduce(blocks, n_items, k)
     assert sums.shape == (n_items, k) and counts.shape == (n_items,)
     assert np.array_equal(sums.view(np.uint64), ref_sums.view(np.uint64))
@@ -199,7 +205,7 @@ def assert_reduces_like_oracle(blocks, n_items, k):
     deltas = np.concatenate([np.empty((0, k)), *(b[1] for b in blocks)])
     perm = rng.permutation(len(ids))
     shuffled = [(ids[rows], deltas[rows]) for rows in np.array_split(perm, 3)]
-    other_sums, other_counts = reduce_item_deltas(shuffled, n_items, k)
+    other_sums, other_counts = reduce_blocks(shuffled, n_items, k)
     assert np.array_equal(sums.view(np.uint64), other_sums.view(np.uint64))
     assert np.array_equal(counts, other_counts)
 
@@ -209,7 +215,7 @@ class TestReduceItemDeltas:
         rng = np.random.default_rng(11)
         for _ in range(5):
             blocks = random_blocks(rng)
-            sums, counts = reduce_item_deltas(blocks, 6, 3)
+            sums, counts = reduce_blocks(blocks, 6, 3)
             ref_sums, ref_counts = sorted_loop_reduce(blocks, 6, 3)
             assert np.array_equal(sums.view(np.uint64), ref_sums.view(np.uint64))
             assert np.array_equal(counts, ref_counts)
@@ -219,12 +225,12 @@ class TestReduceItemDeltas:
         blocks = random_blocks(rng)
         ids = np.concatenate([b[0] for b in blocks])
         deltas = np.concatenate([b[1] for b in blocks])
-        sums, counts = reduce_item_deltas(blocks, 6, 3)
+        sums, counts = reduce_blocks(blocks, 6, 3)
         for _ in range(5):
             perm = rng.permutation(len(ids))
             cuts = np.sort(rng.choice(np.arange(1, len(ids)), size=4, replace=False))
             shuffled = [(ids[rows], deltas[rows]) for rows in np.split(perm, cuts)]
-            other_sums, other_counts = reduce_item_deltas(shuffled, 6, 3)
+            other_sums, other_counts = reduce_blocks(shuffled, 6, 3)
             assert np.array_equal(sums.view(np.uint64), other_sums.view(np.uint64))
             assert np.array_equal(counts, other_counts)
 
@@ -253,23 +259,42 @@ class TestReduceItemDeltas:
     def test_one_item_receives_every_row(self):
         rng = np.random.default_rng(15)
         blocks = [(np.full(m, 4), rng.normal(size=(m, 3)) * 10.0 ** rng.integers(-8, 8, size=(m, 1))) for m in (50, 0, 31)]
-        sums, counts = reduce_item_deltas(blocks, 9, 3)
+        sums, counts = reduce_blocks(blocks, 9, 3)
         assert counts.tolist() == [0, 0, 0, 0, 81, 0, 0, 0, 0]
         assert_reduces_like_oracle(blocks, 9, 3)
 
     def test_empty_round_and_empty_blocks(self):
         for blocks in ([], [(np.empty(0, np.int64), np.empty((0, 3)))], [([], np.empty((0, 3)))] * 2):
-            sums, counts = reduce_item_deltas(blocks, 4, 3)
+            sums, counts = reduce_blocks(blocks, 4, 3)
             assert np.array_equal(sums.view(np.uint64), np.zeros((4, 3)).view(np.uint64))
             assert counts.tolist() == [0, 0, 0, 0]
-        sums, counts = reduce_item_deltas([], 0, 3)
+        sums, counts = reduce_blocks([], 0, 3)
         assert sums.shape == (0, 3) and counts.shape == (0,)
+
+    def test_leaves_its_arguments_unchanged(self):
+        rng = np.random.default_rng(16)
+        blocks = random_blocks(rng)
+        ids = np.concatenate([b[0] for b in blocks])
+        deltas = np.concatenate([b[1] for b in blocks])
+        ids_before, deltas_before = ids.copy(), deltas.copy()
+        first = reduce_item_deltas(ids, deltas, 6)
+        assert np.array_equal(ids, ids_before)
+        assert np.array_equal(deltas.view(np.uint64), deltas_before.view(np.uint64))
+        again = reduce_item_deltas(ids, deltas, 6)
+        for a, b in zip(first, again):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        # read-only arguments, as a round's arrays are, reduce alike
+        ids.setflags(write=False)
+        deltas.setflags(write=False)
+        sums, counts = reduce_item_deltas(ids, deltas, 6)
+        assert np.array_equal(sums.view(np.uint64), first[0].view(np.uint64))
+        assert np.array_equal(counts, first[1])
 
     @pytest.mark.parametrize("bad", [-1, 5, 2**40])
     def test_rejects_ids_outside_the_item_range(self, bad):
         blocks = [(np.array([0, 4]), np.zeros((2, 2))), (np.array([1, bad, 2]), np.ones((3, 2)))]
         with pytest.raises(ValueError, match=f"item id {bad} outside \\[0, 5\\)"):
-            reduce_item_deltas(blocks, 5, 2)
+            reduce_blocks(blocks, 5, 2)
 
 
 def finite_difference_grad(loss, x, step=1e-6):
