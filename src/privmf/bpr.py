@@ -14,8 +14,9 @@ numerical round does: a loop over the clients that only pulls each
 client's partner draws and pair noise from its own round stream, then one
 ``bpr_step`` over all the chunk's pairs, whose item deltas go straight to
 their clients' segments of the round's block, the layout of the numerical
-round. Every update and user factor equals that client's round computed
-alone (``sd_bpr_client_iteration``, the population of one).
+round. Every update, user factor and ledger entry of the ``Population``
+equals that client's round computed alone (``sd_bpr_client_iteration``,
+the population of one).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 import numpy as np
 
 from .codec import RoundUpdates
-from .protocol import _draw_send_sets, as_population
+from .protocol import Population, _draw_send_sets
 from .sgld import Hyperparams, UserRows, learning_rate, row_chunks
 
 
@@ -91,10 +92,9 @@ def bpr_step(
     return noise[..., 0, :], d_own
 
 
-def population_iteration(clients, v_snapshot: np.ndarray, t: int) -> RoundUpdates:
-    """One round of the one-class task for a ``protocol.Population``, or a
-    list of ``ClientState``s that share ``hp``: every client's update, in
-    client order.
+def population_iteration(pop: Population, v_snapshot: np.ndarray, t: int) -> RoundUpdates:
+    """One round of the one-class task for a ``protocol.Population`` built
+    for it: every client's update, in client order.
 
     A selected rated item pairs with a fresh uniform unrated partner and
     sends its positive-role delta; a selected unrated item pairs with a
@@ -104,10 +104,8 @@ def population_iteration(clients, v_snapshot: np.ndarray, t: int) -> RoundUpdate
     factor applies the average of all its pair deltas once per round. No
     fake errors are needed, so the fake-gradient budget is unused. A client
     that has rated every item has no unrated partner: it sends nothing, and
-    the round is counted in its ``partnerless_rounds``. A list's user
-    factors and ledgers are updated in its ``ClientState``s.
+    the round is counted in its ``partnerless_rounds``.
     """
-    pop, wrapped = as_population(clients, "one-class")
     hp = pop.hp
     eta = learning_rate(t, hp)
     rngs, items, at = _draw_send_sets(pop, t)
@@ -124,10 +122,8 @@ def population_iteration(clients, v_snapshot: np.ndarray, t: int) -> RoundUpdate
     # so it counts twice towards the chunk size
     for lo, hi in row_chunks((2 * counts).tolist()):
         a, b = offsets[lo], offsets[hi]
-        rows = UserRows(np.split(items[a:b], offsets[lo + 1 : hi] - a))
+        rows = UserRows(items[a:b], counts[lo:hi])
         _chunk_iteration(pop, lo, hi, rngs[lo:hi], rows, v_snapshot, eta, deltas[a:b])
-    if wrapped:
-        pop.write_ledger()
     return RoundUpdates(pop.ids, offsets, items, deltas)
 
 
@@ -175,5 +171,6 @@ def _chunk_iteration(pop, lo, hi, rngs, rows: UserRows, v_snapshot, eta, deltas)
 
 
 def sd_bpr_client_iteration(state, v_snapshot: np.ndarray, t: int) -> RoundUpdates:
-    """One-class client round: ``population_iteration`` of that client alone."""
-    return population_iteration([state], v_snapshot, t)
+    """One-class client round from a ``ClientState``: ``population_iteration``
+    of that client alone. ``state`` is left unchanged."""
+    return population_iteration(Population([state], "one-class"), v_snapshot, t)

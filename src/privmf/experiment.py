@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import RatingDataset, SplitSpec, parse_ratings, split, subsample
 from .metrics import auc, isgld_perturb, rmse
-from .protocol import TrainingResult, run_training
+from .protocol import run_training
 from .randresp import PrivacyBudget
 from .rng import TAG_ISGLD, TAG_REPETITION, derive_rng
 from .sgld import Hyperparams
@@ -150,21 +150,25 @@ def _evaluator(config: ExperimentConfig, train: RatingDataset, test: RatingDatas
     return lambda model: auc(test, train, model)
 
 
-def _budget_grid(config: ExperimentConfig) -> list[tuple[float, float | None, bool]]:
-    """(eps_i, eps_g, alpha_inf) cells; an ``inf`` eps_g entry in the config
-    requests the unbounded-fake-error variant, whose achieved value budget
-    is 0 (nothing is truncated, so sampling leaks nothing beyond the
+def _runs(config: ExperimentConfig, train: RatingDataset, rep_seed: int):
+    """A repetition's runs in ``curves.csv`` order, as ``(variant, train
+    set, budget, eps_I label, eps_g label)``: the non-private baseline, each
+    iSGLD baseline, then each budget cell. An ``inf`` eps_g entry in the
+    config requests the unbounded-fake-error variant, whose achieved value
+    budget is 0 (nothing is truncated, so sampling leaks nothing beyond the
     error distribution itself)."""
-    if config.task == "one-class":
-        return [(ei, None, False) for ei in config.eps_i]
-    cells = []
-    for ei in config.eps_i:
-        for eg in config.eps_g:
-            if math.isinf(eg):
-                cells.append((ei, None, True))
+    if config.baseline_nonprivate:
+        yield "nonprivate", train, None, None, None
+    for eps in config.baseline_isgld:
+        yield f"isgld_eps{eps:g}", isgld_perturb(train, eps, derive_rng(rep_seed, TAG_ISGLD)), None, None, None
+    for eps_i in config.eps_i:
+        for eps_g in [None] if config.task == "one-class" else config.eps_g:
+            unbounded = eps_g is not None and math.isinf(eps_g)
+            budget = PrivacyBudget(eps_i=eps_i, eps_p=config.eps_p, eps_g=None if unbounded else eps_g)
+            if unbounded:
+                yield "private_alpha_inf", train, budget, eps_i, 0.0
             else:
-                cells.append((ei, eg, False))
-    return cells
+                yield "private", train, budget, eps_i, eps_g
 
 
 def _fmt_budget(v: float | None) -> str:
@@ -207,7 +211,17 @@ def run_experiments(config: ExperimentConfig, dataset: RatingDataset | None = No
             )
             evaluate = _evaluator(config, train, test)
 
-            def emit(variant: str, eps_i: float | None, eps_g: float | None, result: TrainingResult):
+            for variant, data, budget, eps_i, eps_g in _runs(config, train, rep_seed):
+                result = run_training(
+                    data,
+                    hp,
+                    config.iterations,
+                    budget=budget,
+                    z_target=config.z_target,
+                    task=config.task,
+                    evaluator=evaluate,
+                    per_item_average=config.per_item_average,
+                )
                 for record in result.curve:
                     row = {
                         "rep": rep,
@@ -222,51 +236,6 @@ def run_experiments(config: ExperimentConfig, dataset: RatingDataset | None = No
                     writer.writerow([row[c] for c in CSV_HEADER])
                     rows_for_summary.append(row)
                 fh.flush()
-
-            if config.baseline_nonprivate:
-                result = run_training(
-                    train,
-                    hp,
-                    config.iterations,
-                    budget=None,
-                    task=config.task,
-                    evaluator=evaluate,
-                    per_item_average=config.per_item_average,
-                )
-                emit("nonprivate", None, None, result)
-
-            for eps in config.baseline_isgld:
-                rng = derive_rng(rep_seed, TAG_ISGLD)
-                perturbed = isgld_perturb(train, eps, rng)
-                result = run_training(
-                    perturbed,
-                    hp,
-                    config.iterations,
-                    budget=None,
-                    task=config.task,
-                    evaluator=evaluate,
-                    per_item_average=config.per_item_average,
-                )
-                emit(f"isgld_eps{eps:g}", None, None, result)
-
-            for eps_i, eps_g, alpha_inf in _budget_grid(config):
-                budget = PrivacyBudget(eps_i=eps_i, eps_p=config.eps_p, eps_g=eps_g)
-                result = run_training(
-                    train,
-                    hp,
-                    config.iterations,
-                    budget=budget,
-                    z_target=config.z_target,
-                    task=config.task,
-                    evaluator=evaluate,
-                    per_item_average=config.per_item_average,
-                )
-                if config.task == "one-class":
-                    emit("private", eps_i, None, result)
-                elif alpha_inf:
-                    emit("private_alpha_inf", eps_i, 0.0, result)
-                else:
-                    emit("private", eps_i, eps_g, result)
 
     _write_summary(summary_path, rows_for_summary)
     logger.info("wrote %s and %s", curves_path, summary_path)

@@ -7,11 +7,13 @@ fake-error gradients for unrated ones), one gradient frame per row followed
 by a finish frame. A round is one ``codec.RoundUpdates``: every client's
 rows in one block, each client's segment of it in client order.
 
-The simulator keeps a run's clients in one ``Population``: the user
-factors, permanently perturbed bits, response parameters and ledger as
-arrays, and the rated-row layouts, which are fixed for a run, built once.
-It runs each round for the whole population at once: the numerical round
-here (``population_iteration``), the one-class round in
+``client_init`` decides each client's set-up once, as a frozen
+``ClientState``. The simulator keeps a run's mutable client state in one
+``Population`` built from those records: the user factors, permanently
+perturbed bits, response parameters and ledger as arrays, and the
+rated-row layouts, which are fixed for a run, built once. Rounds take
+only a ``Population`` and run for all its clients at once: the numerical
+round here (``population_iteration``), the one-class round in
 ``bpr.population_iteration``. Both first draw every client's send set
 (``_draw_send_sets``), then go chunk by chunk in two passes: a loop over
 the clients that only pulls the rest of each client's draws from its own
@@ -20,9 +22,10 @@ passes over all the chunk's rows, which update the population's arrays in
 place (the numerical round draws every client's fake errors in one call
 between its user and item steps). The streams stay per client and
 unchanged, so every update, user factor and ledger entry equals that
-client's round computed alone (``client_iteration``, the population of
-one). The server only ever sees gradient/finish frames: ratings,
-rated-item bit vectors, and user factors never leave the client. With
+client's round computed alone (``client_iteration``, a population of one
+built from the client's ``ClientState``, which it leaves unchanged). The
+server only ever sees gradient/finish frames: ratings, rated-item bit
+vectors, and user factors never leave the client. With
 ``transport="bytes"`` a round crosses ``codec.encode_updates`` and
 ``codec.decode_updates``; in memory ``server_collect`` reduces the
 population step's ``RoundUpdates`` as it is.
@@ -63,23 +66,20 @@ class ProtocolError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ClientState:
+    """What ``client_init`` decided for one client. A round never changes it:
+    the run's user factors and ledger live in its ``Population``."""
+
     client_id: int
-    u: np.ndarray
+    u: np.ndarray  # the initial user factor
     items: np.ndarray  # rated item ids, ascending
     ratings: np.ndarray
-    bits_prime: np.ndarray  # fixed after init
+    bits_prime: np.ndarray
     rr: randresp.RRParams
     budget: randresp.PrivacyBudget | None
     hp: Hyperparams
     master_seed: int
-    # simulator-side privacy ledger, in client-rounds; never part of a round's updates
-    clamped_rounds: int = 0  # eps_g out of reach: bound clamped at alpha_max
-    floored_rounds: int = 0  # no error spread: bound solved at the sigma floor
-    fallback_rounds: int = 0  # bound without mass: fakes drawn at alpha_max
-    partnerless_rounds: int = 0  # one-class: every item rated, nothing sent
-    eps_g_worst: float = 0.0  # largest eps_g achieved in any round
 
     @property
     def h(self) -> int:
@@ -93,68 +93,63 @@ class ClientState:
         return bits
 
 
-# a client's simulator-side privacy ledger: ClientState counters, Population arrays
-_LEDGER = ("clamped_rounds", "floored_rounds", "fallback_rounds", "partnerless_rounds", "eps_g_worst")
-
-
 class Population:
-    """A run's clients as arrays: row ``i`` of every array is ``clients[i]``'s.
+    """A run's mutable client state as arrays: row ``i`` of every array is
+    client ``ids[i]``'s.
 
-    The clients share ``hp``, ``budget`` and ``master_seed``. ``u`` holds
-    the user factors ``(m, k)``, and each client's ``u`` becomes a view of
-    its row, so a round that updates the block updates every
-    ``ClientState``; each
-    client's ``bits_prime`` becomes a row of the read-only ``(m, n_items)``
-    bool block the same way. ``p``, ``q``, ``p_star``, ``q_star`` and
-    ``one_minus_q_star`` hold the response parameters, ``h`` the rated
-    counts, and ``clamped_rounds``, ``floored_rounds``, ``fallback_rounds``,
-    ``partnerless_rounds`` and ``eps_g_worst`` the ledger, starting from
-    the clients' own counts.
+    It is built from the clients' ``ClientState``s, which it copies and
+    never changes. The clients share ``hp``, ``budget`` and
+    ``master_seed``. ``u`` holds the user factors ``(m, k)`` and
+    ``bits_prime`` the read-only ``(m, n_items)`` bool block of permanently
+    perturbed bits. ``p``, ``q``, ``p_star``, ``q_star`` and
+    ``one_minus_q_star`` hold the response parameters, and ``h`` the rated
+    counts. The simulator-side privacy ledger, in client-rounds and never
+    part of a round's updates, starts at zero:
+
+    - ``clamped_rounds``: eps_g out of reach, bound clamped at alpha_max;
+    - ``floored_rounds``: no error spread, bound solved at the sigma floor;
+    - ``fallback_rounds``: bound without mass, fakes drawn at alpha_max;
+    - ``partnerless_rounds``: one-class, every item rated, nothing sent;
+    - ``eps_g_worst``: the largest eps_g achieved in any round.
 
     The rated-row layouts are fixed for a run, so the ``task``'s are built
-    here, once, and read-only: ``chunks`` for ``"numerical"`` (each
-    client's ``items`` and ``ratings`` then become views of its rows),
-    ``rated`` for ``"one-class"``. Built inside the first round instead,
-    after its temporaries, they raised the peak RSS of an ML-100K-shaped
-    run by ~30 MB.
+    here, once, and read-only: ``chunks`` for ``"numerical"``, ``rated``
+    for ``"one-class"``. Built inside the first round instead, after its
+    temporaries, they raised the peak RSS of an ML-100K-shaped run by
+    ~30 MB.
     """
 
     def __init__(self, clients: list[ClientState], task: str | None = None):
         if not clients:
             raise ValueError("a population needs at least one client")
-        self.clients = list(clients)
-        first = clients[0]
+        first, m = clients[0], len(clients)
         self.hp, self.budget, self.master_seed = first.hp, first.budget, first.master_seed
         self.ids = np.array([c.client_id for c in clients], dtype=np.int64)
         self.h = np.array([c.h for c in clients], dtype=np.int64)
         self.u = np.stack([c.u for c in clients])
         self.bits_prime = np.stack([c.bits_prime for c in clients], dtype=bool, casting="unsafe")
         self.bits_prime.setflags(write=False)
-        for c, u_row, bits_row in zip(clients, self.u, self.bits_prime.view(np.uint8)):
-            c.u, c.bits_prime = u_row, bits_row
         rr = np.array([(c.rr.p, c.rr.q, c.rr.p_star, c.rr.q_star, c.rr.one_minus_q_star) for c in clients])
         self.p, self.q, self.p_star, self.q_star, self.one_minus_q_star = rr.T.copy()
-        for name in _LEDGER:
-            setattr(self, name, np.array([getattr(c, name) for c in clients]))
+        self.clamped_rounds, self.floored_rounds, self.fallback_rounds, self.partnerless_rounds = (
+            np.zeros((4, m), dtype=np.int64)
+        )
+        self.eps_g_worst = np.zeros(m)
         if task == "numerical":
             # per chunk of consecutive clients holding ~sgld._CHUNK_ROWS rated
             # rows, (lo, hi, the layout of their rated rows with ratings)
             self.chunks = []
             for lo, hi in row_chunks(self.h.tolist()):
-                part = self.clients[lo:hi]
-                rows = UserRows([c.items for c in part], [c.ratings for c in part]).freeze()
-                for c, a, h in zip(part, rows.start.tolist(), rows.h.tolist()):
-                    c.items, c.ratings = rows.items[a : a + h], rows.ratings[a : a + h]
-                self.chunks.append((lo, hi, rows))
+                part = clients[lo:hi]
+                rows = UserRows(np.concatenate([c.items for c in part]), self.h[lo:hi],
+                                np.concatenate([c.ratings for c in part]))
+                self.chunks.append((lo, hi, rows.freeze()))
         elif task == "one-class":
             # every client's rated items, user i being client i
-            self.rated = UserRows([c.items for c in self.clients]).freeze()
+            self.rated = UserRows(np.concatenate([c.items for c in clients]), self.h).freeze()
 
     def __len__(self) -> int:
-        return len(self.clients)
-
-    def __iter__(self):
-        return iter(self.clients)
+        return len(self.ids)
 
     def record(self, bounds: fakegrad.AlphaBounds) -> None:
         """Enter one round's fake-error bounds, one per client, into the ledger."""
@@ -163,21 +158,6 @@ class Population:
         self.fallback_rounds += bounds.fallback
         worst = bounds.eps_g_achieved > self.eps_g_worst
         self.eps_g_worst[worst] = bounds.eps_g_achieved[worst]
-
-    def write_ledger(self) -> None:
-        """Copy the ledger arrays back into the clients' counters."""
-        for name in _LEDGER:
-            for c, value in zip(self.clients, getattr(self, name).tolist()):
-                setattr(c, name, value)
-
-
-def as_population(clients, task: str) -> tuple[Population, bool]:
-    """``clients`` as a ``Population`` for ``task``, and whether it was a
-    list of ``ClientState``s wrapped for one round, whose ledger the caller
-    writes back."""
-    if isinstance(clients, Population):
-        return clients, False
-    return Population(clients, task), True
 
 
 @dataclass
@@ -287,10 +267,9 @@ def _draw_send_sets(pop: Population, t: int):
     return rngs, np.concatenate(sent), np.cumsum([0, *np.concatenate(counts).tolist()]).tolist()
 
 
-def population_iteration(clients, v_snapshot: np.ndarray, t: int) -> RoundUpdates:
-    """One round of the numerical task for a ``Population``, or a list of
-    ``ClientState``s that share ``hp`` and ``budget``: every client's
-    update, in client order.
+def population_iteration(pop: Population, v_snapshot: np.ndarray, t: int) -> RoundUpdates:
+    """One round of the numerical task for a ``Population`` built for it:
+    every client's update, in client order.
 
     Each client draws from its own round-``t`` stream, in one order: the
     send set, the user-step noise, the fake-error uniforms, the item-step
@@ -300,10 +279,8 @@ def population_iteration(clients, v_snapshot: np.ndarray, t: int) -> RoundUpdate
     user step; one ``fakegrad.fake_error_rows`` call draws every client's
     fake errors; the chunks take the item step; and the user factors move.
     Every client's update, user factor and ledger entry are those of its
-    own round computed alone. A list's user factors and ledgers are
-    updated in its ``ClientState``s.
+    own round computed alone.
     """
-    pop, wrapped = as_population(clients, "numerical")
     hp, m = pop.hp, len(pop)
     eps_g = None if pop.budget is None else pop.budget.eps_g
     eta = learning_rate(t, hp)
@@ -331,8 +308,6 @@ def population_iteration(clients, v_snapshot: np.ndarray, t: int) -> RoundUpdate
         if not hp.noise_enabled:
             deltas[a:b] = out
     pop.u += du / pop.h[:, None]
-    if wrapped:
-        pop.write_ledger()
     return RoundUpdates(pop.ids, at, items, deltas)
 
 
@@ -375,26 +350,21 @@ def _chunk_user_step(pop, lo, hi, rows, rngs, items, counts, v_snapshot, eta,
 
 
 def client_iteration(state: ClientState, v_snapshot: np.ndarray, t: int) -> RoundUpdates:
-    """One client round: ``population_iteration`` of that client alone.
-
-    The update lists the sent items in ascending id order; the user factor
-    is updated afterwards, from the per-rated-item deltas averaged over the
-    number of ratings.
-    """
-    return population_iteration([state], v_snapshot, t)
+    """One client round from ``state``: ``population_iteration`` of that
+    client alone, which lists the sent items in ascending id order.
+    ``state`` is left unchanged."""
+    return population_iteration(Population([state], "numerical"), v_snapshot, t)
 
 
 def server_begin_round(server: ServerState) -> np.ndarray:
-    """Broadcast snapshot of the item factors; accumulator reset to zero."""
-    server.accumulator = np.zeros_like(server.v)
-    server.item_counts = np.zeros(server.n_items, dtype=np.int64)
+    """Broadcast snapshot of the item factors."""
     snapshot = server.v.copy()
     snapshot.setflags(write=False)
     return snapshot
 
 
 def server_collect(server: ServerState, updates: RoundUpdates, n_clients: int) -> int:
-    """Reduce one round's updates into the accumulator.
+    """Reduce one round's updates into the accumulator and item counts.
 
     Returns the number of gradients received. Raises ProtocolError for a
     gradient to an item outside ``[0, n_items)``, or when updates from
@@ -407,8 +377,6 @@ def server_collect(server: ServerState, updates: RoundUpdates, n_clients: int) -
     finished = len(set(updates.client_ids.tolist()))
     if finished != n_clients:
         raise ProtocolError(f"round aborted: finish received from {finished}/{n_clients} clients")
-    # the reduce replaces the zeroed accumulator, which is freed first
-    server.accumulator = server.item_counts = None
     server.accumulator, server.item_counts = reduce_item_deltas(ids, updates.deltas, server.n_items)
     return int(server.item_counts.sum())
 
@@ -427,18 +395,18 @@ def server_end_round(server: ServerState) -> None:
     server.t += 1
 
 
-def server_round(server: ServerState, clients, step_fn, transport: str = "memory") -> int:
+def server_round(server: ServerState, pop: Population, step_fn, transport: str = "memory") -> int:
     """Run one synchronous round over all clients; returns messages received.
 
-    ``step_fn(clients, snapshot, t)`` returns the round's ``RoundUpdates``.
+    ``step_fn(pop, snapshot, t)`` returns the round's ``RoundUpdates``.
     With ``transport="bytes"`` the round crosses the wire format; the
     session's first round opens with the handshake.
     """
-    updates = step_fn(clients, server_begin_round(server), server.t)
+    updates = step_fn(pop, server_begin_round(server), server.t)
     if transport == "bytes":
         handshake = Handshake(server.k, server.n_items) if server.t == 1 else None
         updates = decode_updates(encode_updates(updates, handshake), server.k, server.n_items)
-    n_grad = server_collect(server, updates, n_clients=len(clients))
+    n_grad = server_collect(server, updates, n_clients=len(pop))
     server_end_round(server)
     return n_grad
 
@@ -498,6 +466,7 @@ def run_training(
     if not clients:
         raise ProtocolError("no clients with ratings")
     pop = Population(clients, task)
+    del clients  # the population holds the run's client state from here on
 
     if task == "one-class":
         from . import bpr

@@ -191,7 +191,8 @@ def row_chunks(counts) -> list[tuple[int, int]]:
 class UserRows:
     """The rows of a chunk of users, one per (user, item), grouped by equal
     row count: the rated items with their ratings, or the items each user
-    sends.
+    sends. Built from ``items`` (and ``ratings``), the users' rows back to
+    back in user order, ``counts[i]`` of them for user ``i``.
 
     Users are laid out in ascending ``(h, position)`` order, each user's
     rows in its item order, so the users with one row count form one
@@ -201,14 +202,17 @@ class UserRows:
     common length would not.
     """
 
-    def __init__(self, items: list[np.ndarray], ratings: list[np.ndarray] | None = None):
-        self.h = np.fromiter(map(len, items), np.int64, len(items))
+    def __init__(self, items: np.ndarray, counts, ratings: np.ndarray | None = None):
+        self.h = np.array(counts, dtype=np.int64)
         order = np.argsort(self.h, kind="stable")
         counts = self.h[order]
-        self.items = np.concatenate([items[i] for i in order])
-        self.ratings = None if ratings is None else np.concatenate([ratings[i] for i in order])
-        self.owner = np.repeat(order, counts)  # user of each row, by position
         ends = np.cumsum(counts)
+        # each laid-out row's position in ``items``
+        take = np.repeat((np.cumsum(self.h) - self.h)[order] - (ends - counts), counts)
+        take += np.arange(len(take))
+        self.items = items[take]
+        self.ratings = None if ratings is None else ratings[take]
+        self.owner = np.repeat(order, counts)  # user of each row, by position
         self.start = np.empty_like(self.h)  # each user's first row
         self.start[order] = ends - counts
         # (users, first row, h) of each run of equal counts
@@ -349,16 +353,19 @@ def centralized_train(train, hp: Hyperparams, n_rounds: int) -> FactorModel:
     model = init_model(train.n_users, train.n_items, hp)
     rng = derive_rng(hp.seed, TAG_CENTRAL_TRAIN)
     users = train.active_users()
-    data = [train.user_items(i) for i in users]
-    chunks, at = [], 0
-    for lo, hi in row_chunks([len(items) for items, _ in data]):
-        rows = UserRows(*zip(*data[lo:hi]))
+    # the users' rows in the train CSR: back to back, each user's in item order
+    h = np.diff(train.indptr)[users]
+    at = np.cumsum([0, *h.tolist()]).tolist()
+    chunks = []
+    for lo, hi in row_chunks(h.tolist()):
+        a, b = at[lo], at[hi]
+        rated = train.order[a:b]
+        rows = UserRows(train.items[rated], h[lo:hi], train.ratings[rated])
         # the stream holds, user by user, h rows of user-step noise, then h
         # rows of item-step noise: each rated row's two rows in that draw
         first = 2 * (np.cumsum(rows.h) - rows.h)
         user_at = first[rows.owner] + np.arange(len(rows.items)) - rows.start[rows.owner]
-        chunks.append((users[lo:hi], rows, user_at, user_at + rows.h[rows.owner], at, at + len(rows.items)))
-        at += len(rows.items)
+        chunks.append((users[lo:hi], rows, user_at, user_at + rows.h[rows.owner], a, b))
     # the round's item ids, one per rated row, chunk by chunk
     items = np.concatenate([np.empty(0, np.int64), *(c[1].items for c in chunks)])
 

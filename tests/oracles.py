@@ -60,6 +60,44 @@ def average_attack(samples: np.ndarray) -> np.ndarray:
     return samples.mean(axis=0)
 
 
+class OracleClient:
+    """A client as the per-client round oracles keep it: its frozen
+    ``ClientState``, read through, with its own mutable user factor and
+    ledger, which the oracles update."""
+
+    def __init__(self, state: ClientState):
+        self.state = state
+        self.u = state.u.copy()
+        self.clamped_rounds = self.floored_rounds = self.fallback_rounds = self.partnerless_rounds = 0
+        self.eps_g_worst = 0.0
+
+    def __getattr__(self, name):
+        return getattr(self.state, name)
+
+
+def list_layout(items: list[np.ndarray], ratings: list[np.ndarray] | None = None) -> dict:
+    """The arrays of ``sgld.UserRows`` built from per-user lists, as the
+    layout was built before it took one flat array and counts."""
+    h = np.fromiter(map(len, items), np.int64, len(items))
+    order = np.argsort(h, kind="stable")
+    counts = h[order]
+    ends = np.cumsum(counts)
+    start = np.empty_like(h)
+    start[order] = ends - counts
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    edges = np.flatnonzero(np.r_[True, np.diff(counts) != 0, True]).tolist()
+    return {
+        "h": h,
+        "items": np.concatenate([items[i] for i in order]),
+        "ratings": None if ratings is None else np.concatenate([ratings[i] for i in order]),
+        "owner": np.repeat(order, counts),
+        "start": start,
+        "_rank": rank,
+        "groups": [(order[a:b], int(ends[a] - counts[a]), int(counts[a])) for a, b in zip(edges, edges[1:])],
+    }
+
+
 def draw_send_set(state: ClientState, t: int) -> tuple[np.random.Generator, np.ndarray]:
     """The client's round-``t`` stream and the ids it sends, ascending.
 
@@ -70,8 +108,8 @@ def draw_send_set(state: ClientState, t: int) -> tuple[np.random.Generator, np.n
     return rngs[0], items
 
 
-def record(state: ClientState, bound: fakegrad.AlphaBound) -> None:
-    """Enter one round's fake-error bound into a client's ledger."""
+def record(state: OracleClient, bound: fakegrad.AlphaBound) -> None:
+    """Enter one round's fake-error bound into an oracle client's ledger."""
     state.clamped_rounds += bound.clamped
     state.floored_rounds += bound.floored
     state.fallback_rounds += bound.fallback

@@ -1,14 +1,15 @@
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import bpr_errors, bpr_margin, build_dataset
-from privmf.bpr import bpr_step, sd_bpr_client_iteration, sigma_bar
+from privmf.bpr import bpr_step, population_iteration, sd_bpr_client_iteration, sigma_bar
 from privmf.codec import FinishMessage, encode_updates, iter_messages
 from privmf.data import RatingTriple
-from privmf.protocol import client_init, run_training
+from privmf.protocol import Population, client_init, run_training
 from privmf.randresp import RRParams
 from privmf.rng import TAG_CLIENT_ROUND, derive_rng
 from privmf.sgld import Hyperparams, learning_rate
@@ -198,7 +199,8 @@ class TestClientIteration:
         state = make_bpr_client(hp, seed=master)
         v = np.random.default_rng(5).normal(size=(10, hp.k))
         u_before = state.u.copy()
-        update = sd_bpr_client_iteration(state, v, 1)
+        pop = Population([state], "one-class")
+        update = population_iteration(pop, v, 1)
         assert list(update.item_ids) == [1, 4, 7]
 
         # reference: same send-set and pairing stream, plain numpy updates
@@ -215,7 +217,8 @@ class TestClientIteration:
             du_acc += -eta * (s * (-v[j] + v[partner]) + hp.lambda_u * u_before)
             expected.append(-eta * (-s * u_before + hp.lambda_v * v[j]))
         np.testing.assert_array_equal(update.deltas, np.array(expected))
-        np.testing.assert_array_equal(state.u, u_before + du_acc / 3)
+        np.testing.assert_array_equal(pop.u[0], u_before + du_acc / 3)
+        np.testing.assert_array_equal(state.u, u_before)
 
     def test_single_rated_item_sends_one_gradient(self):
         hp = make_hp(k=2, seed=2)
@@ -226,20 +229,22 @@ class TestClientIteration:
 
     def test_unrated_selection_sends_negative_role_delta(self):
         hp = make_hp(k=2, eta0=0.2, seed=3)
-        state = make_bpr_client(hp, items=(0,), seed=11)
         # force the send-set to pick only an unrated item
-        state.rr = RRParams(f=0.0, p=1.0, q=0.0, p_star=1.0, q_star=0.0, h=1, z=9.0)
+        state = replace(
+            make_bpr_client(hp, items=(0,), seed=11),
+            rr=RRParams(f=0.0, p=1.0, q=0.0, p_star=1.0, q_star=0.0, h=1, z=9.0),
+        )
         update = sd_bpr_client_iteration(state, np.random.default_rng(1).normal(size=(10, hp.k)), 1)
         assert list(update.item_ids) == list(range(1, 10))
 
     def test_all_items_rated_warns_and_skips(self, caplog):
         hp = make_hp(k=2, seed=4)
-        state = make_bpr_client(hp, n_items=3, items=(0, 1, 2), seed=13)
+        pop = Population([make_bpr_client(hp, n_items=3, items=(0, 1, 2), seed=13)], "one-class")
         with caplog.at_level(logging.WARNING):
-            update = sd_bpr_client_iteration(state, np.zeros((3, hp.k)), 1)
+            update = population_iteration(pop, np.zeros((3, hp.k)), 1)
         assert len(update.item_ids) == 0 and update.deltas.shape == (0, hp.k)
         # counted in the simulator-side ledger, not logged per client round
-        assert state.partnerless_rounds == 1 and not caplog.records
+        assert pop.partnerless_rounds.tolist() == [1] and not caplog.records
         # a run logs one line for all of them: user 0 rated every item
         triples = [RatingTriple(0, j, 1.0) for j in range(3)] + [RatingTriple(1, 0, 1.0)]
         with caplog.at_level(logging.WARNING):
@@ -253,10 +258,13 @@ class TestClientIteration:
         v = np.random.default_rng(2).normal(size=(10, hp.k))
         runs = []
         for _ in range(2):
-            state = make_bpr_client(hp, items=(1, 4, 7), seed=17)
-            state.rr = RRParams(f=0.0, p=0.5, q=0.9, p_star=0.5, q_star=0.9, h=3, z=5.0)
-            update = sd_bpr_client_iteration(state, v, 2)
-            runs.append((update, state.u.copy()))
+            state = replace(
+                make_bpr_client(hp, items=(1, 4, 7), seed=17),
+                rr=RRParams(f=0.0, p=0.5, q=0.9, p_star=0.5, q_star=0.9, h=3, z=5.0),
+            )
+            pop = Population([state], "one-class")
+            update = population_iteration(pop, v, 2)
+            runs.append((update, pop.u[0]))
         (a, u_a), (b, u_b) = runs
         assert len(a.item_ids) > 0
         assert np.array_equal(a.item_ids, b.item_ids)

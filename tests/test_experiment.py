@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from privmf.cli import main
-from privmf.data import format_ratings, synthetic_dataset
+from privmf.data import SplitSpec, format_ratings, split, synthetic_dataset
 from privmf.experiment import (
     CSV_HEADER,
     ConfigError,
@@ -14,7 +14,11 @@ from privmf.experiment import (
     load_dataset,
     run_experiments,
 )
-from privmf.randresp import calibrate
+from privmf.metrics import isgld_perturb, rmse
+from privmf.protocol import run_training
+from privmf.randresp import PrivacyBudget, calibrate
+from privmf.rng import TAG_ISGLD, TAG_REPETITION, derive_rng
+from privmf.sgld import Hyperparams
 
 
 @pytest.fixture()
@@ -140,6 +144,34 @@ class TestRunExperiments:
         with open(paths["curves"], newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))[1:]
         assert {r[3] for r in rows} == {"isgld_eps4", "isgld_eps2"}
+
+    def test_curves_rows_are_the_direct_runs_in_order(self, tmp_path, ratings_file):
+        # every kind of variant: the non-private and iSGLD baselines, then
+        # per eps_i the unbounded (inf) and the bounded eps_g cells
+        cfg = write_config(tmp_path, ratings_file, baseline_isgld="4,2", eps_i="1,0.5", eps_g="inf,1", iterations="2")
+        config = load_config(cfg)
+        paths = run_experiments(config)
+        dataset = load_dataset(config)
+        expected = [CSV_HEADER]
+        for rep in range(2):
+            rep_seed = int(derive_rng(config.seed, TAG_REPETITION, rep).integers(2**31 - 1))
+            train, test = split(dataset, SplitSpec("random-holdout", 0.2, rep_seed))
+            hp = Hyperparams.with_gamma_priors(3, 0.1, 0.6, seed=rep_seed, noise_enabled=False)
+            runs = [("nonprivate", train, None, "", "")]
+            for eps in (4.0, 2.0):
+                runs.append((f"isgld_eps{eps:g}", isgld_perturb(train, eps, derive_rng(rep_seed, TAG_ISGLD)), None, "", ""))
+            for eps_i in (1.0, 0.5):
+                runs.append(("private_alpha_inf", train, PrivacyBudget(eps_i=eps_i), f"{eps_i:g}", "0"))
+                runs.append(("private", train, PrivacyBudget(eps_i=eps_i, eps_g=1.0), f"{eps_i:g}", "1"))
+            for variant, data, budget, eps_i, eps_g in runs:
+                result = run_training(data, hp, 2, budget=budget, evaluator=lambda model: rmse(test, model))
+                expected += [
+                    [str(rep), eps_i, eps_g, variant, str(r.t), "rmse", f"{r.metric:.6f}", str(r.messages)]
+                    for r in result.curve
+                ]
+        with open(paths["curves"], newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == expected
+        assert len(expected) == 1 + 2 * 7 * 2
 
 
 class TestCli:

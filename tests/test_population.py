@@ -4,9 +4,11 @@
 client at a time, with its SGLD step and fake-error sampler inlined, and
 ``oracle_bpr_iteration`` the one-class client round, with its pair step and
 ``sigma_bar`` inlined; both draw their send sets with ``randresp.irr``, so
-they share no arithmetic with the population kernels. Every update, user
-factor and ledger counter of ``protocol.population_iteration`` and
-``bpr.population_iteration`` must equal them bit for bit.
+they share no arithmetic with the population kernels. Each oracle keeps
+its client's user factor and ledger in an ``oracles.OracleClient``. Every
+update, user factor and ledger counter of ``protocol.population_iteration``
+and ``bpr.population_iteration`` over a ``Population`` must equal them bit
+for bit.
 """
 
 import importlib.util
@@ -22,13 +24,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import build_dataset, record, round_of, segments
+from oracles import OracleClient, build_dataset, list_layout, record, round_of, segments
 from privmf import bpr, fakegrad, protocol, sgld
 from privmf.data import RatingTriple, synthetic_dataset
-from privmf.protocol import client_init, population_iteration
+from privmf.protocol import Population, client_init, client_iteration, population_iteration
 from privmf.randresp import PrivacyBudget, irr
 from privmf.rng import TAG_CLIENT_ROUND, derive_rng
-from privmf.sgld import Hyperparams, init_model, learning_rate, prediction_errors
+from privmf.sgld import Hyperparams, UserRows, init_model, learning_rate, prediction_errors
 
 _inv_cdf = statistics.NormalDist().inv_cdf
 _OPEN_UNIT = (math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0))
@@ -166,39 +168,43 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
+def assert_same(pop, got, theirs, want, ledger):
+    """A population round ``got`` equals the oracles' round ``want``, and
+    the population's user factors and ledger equal the oracle clients'."""
+    for name in ("client_ids", "offsets", "item_ids"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert np.array_equal(bits(got.deltas), bits(want.deltas))
+    assert np.array_equal(bits(pop.u), bits(np.stack([b.u for b in theirs])))
+    for f in ledger:
+        assert getattr(pop, f).tolist() == [getattr(b, f) for b in theirs], f
+
+
 def assert_same_rounds(ds, hp, budget, rounds, chunk_rows, task="numerical", silent=()):
-    """Both rounds over two copies of one population: updates, user factors
-    and ledgers equal after every round. The clients at the positions in
+    """The population round over a ``Population`` and the oracle over its
+    clients one by one: updates, user factors and ledgers equal after every
+    round; returns the population. The clients at the positions in
     ``silent`` send nothing: their send probabilities are zero."""
     model0 = init_model(ds.n_users, ds.n_items, hp)
     z_target = len(ds) / ds.n_users
     step, oracle, ledger = ROUNDS[task]
-
-    def population():
-        clients = [
-            client_init(i, *ds.user_items(i), model0.u[i], ds.n_items, hp, budget, z_target, hp.seed)
-            for i in ds.active_users()
-        ]
-        for i in silent:
-            clients[i].rr = replace(clients[i].rr, p=0.0, q=0.0)
-        return clients
-
-    ours, theirs = population(), population()
+    clients = [
+        client_init(i, *ds.user_items(i), model0.u[i], ds.n_items, hp, budget, z_target, hp.seed)
+        for i in ds.active_users()
+    ]
+    for i in silent:
+        clients[i] = replace(clients[i], rr=replace(clients[i].rr, p=0.0, q=0.0))
+    theirs = [OracleClient(c) for c in clients]
     v = model0.v
     v.setflags(write=False)  # a broadcast snapshot
     with mock.patch.object(sgld, "_CHUNK_ROWS", chunk_rows):
+        pop = Population(clients, task)
         for t in range(1, rounds + 1):
-            got, want = step(ours, v, t), oracle(theirs, v, t)
-            for name in ("client_ids", "offsets", "item_ids"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
-            assert np.array_equal(bits(got.deltas), bits(want.deltas))
-            for a, b in zip(ours, theirs):
-                assert np.array_equal(bits(a.u), bits(b.u))
-                assert [getattr(a, f) for f in ledger] == [getattr(b, f) for f in ledger]
+            got, want = step(pop, v, t), oracle(theirs, v, t)
+            assert_same(pop, got, theirs, want, ledger)
             sums, counts = sgld.reduce_item_deltas(want.item_ids, want.deltas, ds.n_items)
             v = v + sums / max(int(counts.sum()), 1)
             v.setflags(write=False)
-    return theirs
+    return pop
 
 
 @st.composite
@@ -255,9 +261,9 @@ def test_one_class_round_equals_per_client_oracle(ds, k, noise, privacy, chunk_r
     if privacy and 0 < len(ds) / ds.n_users < ds.n_items:
         budget = PrivacyBudget(eps_i=2.0)
     silent = [silent % (ds.n_users - 1)] if ds.n_users > 1 else []
-    clients = assert_same_rounds(ds, hp, budget, 2, chunk_rows, "one-class", silent)
+    pop = assert_same_rounds(ds, hp, budget, 2, chunk_rows, "one-class", silent)
     if budget is None:  # the send set is the rated set: all items
-        assert clients[-1].partnerless_rounds == 2
+        assert pop.partnerless_rounds[-1] == 2
 
 
 @pytest.mark.parametrize("eps_g", [0.01, 40.0])
@@ -269,10 +275,10 @@ def test_many_chunks_and_every_ledger_event(eps_g, noise):
     triples = [t for t in ds.triples if t.user_id != 0] + [RatingTriple(0, 3, 4.0)]
     ds = build_dataset(triples, ds.n_users, ds.n_items)
     hp = Hyperparams(3, 0.1, 0.6, np.full(3, 0.01), np.full(3, 0.01), 0, noise_enabled=noise)
-    clients = assert_same_rounds(ds, hp, PrivacyBudget(eps_i=1.0, eps_g=eps_g), 3, 24)
-    assert sum(c.floored_rounds for c in clients) == 3
+    pop = assert_same_rounds(ds, hp, PrivacyBudget(eps_i=1.0, eps_g=eps_g), 3, 24)
+    assert pop.floored_rounds.sum() == 3
     counter = "fallback_rounds" if eps_g == 40.0 else "clamped_rounds"
-    assert sum(getattr(c, counter) for c in clients) > 0
+    assert getattr(pop, counter).sum() > 0
 
 
 def load_workloads():
@@ -292,8 +298,22 @@ def test_benchmark_workload_streams_unchanged(name, monkeypatch):
     workload = load_workloads()[name]
     inputs = workload.build(7)
     got = workload.train(inputs, 2)
+    # the oracle steps the run's clients one by one and hands the run its
+    # user factors
+    clients, init, oracle = [], protocol.client_init, ROUNDS[workload.task][1]
+
+    def capturing(*args):
+        clients.append(OracleClient(init(*args)))
+        return clients[-1].state
+
+    def oracle_step(pop, v, t):
+        updates = oracle(clients, v, t)
+        pop.u[...] = [c.u for c in clients]
+        return updates
+
     module = bpr if workload.task == "one-class" else protocol
-    monkeypatch.setattr(module, "population_iteration", ROUNDS[workload.task][1])
+    monkeypatch.setattr(protocol, "client_init", capturing)
+    monkeypatch.setattr(module, "population_iteration", oracle_step)
     want = workload.train(inputs, 2)
     assert [r.messages for r in got.curve] == [r.messages for r in want.curve]
     assert np.array_equal(bits(got.model.u), bits(want.model.u))
@@ -309,25 +329,47 @@ def make_clients(ds, hp, budget):
     ]
 
 
+def assert_same_layout(rows, want):
+    for name in ("h", "items", "ratings", "owner", "start", "_rank"):
+        got = getattr(rows, name)
+        if want[name] is None:
+            assert got is None, name
+        else:
+            assert got.dtype == want[name].dtype and np.array_equal(bits(got), bits(want[name])), name
+    assert len(rows.groups) == len(want["groups"])
+    for (users, lo, h), (users_want, lo_want, h_want) in zip(rows.groups, want["groups"]):
+        assert np.array_equal(users, users_want) and (lo, h) == (lo_want, h_want)
+
+
 def test_run_fixed_blocks_are_read_only():
     ds = synthetic_dataset(30, 60, seed=1, mean_ratings_per_user=8)
     hp = Hyperparams(3, 0.1, 0.6, np.full(3, 0.01), np.full(3, 0.01), 0)
     budget = PrivacyBudget(eps_i=1.0, eps_g=4.0)
-    numerical = protocol.Population(make_clients(ds, hp, budget), "numerical")
-    one_class = protocol.Population(make_clients(ds, hp, budget), "one-class")
-    layouts = [rows for _, _, rows in numerical.chunks] + [one_class.rated]
-    arrays = [numerical.bits_prime, one_class.bits_prime]
-    for rows in layouts:
-        arrays += [rows.h, rows.items, rows.owner, rows.start, *(users for users, _, _ in rows.groups)]
-        arrays += [] if rows.ratings is None else [rows.ratings]
-    for array in arrays:
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[...] = 0
-    # each client's bit vector and user factor are its rows of the blocks
-    for i, c in enumerate(numerical):
-        assert np.shares_memory(c.bits_prime, numerical.bits_prime) and not c.bits_prime.flags.writeable
-        assert np.shares_memory(c.u, numerical.u[i])
+    clients = make_clients(ds, hp, budget)
+    for chunk_rows in (1, 24, 4096):
+        with mock.patch.object(sgld, "_CHUNK_ROWS", chunk_rows):
+            numerical, one_class = Population(clients, "numerical"), Population(clients, "one-class")
+        layouts = [rows for _, _, rows in numerical.chunks] + [one_class.rated]
+        arrays = [numerical.bits_prime, one_class.bits_prime]
+        for rows in layouts:
+            arrays += [rows.h, rows.items, rows.owner, rows.start, *(users for users, _, _ in rows.groups)]
+            arrays += [] if rows.ratings is None else [rows.ratings]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+        # each layout is the one built from the clients' per-user lists
+        for lo, hi, rows in numerical.chunks:
+            part = clients[lo:hi]
+            assert_same_layout(rows, list_layout([c.items for c in part], [c.ratings for c in part]))
+        assert_same_layout(one_class.rated, list_layout([c.items for c in clients]))
+    # a round's send-set layout: users that send nothing, and runs of equal counts
+    rng = np.random.default_rng(4)
+    for n_users in (1, 2, 9, 40):
+        counts = rng.integers(0, 5, n_users)
+        items = [np.sort(rng.choice(60, size=h, replace=False)) for h in counts.tolist()]
+        flat = np.concatenate([np.empty(0, np.int64), *items])
+        assert_same_layout(UserRows(flat, counts), list_layout(items))
 
 
 @pytest.mark.parametrize("task, eps_g", [("numerical", 0.01), ("numerical", 40.0), ("one-class", None)])
@@ -357,31 +399,31 @@ def test_two_sessions_give_the_same_model_and_ledger(task, eps_g, monkeypatch):
     assert getattr(first, counter).sum() > 0
 
 
-def test_population_of_one_updates_the_client_state():
+def test_population_of_one_equals_the_per_client_oracle():
     ds = synthetic_dataset(6, 12, seed=3, mean_ratings_per_user=4)
     hp = Hyperparams(2, 0.1, 0.6, np.full(2, 0.01), np.full(2, 0.01), 0)
     v = init_model(ds.n_users, ds.n_items, hp).v
     # numerical: every bound clamps at eps_g = 0.01
-    budget = PrivacyBudget(eps_i=1.0, eps_g=0.01)
-    ours, theirs = make_clients(ds, hp, budget), make_clients(ds, hp, budget)
+    states = make_clients(ds, hp, PrivacyBudget(eps_i=1.0, eps_g=0.01))
+    pops, theirs = [Population([s], "numerical") for s in states], [OracleClient(s) for s in states]
     for t in (1, 2):
-        for a, b in zip(ours, theirs):
-            got, (_, _, want) = protocol.client_iteration(a, v, t), oracle_iteration(b, v, t)
-            assert np.array_equal(bits(got.deltas), bits(want))
-            assert np.array_equal(bits(a.u), bits(b.u))
-            assert [getattr(a, f) for f in LEDGER] == [getattr(b, f) for f in LEDGER]
-    assert all(c.clamped_rounds == 2 for c in ours)
+        for state, pop, b in zip(states, pops, theirs):
+            got, want = population_iteration(pop, v, t), oracle_population([b], v, t)
+            assert_same(pop, got, [b], want, LEDGER)
+            if t == 1:  # the one-client call is the first round of a population of one
+                assert_same(pop, client_iteration(state, v, t), [b], want, ())
+    assert all(pop.clamped_rounds.tolist() == [2] for pop in pops)
     # one-class: a client that rated every item counts a partnerless round
     triples = [RatingTriple(0, j, 4.0) for j in range(5)] + [RatingTriple(1, 0, 3.0), RatingTriple(1, 3, 5.0)]
     ds = build_dataset(triples, 2, 5)
     v = init_model(2, 5, hp).v
-    ours, theirs = make_clients(ds, hp, None), make_clients(ds, hp, None)
-    for a, b in zip(ours, theirs):
-        got, (_, _, want) = bpr.sd_bpr_client_iteration(a, v, 1), oracle_bpr_iteration(b, v, 1)
-        assert np.array_equal(bits(got.deltas), bits(want))
-        assert np.array_equal(bits(a.u), bits(b.u))
-        assert a.partnerless_rounds == b.partnerless_rounds
-    assert [c.partnerless_rounds for c in ours] == [1, 0]
+    states = make_clients(ds, hp, None)
+    pops, theirs = [Population([s], "one-class") for s in states], [OracleClient(s) for s in states]
+    for state, pop, b in zip(states, pops, theirs):
+        got, want = bpr.population_iteration(pop, v, 1), oracle_bpr_population([b], v, 1)
+        assert_same(pop, got, [b], want, ("partnerless_rounds",))
+        assert_same(pop, bpr.sd_bpr_client_iteration(state, v, 1), [b], want, ())
+    assert [pop.partnerless_rounds.tolist() for pop in pops] == [[1], [0]]
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 7, 4096])
@@ -392,17 +434,80 @@ def test_one_class_segments_equal_lone_client_rounds(chunk_rows):
     triples = [t for t in ds.triples if t.user_id != 0] + [RatingTriple(0, j, 4.0) for j in range(15)]
     ds = build_dataset(triples, ds.n_users, ds.n_items)
     hp = Hyperparams(3, 0.2, 0.6, np.full(3, 0.01), np.full(3, 0.01), 5)
-    budget = PrivacyBudget(eps_i=2.0)
     v = init_model(ds.n_users, ds.n_items, hp).v
-    ours, theirs = make_clients(ds, hp, budget), make_clients(ds, hp, budget)
+    states = make_clients(ds, hp, PrivacyBudget(eps_i=2.0))
     with mock.patch.object(sgld, "_CHUNK_ROWS", chunk_rows):
+        ours, theirs = Population(states, "one-class"), [Population([s], "one-class") for s in states]
         for t in (1, 2):
             got = bpr.population_iteration(ours, v, t)
             assert got.client_ids.tolist() == ds.active_users()
-            for (client, items, deltas), state in zip(segments(got), theirs):
-                alone = bpr.sd_bpr_client_iteration(state, v, t)
+            for (client, items, deltas), alone_pop in zip(segments(got), theirs):
+                alone = bpr.population_iteration(alone_pop, v, t)
                 assert alone.client_ids.tolist() == [client] and alone.offsets.tolist() == [0, len(items)]
                 assert np.array_equal(items, alone.item_ids)
                 assert np.array_equal(bits(deltas), bits(alone.deltas))
-    assert ours[0].partnerless_rounds == theirs[0].partnerless_rounds == 2
-    assert all(np.array_equal(bits(a.u), bits(b.u)) for a, b in zip(ours, theirs))
+    assert ours.partnerless_rounds[0] == theirs[0].partnerless_rounds[0] == 2
+    assert np.array_equal(bits(ours.u), bits(np.concatenate([pop.u for pop in theirs])))
+
+
+def state_bits(state):
+    """Every field of a ``ClientState``, arrays as their bytes."""
+    return [
+        (name, value.dtype, value.tobytes()) if isinstance(value, np.ndarray) else (name, value)
+        for name, value in vars(state).items()
+    ]
+
+
+def contract_population(task):
+    # user 0 rated every item: one-class rounds are partnerless, and with
+    # eps_g = 0.01 every numerical bound clamps
+    ds = synthetic_dataset(12, 15, seed=2, mean_ratings_per_user=5)
+    triples = [t for t in ds.triples if t.user_id != 0] + [RatingTriple(0, j, 4.0) for j in range(15)]
+    ds = build_dataset(triples, ds.n_users, ds.n_items)
+    hp = Hyperparams(3, 0.2, 0.6, np.full(3, 0.01), np.full(3, 0.01), 5)
+    budget = PrivacyBudget(eps_i=2.0, eps_g=0.01 if task == "numerical" else None)
+    return make_clients(ds, hp, budget), init_model(ds.n_users, ds.n_items, hp).v
+
+
+@pytest.mark.parametrize("task", ["numerical", "one-class"])
+def test_rounds_leave_the_client_states_unchanged(task):
+    states, v = contract_population(task)
+    before = [state_bits(s) for s in states]
+    pop = Population(states, task)
+    for t in (1, 2, 3):
+        ROUNDS[task][0](pop, v, t)
+    assert [state_bits(s) for s in states] == before
+    assert not any(np.shares_memory(s.u, pop.u) or np.shares_memory(s.bits_prime, pop.bits_prime) for s in states)
+    ledger = pop.partnerless_rounds if task == "one-class" else pop.clamped_rounds
+    assert ledger.sum() > 0
+
+
+@pytest.mark.parametrize("task", ["numerical", "one-class"])
+def test_populations_from_one_state_list_give_equal_rounds(task):
+    # the second population is built after the first one's rounds: it
+    # starts from the same records, so it repeats them bit for bit
+    states, v = contract_population(task)
+    runs = []
+    for _ in range(2):
+        pop = Population(states, task)
+        rounds = [ROUNDS[task][0](pop, v, t) for t in (1, 2)]
+        runs.append((pop, rounds))
+    (first, want), (second, got) = runs
+    for a, b in zip(got, want):
+        for name in ("client_ids", "offsets", "item_ids"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert np.array_equal(bits(a.deltas), bits(b.deltas))
+    assert np.array_equal(bits(first.u), bits(second.u))
+    for name in ("clamped_rounds", "floored_rounds", "fallback_rounds", "partnerless_rounds", "eps_g_worst"):
+        assert np.array_equal(getattr(first, name), getattr(second, name)), name
+
+
+@pytest.mark.parametrize("task", ["numerical", "one-class"])
+def test_one_client_call_repeats_with_the_same_arguments(task):
+    states, v = contract_population(task)
+    call = client_iteration if task == "numerical" else bpr.sd_bpr_client_iteration
+    for state in states:
+        first, second = call(state, v, 2), call(state, v, 2)
+        for name in ("client_ids", "offsets", "item_ids"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
+        assert np.array_equal(bits(first.deltas), bits(second.deltas))

@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from privmf.codec import (
 )
 from privmf.data import RatingTriple, synthetic_dataset
 from privmf.protocol import (
+    Population,
     ProtocolError,
     ServerState,
     client_init,
@@ -111,12 +113,12 @@ class TestClientIteration:
     def test_empty_send_set_still_updates_user(self):
         hp = make_hp()
         state = make_client(hp)
-        state.rr = RRParams(f=0.0, p=0.0, q=0.0, p_star=0.0, q_star=0.0, h=state.h, z=0.0)
-        before = state.u.copy()
-        up = client_iteration(state, np.full((12, hp.k), 0.1), 1)
+        state = replace(state, rr=RRParams(f=0.0, p=0.0, q=0.0, p_star=0.0, q_star=0.0, h=state.h, z=0.0))
+        pop = Population([state], "numerical")
+        up = population_iteration(pop, np.full((12, hp.k), 0.1), 1)
         assert len(up.item_ids) == 0 and up.deltas.shape == (0, hp.k)
         assert frames_of(up) == [FinishMessage(state.client_id)]
-        assert not np.array_equal(before, state.u)
+        assert not np.array_equal(state.u, pop.u[0])
 
     def test_message_count_matches_conditional_law(self):
         # with B' fixed, per-round counts are Bernoulli sums with p/q on B' bits
@@ -153,6 +155,7 @@ class TestClientIteration:
             client_init(i, *ds.user_items(i), model0.u[i], ds.n_items, hp, budget, z_target, hp.seed)
             for i in ds.active_users()
         ]
+        pop = Population(clients, "numerical")
         fallbacks = 0
         received = []
         collect = protocol.server_collect
@@ -166,9 +169,9 @@ class TestClientIteration:
         for t in (1, 2, 3):
             v = server.v.copy()
             expected = []
-            for state in clients:
+            for state, u in zip(clients, pop.u):
                 rng, selected = draw_send_set(state, t)
-                errs = prediction_errors(state.u, v, state.items, state.ratings)
+                errs = prediction_errors(u, v, state.items, state.ratings)
                 rated = state.bits[selected] == 1
                 fakes, bound = fake_errors(errs, eps_g, int(np.sum(~rated)), rng)
                 assert np.all(np.abs(fakes) < bound.alpha_max)
@@ -179,14 +182,14 @@ class TestClientIteration:
                 e[rated] = errs[np.searchsorted(state.items, selected[rated])]
                 e[~rated] = fakes
                 eta = learning_rate(t, hp)
-                expected.append((selected, item_step(v[selected], e, state.u, eta, hp, None)))
-            server_round(server, clients, population_iteration)
+                expected.append((selected, item_step(v[selected], e, u, eta, hp, None)))
+            server_round(server, pop, population_iteration)
             # the whole send set reaches the server, carrying exactly these fakes
             assert len(received[-1]) == len(clients)
             for (_, ids, got), (selected, deltas) in zip(received[-1], expected):
                 assert np.array_equal(ids, selected)
                 assert np.array_equal(got, deltas)
-        assert sum(c.fallback_rounds for c in clients) == fallbacks
+        assert pop.fallback_rounds.sum() == fallbacks
         assert fallbacks > 0 or eps_g < 40.0
         fallback_lines = [m for m in messages if "drawn at alpha_max" in m]
         assert len(fallback_lines) == int(fallbacks > 0)
@@ -314,7 +317,7 @@ class TestRoundUpdates:
         v = init_model(ds.n_users, ds.n_items, hp).v
         clients = [client_init(i, *ds.user_items(i), np.zeros(hp.k), ds.n_items, hp, None, None, 7)
                    for i in ds.active_users()]
-        updates = population_iteration(clients, v, 1)
+        updates = population_iteration(Population(clients, "numerical"), v, 1)
         assert updates.client_ids.tolist() == ds.active_users()
         assert updates.deltas.shape == (len(ds), hp.k)
         with pytest.raises(ValueError):
@@ -332,7 +335,7 @@ class TestInformationFlow:
             clients.append(client_init(i, items, ratings, model0.u[i], ds.n_items, hp, None, None, 7))
         server = ServerState(v=model0.v.copy(), n_items=ds.n_items, k=hp.k)
         snapshot = server_begin_round(server)
-        updates = population_iteration(clients, snapshot, 1)
+        updates = population_iteration(Population(clients, "numerical"), snapshot, 1)
         data = encode_updates(updates, Handshake(hp.k, ds.n_items))
         seen = list(iter_messages(data, expect_k=hp.k))
         assert seen[0] == Handshake(hp.k, ds.n_items)
