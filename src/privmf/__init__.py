@@ -45,7 +45,6 @@ from .metrics import auc, isgld_perturb, rmse
 from .protocol import (
     ClientState,
     ProtocolError,
-    ServerState,
     TrainingResult,
     client_init,
     client_iteration,

@@ -14,9 +14,11 @@ numerical round does: a loop over the clients that only pulls each
 client's partner draws and pair noise from its own round stream, then one
 ``bpr_step`` over all the chunk's pairs, whose item deltas go straight to
 their clients' segments of the round's block, the layout of the numerical
-round. Every update, user factor and ledger entry of the ``Population``
-equals that client's round computed alone (``sd_bpr_client_iteration``,
-the population of one).
+round. The round reads the server's item factors only through the
+read-only snapshot it is handed, and writes only the ``Population``'s user
+factors and ledger. Every update, user factor and ledger entry equals that
+client's round computed alone (``sd_bpr_client_iteration``, the
+population of one).
 """
 
 from __future__ import annotations
@@ -106,11 +108,11 @@ def population_iteration(pop: Population, v_snapshot: np.ndarray, t: int) -> Rou
     that has rated every item has no unrated partner: it sends nothing, and
     the round is counted in its ``partnerless_rounds``.
     """
-    hp = pop.hp
+    hp, n_items, rated = pop.hp, len(v_snapshot), pop.rated
     eta = learning_rate(t, hp)
     rngs, items, at = _draw_send_sets(pop, t)
     counts = np.diff(at)
-    partnerless = (pop.h == pop.bits_prime.shape[1]) & (counts > 0)
+    partnerless = (pop.h == n_items) & (counts > 0)
     pop.partnerless_rounds += partnerless
     if partnerless.any():
         items = items[~np.repeat(partnerless, counts)]
@@ -121,53 +123,43 @@ def population_iteration(pop: Population, v_snapshot: np.ndarray, t: int) -> Rou
     # a pair steps through four (rows, k) blocks, twice a rated row's two,
     # so it counts twice towards the chunk size
     for lo, hi in row_chunks((2 * counts).tolist()):
+        # clients lo to hi: ``rows`` lays out their send sets, and their
+        # item deltas go to deltas[a:b], their segments in client order
         a, b = offsets[lo], offsets[hi]
         rows = UserRows(items[a:b], counts[lo:hi])
-        _chunk_iteration(pop, lo, hi, rngs[lo:hi], rows, v_snapshot, eta, deltas[a:b])
+        users = lo + rows.owner  # each row's client, by population position
+        _, positive = rated.locate(users, rows.items, n_items)
+        h = rated.h[users]
+        # a rated item draws among the unrated items, an unrated one among the rated
+        high = np.where(positive, n_items - h, h)
+
+        # pass 1: the rest of each client's stream, in its order
+        draws = np.empty(len(rows.items), dtype=np.int64)
+        noise = np.empty((len(rows.items), 3, hp.k)) if hp.noise_enabled else None
+        for rng, first, n in zip(rngs[lo:hi], rows.start.tolist(), rows.h.tolist()):
+            draws[first : first + n] = rng.integers(0, high[first : first + n])
+            if noise is not None:
+                rng.standard_normal(out=noise[first : first + n])
+
+        # pass 2: every pair of the chunk in one step
+        partner = np.empty_like(draws)
+        partner[positive] = rated.unrated(users[positive], draws[positive], n_items)
+        negative = ~positive
+        partner[negative] = rated.items[rated.start[users[negative]] + draws[negative]]
+        u = pop.u[lo:hi]
+        du, d_own = bpr_step(
+            u[rows.owner], v_snapshot[rows.items], v_snapshot[partner], positive, eta, hp, noise
+        )
+        del noise
+        sums = rows.per_user(du, lambda block: block.sum(axis=1))
+        del du  # freed before the delta write
+        # row r, the j-th of its client's, goes to that client's segment at j
+        segment = np.cumsum(rows.h) - rows.h
+        deltas[a + (segment - rows.start)[rows.owner] + np.arange(len(rows.items))] = d_own
+        del d_own
+        moved = rows.h > 0  # a client that sent nothing keeps its factor
+        u[moved] += sums[moved] / rows.h[moved, None]
     return RoundUpdates(pop.ids, offsets, items, deltas)
-
-
-def _chunk_iteration(pop, lo, hi, rngs, rows: UserRows, v_snapshot, eta, deltas) -> None:
-    """One chunk of ``population_iteration``: ``rows`` lays out the send
-    sets of clients ``lo`` to ``hi``, and their item deltas are written to
-    ``deltas``, their segments of the round's block, in client order.
-
-    Pass 1 loops over the clients and only pulls the rest of each stream
-    into preallocated blocks; pass 2 steps all the chunk's pairs at once
-    and updates the population's user factors in place.
-    """
-    hp, n_items, rated = pop.hp, len(v_snapshot), pop.rated
-    users = lo + rows.owner  # each row's client, by population position
-    _, positive = rated.locate(users, rows.items, n_items)
-    h = rated.h[users]
-    # a rated item draws among the unrated items, an unrated one among the rated
-    high = np.where(positive, n_items - h, h)
-
-    # pass 1: the rest of each client's stream, in its order
-    draws = np.empty(len(rows.items), dtype=np.int64)
-    noise = np.empty((len(rows.items), 3, hp.k)) if hp.noise_enabled else None
-    for rng, a, n in zip(rngs, rows.start.tolist(), rows.h.tolist()):
-        draws[a : a + n] = rng.integers(0, high[a : a + n])
-        if noise is not None:
-            rng.standard_normal(out=noise[a : a + n])
-
-    # pass 2: every pair of the chunk in one step
-    partner = np.empty_like(draws)
-    partner[positive] = rated.unrated(users[positive], draws[positive], n_items)
-    negative = ~positive
-    partner[negative] = rated.items[rated.start[users[negative]] + draws[negative]]
-    u = pop.u[lo:hi]
-    du, d_own = bpr_step(
-        u[rows.owner], v_snapshot[rows.items], v_snapshot[partner], positive, eta, hp, noise
-    )
-    del noise
-    sums = rows.per_user(du, lambda block: block.sum(axis=1))
-    del du  # freed before the delta write
-    # row r, the j-th of its client's, goes to that client's segment at j
-    segment = np.cumsum(rows.h) - rows.h
-    deltas[(segment - rows.start)[rows.owner] + np.arange(len(rows.items))] = d_own
-    moved = rows.h > 0  # a client that sent nothing keeps its factor
-    u[moved] += sums[moved] / rows.h[moved, None]
 
 
 def sd_bpr_client_iteration(state, v_snapshot: np.ndarray, t: int) -> RoundUpdates:

@@ -74,6 +74,15 @@ class ExperimentConfig:
             self.k = 50 if self.task == "numerical" else 10
         if not self.split_mode:
             self.split_mode = "random-holdout" if self.task == "numerical" else "leave-one-out"
+        # rejected here, before a run writes anything
+        if self.iterations < 1:
+            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+        if self.split_mode == "random-holdout" and not 0.0 < self.test_fraction < 1.0:
+            raise ConfigError(f"test_fraction must be in (0,1), got {self.test_fraction}")
+        try:  # the checks of k, eta0, gamma and seed
+            Hyperparams.with_gamma_priors(self.k, self.eta0, self.gamma, self.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @property
     def metric_name(self) -> str:
@@ -81,12 +90,6 @@ class ExperimentConfig:
 
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
-
-
-def _parse_float(token: str) -> float:
-    if token.lower() in ("inf", "infinity"):
-        return math.inf
-    return float(token)
 
 
 def _parse_value(key: str, token: str):
@@ -98,7 +101,7 @@ def _parse_value(key: str, token: str):
     if key == "init_prediction":
         return "mean" if token.lower() == "mean" else float(token)
     if key in list_float:
-        return [_parse_float(p) for p in token.split(",") if p.strip()] if token else []
+        return [float(p) for p in token.split(",") if p.strip()] if token else []
     if key in scalar_float:
         return float(token)
     if key in optional_float:

@@ -30,9 +30,12 @@ vectors, and user factors never leave the client. With
 ``codec.decode_updates``; in memory ``server_collect`` reduces the
 population step's ``RoundUpdates`` as it is.
 
-The server applies ``V <- V + (sum of deltas per item) / (total message
-count)`` once all clients have finished, so the reduction is a commutative
-monoid and message arrival order cannot change the result.
+The server is stateless: ``run_training`` holds the item factors ``V``
+and the round index ``t``. ``server_round`` hands the round a read-only
+view of ``V`` and, once all clients have finished, returns the next
+factors ``V + (sum of deltas per item) / (total message count)`` as a new
+array. The reduction is a commutative monoid, so message arrival order
+cannot change the result.
 """
 
 from __future__ import annotations
@@ -160,19 +163,6 @@ class Population:
         self.eps_g_worst[worst] = bounds.eps_g_achieved[worst]
 
 
-@dataclass
-class ServerState:
-    v: np.ndarray
-    n_items: int
-    k: int
-    t: int = 1
-    accumulator: np.ndarray | None = None
-    # off by default: divide each item's delta sum by that item's own
-    # message count instead of the round's global count
-    per_item_average: bool = False
-    item_counts: np.ndarray | None = None
-
-
 def client_init(
     client_id: int,
     items: np.ndarray,
@@ -281,7 +271,7 @@ def population_iteration(pop: Population, v_snapshot: np.ndarray, t: int) -> Rou
     Every client's update, user factor and ledger entry are those of its
     own round computed alone.
     """
-    hp, m = pop.hp, len(pop)
+    hp, m, n_items, noise = pop.hp, len(pop), len(v_snapshot), pop.hp.noise_enabled
     eps_g = None if pop.budget is None else pop.budget.eps_g
     eta = learning_rate(t, hp)
     rngs, items, at = _draw_send_sets(pop, t)
@@ -291,62 +281,43 @@ def population_iteration(pop: Population, v_snapshot: np.ndarray, t: int) -> Rou
     rated, e, uniforms = np.empty(at[-1], dtype=bool), np.empty(at[-1]), np.empty(at[-1])
     mu, sigma, n_fake, du = np.empty(m), np.empty(m), np.empty(m, dtype=np.int64), np.empty_like(pop.u)
     deltas = np.empty((at[-1], hp.k))
-    n_drawn = 0
+    fake_at = [0]
     for lo, hi, rows in pop.chunks:
+        # clients lo to hi: ``rows`` lays out their rated rows, and
+        # items[a:b] holds their send sets back to back
         a, b = at[lo], at[hi]
-        n_drawn += _chunk_user_step(
-            pop, lo, hi, rows, rngs[lo:hi], items[a:b], np.diff(at[lo : hi + 1]), v_snapshot, eta,
-            rated[a:b], e[a:b], uniforms[n_drawn:], deltas[a:b], mu, sigma, n_fake, du,
-        )
-    e[~rated], bounds = fakegrad.fake_error_rows(mu, sigma, eps_g, n_fake, uniforms[:n_drawn])
+        owner = np.repeat(np.arange(hi - lo), np.diff(at[lo : hi + 1]))
+        row, rated[a:b] = rows.locate(owner, items[a:b], n_items)
+        sent_rated = rated[a:b]
+        n_fake[lo:hi] = np.bincount(owner[~sent_rated], minlength=hi - lo)
+        fake_at = np.cumsum([fake_at[-1], *n_fake[lo:hi].tolist()]).tolist()
+
+        # pass 1: the rest of each client's stream, in its order
+        user_noise = np.empty((len(rows.items), hp.k)) if noise else None
+        for i, (rng, first, h) in enumerate(zip(rngs[lo:hi], rows.start.tolist(), rows.h.tolist())):
+            if noise:
+                rng.standard_normal(out=user_noise[first : first + h])
+            rng.random(out=uniforms[fake_at[i] : fake_at[i + 1]])
+            if noise:
+                rng.standard_normal(out=deltas[at[lo + i] : at[lo + i + 1]])
+
+        # pass 2: the user step, once over all the chunk's rows
+        errs, du[lo:hi] = user_pass(pop.u[lo:hi], v_snapshot, rows, eta, hp, user_noise)
+        del user_noise
+        e[a:b][sent_rated] = errs[row[sent_rated]]
+        mu[lo:hi] = rows.per_user(errs, lambda block: block.mean(axis=1))
+        sigma[lo:hi] = rows.per_user(errs, lambda block: block.std(axis=1))
+    e[~rated], bounds = fakegrad.fake_error_rows(mu, sigma, eps_g, n_fake, uniforms[: fake_at[-1]])
     pop.record(bounds)
     for lo, hi, rows in pop.chunks:
         a, b = at[lo], at[hi]
         owner = lo + np.repeat(np.arange(hi - lo), np.diff(at[lo : hi + 1]))
         out = item_pass(v_snapshot, e[a:b], pop.u[owner], items[a:b], eta, hp,
-                        deltas[a:b] if hp.noise_enabled else None)
-        if not hp.noise_enabled:
+                        deltas[a:b] if noise else None)
+        if not noise:
             deltas[a:b] = out
     pop.u += du / pop.h[:, None]
     return RoundUpdates(pop.ids, at, items, deltas)
-
-
-def _chunk_user_step(pop, lo, hi, rows, rngs, items, counts, v_snapshot, eta,
-                     rated, e, uniforms, deltas, mu, sigma, n_fake, du) -> int:
-    """Clients ``lo`` to ``hi`` of ``population_iteration`` up to their fake
-    errors; returns how many fake-error uniforms they drew.
-
-    ``rows`` lays out their rated rows, and ``items`` holds their send sets
-    back to back, ``counts[i]`` ids each. Pass 1 loops over the clients and
-    only pulls the rest of each stream: the user-step noise, the fake-error
-    uniforms to the front of ``uniforms``, the item-step noise to
-    ``deltas``, one row per id. Pass 2 takes the user step over all the
-    chunk's rated rows at once: each id's ``rated`` flag and, if rated, its
-    error in ``e``, and each client's error mean and spread, fake count and
-    summed user deltas at its rows of ``mu``, ``sigma``, ``n_fake`` and ``du``.
-    """
-    hp, noise = pop.hp, pop.hp.noise_enabled
-    owner = np.repeat(np.arange(hi - lo), counts)
-    row, rated[...] = rows.locate(owner, items, len(v_snapshot))
-    n_fake[lo:hi] = np.bincount(owner[~rated], minlength=hi - lo)
-    sent_at = np.cumsum([0, *counts.tolist()]).tolist()
-    fake_at = np.cumsum([0, *n_fake[lo:hi].tolist()]).tolist()
-
-    # pass 1: the rest of each client's stream, in its order
-    user_noise = np.empty((len(rows.items), hp.k)) if noise else None
-    for i, (rng, first, h) in enumerate(zip(rngs, rows.start.tolist(), rows.h.tolist())):
-        if noise:
-            rng.standard_normal(out=user_noise[first : first + h])
-        rng.random(out=uniforms[fake_at[i] : fake_at[i + 1]])
-        if noise:
-            rng.standard_normal(out=deltas[sent_at[i] : sent_at[i + 1]])
-
-    # pass 2: the user step, once over all the chunk's rows
-    errs, du[lo:hi] = user_pass(pop.u[lo:hi], v_snapshot, rows, eta, hp, user_noise)
-    e[rated] = errs[row[rated]]
-    mu[lo:hi] = rows.per_user(errs, lambda block: block.mean(axis=1))
-    sigma[lo:hi] = rows.per_user(errs, lambda block: block.std(axis=1))
-    return fake_at[-1]
 
 
 def client_iteration(state: ClientState, v_snapshot: np.ndarray, t: int) -> RoundUpdates:
@@ -356,59 +327,59 @@ def client_iteration(state: ClientState, v_snapshot: np.ndarray, t: int) -> Roun
     return population_iteration(Population([state], "numerical"), v_snapshot, t)
 
 
-def server_begin_round(server: ServerState) -> np.ndarray:
-    """Broadcast snapshot of the item factors."""
-    snapshot = server.v.copy()
+def server_begin_round(v: np.ndarray) -> np.ndarray:
+    """The broadcast snapshot of the item factors ``v``: a read-only view,
+    not a copy, since no round writes ``v``."""
+    snapshot = v.view()
     snapshot.setflags(write=False)
     return snapshot
 
 
-def server_collect(server: ServerState, updates: RoundUpdates, n_clients: int) -> int:
-    """Reduce one round's updates into the accumulator and item counts.
+def server_collect(updates: RoundUpdates, n_clients: int, n_items: int) -> tuple[np.ndarray, np.ndarray]:
+    """One round's per-item delta sums ``(n_items, k)`` and message counts.
 
-    Returns the number of gradients received. Raises ProtocolError for a
-    gradient to an item outside ``[0, n_items)``, or when updates from
-    fewer than ``n_clients`` distinct clients arrived (aborted round).
+    Raises ProtocolError for a gradient to an item outside ``[0, n_items)``,
+    then for updates from fewer than ``n_clients`` distinct clients (an
+    aborted round).
     """
     ids = updates.item_ids
-    if len(ids) and (ids.min() < 0 or ids.max() >= server.n_items):
-        unknown = (ids < 0) | (ids >= server.n_items)
+    if len(ids) and (ids.min() < 0 or ids.max() >= n_items):
+        unknown = (ids < 0) | (ids >= n_items)
         raise ProtocolError(f"gradient for unknown item {ids[np.argmax(unknown)]}")
     finished = len(set(updates.client_ids.tolist()))
     if finished != n_clients:
         raise ProtocolError(f"round aborted: finish received from {finished}/{n_clients} clients")
-    server.accumulator, server.item_counts = reduce_item_deltas(ids, updates.deltas, server.n_items)
-    return int(server.item_counts.sum())
+    return reduce_item_deltas(ids, updates.deltas, n_items)
 
 
-def server_end_round(server: ServerState) -> None:
-    """Apply the averaged item deltas; a round with no messages is a no-op."""
-    count = int(server.item_counts.sum())
-    if count > 0:
-        if server.per_item_average:
-            divisor = np.maximum(server.item_counts, 1)[:, None]
-            server.v += server.accumulator / divisor
-        else:
-            server.v += server.accumulator / count
-    server.accumulator = None
-    server.item_counts = None
-    server.t += 1
+def server_end_round(v: np.ndarray, sums: np.ndarray, counts: np.ndarray,
+                     per_item_average: bool = False) -> np.ndarray:
+    """The next item factors: ``v`` plus the delta sums over the round's
+    message count or, with ``per_item_average``, over each item's own
+    count. A round with no messages returns ``v`` itself."""
+    count = int(counts.sum())
+    if count == 0:
+        return v
+    divisor = np.maximum(counts, 1)[:, None] if per_item_average else count
+    return v + sums / divisor
 
 
-def server_round(server: ServerState, pop: Population, step_fn, transport: str = "memory") -> int:
-    """Run one synchronous round over all clients; returns messages received.
+def server_round(v: np.ndarray, pop: Population, step_fn, t: int, transport: str = "memory",
+                 per_item_average: bool = False) -> tuple[np.ndarray, int]:
+    """Run round ``t`` from item factors ``v``, left unchanged: returns the
+    next item factors and the number of gradients received.
 
     ``step_fn(pop, snapshot, t)`` returns the round's ``RoundUpdates``.
-    With ``transport="bytes"`` the round crosses the wire format; the
-    session's first round opens with the handshake.
+    With ``transport="bytes"`` the round crosses the wire format; round 1
+    opens with the handshake.
     """
-    updates = step_fn(pop, server_begin_round(server), server.t)
+    updates = step_fn(pop, server_begin_round(v), t)
+    n_items, k = v.shape
     if transport == "bytes":
-        handshake = Handshake(server.k, server.n_items) if server.t == 1 else None
-        updates = decode_updates(encode_updates(updates, handshake), server.k, server.n_items)
-    n_grad = server_collect(server, updates, n_clients=len(pop))
-    server_end_round(server)
-    return n_grad
+        handshake = Handshake(k, n_items) if t == 1 else None
+        updates = decode_updates(encode_updates(updates, handshake), k, n_items)
+    sums, counts = server_collect(updates, len(pop), n_items)
+    return server_end_round(v, sums, counts, per_item_average), int(counts.sum())
 
 
 @dataclass
@@ -475,17 +446,15 @@ def run_training(
     else:
         step_fn = population_iteration
 
-    # the server's item factors start as model0's own: only model0.u is read again
-    server = ServerState(v=model0.v, n_items=train.n_items, k=hp.k, per_item_average=per_item_average)
-
+    u0, v = model0.u, model0.v  # v: the server's item factors; a round returns new ones
+    del model0  # so the first V does not outlive round 1
     curve: list[RoundRecord] = []
-    for _ in range(n_rounds):
+    for t in range(1, n_rounds + 1):
         started = time.perf_counter()
-        t = server.t
-        n_grad = server_round(server, pop, step_fn, transport)
+        v, n_grad = server_round(v, pop, step_fn, t, transport, per_item_average)
         metric = None
         if evaluator is not None:
-            metric = float(evaluator(assemble_model(model0, pop, server)))
+            metric = float(evaluator(assemble_model(u0, pop, v)))
         curve.append(RoundRecord(t, metric, n_grad, time.perf_counter() - started))
 
     # one WARNING per kind of ledger event the run hit, with its client-round count
@@ -504,11 +473,11 @@ def run_training(
         n = int(getattr(pop, counter).sum())
         if n:
             logger.warning(text.format(n=n, eps_g=eps_g, worst=worst))
-    return TrainingResult(assemble_model(model0, pop, server), curve)
+    return TrainingResult(assemble_model(u0, pop, v), curve)
 
 
-def assemble_model(model0: FactorModel, pop: Population, server: ServerState) -> FactorModel:
-    """Combine client-held user rows with the server's item factors."""
-    u = model0.u.copy()
+def assemble_model(u0: np.ndarray, pop: Population, v: np.ndarray) -> FactorModel:
+    """Combine client-held user rows over the initial ``u0`` with the server's item factors ``v``."""
+    u = u0.copy()
     u[pop.ids] = pop.u
-    return FactorModel(u, server.v.copy())
+    return FactorModel(u, v.copy())

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -55,13 +56,16 @@ def write_config(tmp_path, ratings_file, **overrides):
 
 class TestConfig:
     def test_parse_types_and_comments(self, tmp_path, ratings_file):
-        cfg = write_config(tmp_path, ratings_file, eps_i="4, 1, 0.25", eps_g="inf,4")
-        config = load_config(cfg)
-        assert config.k == 3
-        assert config.eps_i == [4.0, 1.0, 0.25]
-        assert math.isinf(config.eps_g[0]) and config.eps_g[1] == 4.0
-        assert config.noise is False
-        assert config.repetitions == 2
+        # float reads inf and infinity in any case, around whitespace
+        for eps_g, expected in (("inf,4", [math.inf, 4.0]), ("INF, 4", [math.inf, 4.0]),
+                                (" Infinity", [math.inf]), ("4, Infinity ", [4.0, math.inf])):
+            cfg = write_config(tmp_path, ratings_file, eps_i="4, 1, 0.25", eps_g=eps_g)
+            config = load_config(cfg)
+            assert config.k == 3
+            assert config.eps_i == [4.0, 1.0, 0.25]
+            assert config.eps_g == expected, eps_g
+            assert config.noise is False
+            assert config.repetitions == 2
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -197,6 +201,26 @@ class TestCli:
         assert main(["attack", "--config", str(cfg2)]) == 0
         out = capsys.readouterr().out
         assert "accuracy vs B" in out
+
+    @pytest.mark.parametrize(
+        "key, value, error",
+        [
+            ("iterations", "0", "iterations must be >= 1"),
+            ("k", "0", "k must be >= 1"),
+            ("eta0", "-1", "eta0 must be positive"),
+            ("test_fraction", "1.5", r"test_fraction must be in \(0,1\)"),
+        ],
+    )
+    def test_rejected_config_leaves_the_last_results(self, tmp_path, ratings_file, capsys, key, value, error):
+        settings = {"iterations": "2", "repetitions": "1"}
+        assert main(["run", "--config", str(write_config(tmp_path, ratings_file, **settings))]) == 0
+        out = tmp_path / "out"
+        before = {name: (out / name).read_bytes() for name in ("curves.csv", "summary.csv")}
+        capsys.readouterr()
+        bad = write_config(tmp_path, ratings_file, **{**settings, key: value})
+        assert main(["run", "--config", str(bad)]) == 1
+        assert re.search(error, capsys.readouterr().err)
+        assert {name: (out / name).read_bytes() for name in before} == before
 
     @pytest.mark.parametrize(
         "eps_p, first_block",

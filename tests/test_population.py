@@ -382,9 +382,9 @@ def test_two_sessions_give_the_same_model_and_ledger(task, eps_g, monkeypatch):
     pops = []
     assemble = protocol.assemble_model
 
-    def recording(model0, pop, server):
+    def recording(u0, pop, v):
         pops.append(pop)
-        return assemble(model0, pop, server)
+        return assemble(u0, pop, v)
 
     monkeypatch.setattr(protocol, "assemble_model", recording)
     budget = PrivacyBudget(eps_i=1.0, eps_g=eps_g)

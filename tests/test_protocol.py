@@ -21,7 +21,6 @@ from privmf.data import RatingTriple, synthetic_dataset
 from privmf.protocol import (
     Population,
     ProtocolError,
-    ServerState,
     client_init,
     client_init_rngs,
     client_iteration,
@@ -160,14 +159,13 @@ class TestClientIteration:
         received = []
         collect = protocol.server_collect
 
-        def recording(server, updates, n_clients):
+        def recording(updates, n_clients, n_items):
             received.append(segments(updates))
-            return collect(server, updates, n_clients)
+            return collect(updates, n_clients, n_items)
 
         monkeypatch.setattr(protocol, "server_collect", recording)
-        server = ServerState(v=model0.v.copy(), n_items=ds.n_items, k=hp.k)
+        v = model0.v.copy()
         for t in (1, 2, 3):
-            v = server.v.copy()
             expected = []
             for state, u in zip(clients, pop.u):
                 rng, selected = draw_send_set(state, t)
@@ -183,7 +181,7 @@ class TestClientIteration:
                 e[~rated] = fakes
                 eta = learning_rate(t, hp)
                 expected.append((selected, item_step(v[selected], e, u, eta, hp, None)))
-            server_round(server, pop, population_iteration)
+            v, _ = server_round(v, pop, population_iteration, t)
             # the whole send set reaches the server, carrying exactly these fakes
             assert len(received[-1]) == len(clients)
             for (_, ids, got), (selected, deltas) in zip(received[-1], expected):
@@ -200,20 +198,54 @@ class TestClientIteration:
 
 class TestServer:
     def test_round_with_no_messages_is_noop(self):
-        server = ServerState(v=np.ones((5, 2)), n_items=5, k=2)
-        server_begin_round(server)
-        server_collect(server, round_of([(0, [], np.empty((0, 2)))], 2), n_clients=1)
-        server_end_round(server)
-        assert np.array_equal(server.v, np.ones((5, 2)))
-        assert server.t == 2
+        v = np.ones((5, 2))
+        empty = round_of([(0, [], np.empty((0, 2)))], 2)
+        sums, counts = server_collect(empty, n_clients=1, n_items=5)
+        assert server_end_round(v, sums, counts) is v
+        for transport in ("memory", "bytes"):
+            v_next, n_grad = server_round(v, [0], lambda pop, snapshot, t: empty, 1, transport)
+            assert v_next is v and n_grad == 0
+        assert np.array_equal(v, np.ones((5, 2)))
 
     def test_single_message_updates_one_row(self):
-        server = ServerState(v=np.zeros((5, 2)), n_items=5, k=2)
-        server_begin_round(server)
-        server_collect(server, round_of([(0, [3], [[1.0, 2.0]])], 2), 1)
-        server_end_round(server)
-        assert np.array_equal(server.v[3], [1.0, 2.0])
-        assert np.array_equal(server.v[[0, 1, 2, 4]], np.zeros((4, 2)))
+        v = np.zeros((5, 2))
+        sums, counts = server_collect(round_of([(0, [3], [[1.0, 2.0]])], 2), 1, 5)
+        v = server_end_round(v, sums, counts)
+        assert np.array_equal(v[3], [1.0, 2.0])
+        assert np.array_equal(v[[0, 1, 2, 4]], np.zeros((4, 2)))
+
+    def test_round_leaves_v_unchanged_and_returns_a_new_array(self):
+        ds = synthetic_dataset(6, 10, seed=1, mean_ratings_per_user=4)
+        hp = make_hp(seed=2, noise=True)
+        model0 = init_model(ds.n_users, ds.n_items, hp)
+        clients = [client_init(i, *ds.user_items(i), model0.u[i], ds.n_items, hp, None, None, 7)
+                   for i in ds.active_users()]
+        v, before = model0.v, model0.v.copy()
+        v_next, n_grad = server_round(v, Population(clients, "numerical"), population_iteration, 1)
+        assert np.array_equal(v.view(np.uint64), before.view(np.uint64))
+        assert v_next is not v and not np.shares_memory(v_next, v)
+        assert n_grad == len(ds)
+        # bitwise the old in-place update: v += sums / count
+        updates = population_iteration(Population(clients, "numerical"), before, 1)
+        sums, counts = server_collect(updates, len(clients), ds.n_items)
+        expected = before.copy()
+        expected += sums / counts.sum()
+        assert np.array_equal(v_next.view(np.uint64), expected.view(np.uint64))
+
+    def test_snapshot_is_a_read_only_view_of_v(self):
+        v = np.arange(10.0).reshape(5, 2)
+        snapshots = []
+
+        def step(pop, snapshot, t):
+            snapshots.append(snapshot)
+            return round_of([(0, [1], [[1.0, 1.0]])], 2)
+
+        server_round(v, [0], step, 1)
+        snapshot = snapshots[0]
+        assert not snapshot.flags.writeable and np.shares_memory(snapshot, v)
+        with pytest.raises(ValueError):
+            snapshot[0, 0] = 1.0
+        assert v.flags.writeable  # the caller's array stays writable
 
     def test_permuted_delivery_gives_identical_factors(self):
         rng = np.random.default_rng(0)
@@ -221,8 +253,7 @@ class TestServer:
         deltas = rng.normal(size=(50, 2))
         results = []
         for order_seed in (1, 2, 3):
-            server = ServerState(v=np.zeros((8, 2)), n_items=8, k=2)
-            server_begin_round(server)
+            v = np.zeros((8, 2))
             order = np.random.default_rng(order_seed)
             # rows shuffled across four clients' segments, segments shuffled too
             perm = order.permutation(50)
@@ -232,49 +263,46 @@ class TestServer:
                 for cid, rows in enumerate(np.split(perm, cuts))
             ]
             shuffled = round_of([updates[i] for i in order.permutation(len(updates))], 2)
-            server_collect(server, shuffled, 4)
-            server_end_round(server)
-            results.append(server.v.copy())
+            sums, counts = server_collect(shuffled, 4, 8)
+            results.append(server_end_round(v, sums, counts))
         assert np.array_equal(results[0], results[1])
         assert np.array_equal(results[0], results[2])
 
     def test_missing_finish_aborts_round(self):
-        server = ServerState(v=np.zeros((5, 2)), n_items=5, k=2)
-        server_begin_round(server)
         with pytest.raises(ProtocolError, match="round aborted"):
-            server_collect(server, round_of([(0, [1], np.zeros((1, 2)))], 2), n_clients=2)
+            server_collect(round_of([(0, [1], np.zeros((1, 2)))], 2), n_clients=2, n_items=5)
 
     def test_per_item_average_mode(self):
-        server = ServerState(v=np.zeros((4, 1)), n_items=4, k=1, per_item_average=True)
-        server_begin_round(server)
-        server_collect(server, round_of([(0, [0, 0, 2], [[2.0], [4.0], [9.0]])], 1), 1)
-        server_end_round(server)
-        assert np.array_equal(server.v[:, 0], [3.0, 0.0, 9.0, 0.0])
+        v = np.zeros((4, 1))
+        round_ = round_of([(0, [0, 0, 2], [[2.0], [4.0], [9.0]])], 1)
+        sums, counts = server_collect(round_, 1, 4)
+        v_next = server_end_round(v, sums, counts, per_item_average=True)
+        assert np.array_equal(v_next[:, 0], [3.0, 0.0, 9.0, 0.0])
+        # each item over its own count, or every item over the round's
+        for per_item_average, expected in ((True, [3.0, 0.0, 9.0, 0.0]), (False, [2.0, 0.0, 3.0, 0.0])):
+            v_next, n_grad = server_round(v, [0], lambda pop, snapshot, t: round_, 1,
+                                          per_item_average=per_item_average)
+            assert np.array_equal(v_next[:, 0], expected) and n_grad == 3
+        assert np.array_equal(v, np.zeros((4, 1)))
 
     def test_unknown_item_rejected(self):
-        server = ServerState(v=np.zeros((5, 2)), n_items=5, k=2)
-        server_begin_round(server)
         with pytest.raises(ProtocolError, match="unknown item 5"):
-            server_collect(server, round_of([(0, [1, 5], np.zeros((2, 2)))], 2), n_clients=1)
+            server_collect(round_of([(0, [1, 5], np.zeros((2, 2)))], 2), n_clients=1, n_items=5)
 
     def test_unknown_item_error_names_the_first_bad_id_in_update_order(self):
-        server = ServerState(v=np.zeros((5, 2)), n_items=5, k=2)
-        server_begin_round(server)
         updates = round_of([
             (0, [1, 2], np.zeros((2, 2))),
             (1, [3, 9], np.zeros((2, 2))),
             (2, [-1, 6], np.zeros((2, 2))),
         ], 2)
         with pytest.raises(ProtocolError) as exc:
-            server_collect(server, updates, n_clients=3)
+            server_collect(updates, n_clients=3, n_items=5)
         assert str(exc.value) == "gradient for unknown item 9"
 
     def test_unknown_item_rejected_from_bytes(self):
-        server = ServerState(v=np.zeros((5, 2)), n_items=5, k=2)
-        server_begin_round(server)
         data = encode_message(GradientMessage(5, np.zeros(2))) + encode_message(FinishMessage(0))
         with pytest.raises(ProtocolError, match="unknown item 5"):
-            server_collect(server, decode_updates(data, 2, 5), n_clients=1)
+            server_collect(decode_updates(data, 2, 5), n_clients=1, n_items=5)
 
 
 # malformed rounds: (client ids, offsets, item ids, deltas), and the error
@@ -295,10 +323,10 @@ class TestRoundUpdates:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_round_rejected_alike_by_both_transports(self, case, transport):
         fields, error = MALFORMED[case]
-        server = ServerState(v=np.zeros((5, 2)), n_items=5, k=2)
+        v = np.zeros((5, 2))
         with pytest.raises(ValueError, match=error):
-            server_round(server, [0] * len(fields[0]), lambda c, v, t: RoundUpdates(*fields), transport)
-        assert np.array_equal(server.v, np.zeros((5, 2))) and server.t == 1
+            server_round(v, [0] * len(fields[0]), lambda c, v, t: RoundUpdates(*fields), 1, transport)
+        assert np.array_equal(v, np.zeros((5, 2)))
 
     def test_arrays_are_read_only_views(self):
         ids, deltas = np.array([1, 3]), np.ones((2, 2))
@@ -333,8 +361,8 @@ class TestInformationFlow:
         for i in range(ds.n_users):
             items, ratings = ds.user_items(i)
             clients.append(client_init(i, items, ratings, model0.u[i], ds.n_items, hp, None, None, 7))
-        server = ServerState(v=model0.v.copy(), n_items=ds.n_items, k=hp.k)
-        snapshot = server_begin_round(server)
+        v = model0.v.copy()
+        snapshot = server_begin_round(v)
         updates = population_iteration(Population(clients, "numerical"), snapshot, 1)
         data = encode_updates(updates, Handshake(hp.k, ds.n_items))
         seen = list(iter_messages(data, expect_k=hp.k))
@@ -345,8 +373,8 @@ class TestInformationFlow:
         for name in ("client_ids", "offsets", "item_ids"):
             assert np.array_equal(getattr(decoded, name), getattr(updates, name))
         assert np.array_equal(decoded.deltas.view(np.uint64), updates.deltas.view(np.uint64))
-        server_collect(server, decoded, len(clients))
-        server_end_round(server)
+        sums, counts = server_collect(decoded, len(clients), ds.n_items)
+        server_end_round(v, sums, counts)
 
 
 class TestOracleEquivalence:
@@ -397,13 +425,14 @@ class TestRunTraining:
         ds = synthetic_dataset(10, 14, seed=6, mean_ratings_per_user=4)
         hp = make_hp(k=2, eta0=0.1, seed=11, noise=True)
         budget = PrivacyBudget(eps_i=1.0, eps_g=0.5)
-        sent = {}
+        sent, collected = {}, []
         collect = protocol.server_collect
 
-        def recording(server, updates, n_clients):
+        def recording(updates, n_clients, n_items):
+            collected.append(updates)
             for client, ids, _ in segments(updates):
-                sent[client, server.t] = ids
-            return collect(server, updates, n_clients)
+                sent[client, len(collected)] = ids  # round t is the t-th collect
+            return collect(updates, n_clients, n_items)
 
         monkeypatch.setattr(protocol, "server_collect", recording)
         run_training(ds, hp, 3, budget=budget)
