@@ -9,12 +9,12 @@ the transmitted item set (the existence surface) is identical to the
 numerical task's.
 
 The simulator runs a one-class round for the whole population at once
-(``population_iteration``), chunk by chunk, in two passes, as the
-numerical round does: a loop over the clients that only pulls each
-client's partner draws and pair noise from its own round stream, then one
-``bpr_step`` over all the chunk's pairs, whose item deltas go straight to
-their clients' segments of the round's block, the layout of the numerical
-round. The round reads the server's item factors only through the
+(``population_iteration``), over the population's chunks of clients, in
+two passes, as the numerical round does: a loop over the clients that only
+pulls each client's partner draws and pair noise from its own round
+stream, then one ``bpr_step`` over all the chunk's pairs, whose item deltas
+go straight to their clients' segments of the round's block, the layout of
+the numerical round. The round reads the server's item factors only through the
 read-only snapshot it is handed, and writes only the ``Population``'s user
 factors and ledger. Every update, user factor and ledger entry equals that
 client's round computed alone (``sd_bpr_client_iteration``, the
@@ -29,7 +29,7 @@ import numpy as np
 
 from .codec import RoundUpdates
 from .protocol import Population, _draw_send_sets
-from .sgld import Hyperparams, UserRows, learning_rate, row_chunks
+from .sgld import Hyperparams, UserRows, learning_rate
 
 
 def sigma_bar(x):
@@ -95,8 +95,8 @@ def bpr_step(
 
 
 def population_iteration(pop: Population, v_snapshot: np.ndarray, t: int) -> RoundUpdates:
-    """One round of the one-class task for a ``protocol.Population`` built
-    for it: every client's update, in client order.
+    """One round of the one-class task for a ``protocol.Population``: every
+    client's update, in client order.
 
     A selected rated item pairs with a fresh uniform unrated partner and
     sends its positive-role delta; a selected unrated item pairs with a
@@ -108,7 +108,7 @@ def population_iteration(pop: Population, v_snapshot: np.ndarray, t: int) -> Rou
     that has rated every item has no unrated partner: it sends nothing, and
     the round is counted in its ``partnerless_rounds``.
     """
-    hp, n_items, rated = pop.hp, len(v_snapshot), pop.rated
+    hp, n_items = pop.hp, len(v_snapshot)
     eta = learning_rate(t, hp)
     rngs, items, at = _draw_send_sets(pop, t)
     counts = np.diff(at)
@@ -120,16 +120,14 @@ def population_iteration(pop: Population, v_snapshot: np.ndarray, t: int) -> Rou
     offsets = np.cumsum([0, *counts.tolist()])
     # the round's item deltas, in the clients' segments of the sent ids
     deltas = np.empty((len(items), hp.k))
-    # a pair steps through four (rows, k) blocks, twice a rated row's two,
-    # so it counts twice towards the chunk size
-    for lo, hi in row_chunks((2 * counts).tolist()):
-        # clients lo to hi: ``rows`` lays out their send sets, and their
-        # item deltas go to deltas[a:b], their segments in client order
+    for lo, hi, rated in pop.chunks:
+        # clients lo to hi: ``rated`` lays out their rated rows and ``rows``
+        # their send sets, and their item deltas go to deltas[a:b], their
+        # segments in client order
         a, b = offsets[lo], offsets[hi]
         rows = UserRows(items[a:b], counts[lo:hi])
-        users = lo + rows.owner  # each row's client, by population position
-        _, positive = rated.locate(users, rows.items, n_items)
-        h = rated.h[users]
+        _, positive = rated.locate(rows.owner, rows.items, n_items)
+        h = rated.h[rows.owner]
         # a rated item draws among the unrated items, an unrated one among the rated
         high = np.where(positive, n_items - h, h)
 
@@ -143,9 +141,9 @@ def population_iteration(pop: Population, v_snapshot: np.ndarray, t: int) -> Rou
 
         # pass 2: every pair of the chunk in one step
         partner = np.empty_like(draws)
-        partner[positive] = rated.unrated(users[positive], draws[positive], n_items)
+        partner[positive] = rated.unrated(rows.owner[positive], draws[positive], n_items)
         negative = ~positive
-        partner[negative] = rated.items[rated.start[users[negative]] + draws[negative]]
+        partner[negative] = rated.items[rated.start[rows.owner[negative]] + draws[negative]]
         u = pop.u[lo:hi]
         du, d_own = bpr_step(
             u[rows.owner], v_snapshot[rows.items], v_snapshot[partner], positive, eta, hp, noise
@@ -165,4 +163,4 @@ def population_iteration(pop: Population, v_snapshot: np.ndarray, t: int) -> Rou
 def sd_bpr_client_iteration(state, v_snapshot: np.ndarray, t: int) -> RoundUpdates:
     """One-class client round from a ``ClientState``: ``population_iteration``
     of that client alone. ``state`` is left unchanged."""
-    return population_iteration(Population([state], "one-class"), v_snapshot, t)
+    return population_iteration(Population([state]), v_snapshot, t)

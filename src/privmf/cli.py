@@ -15,7 +15,7 @@ import numpy as np
 
 from . import randresp
 from .experiment import ConfigError, load_config, load_dataset, run_experiments
-from .protocol import Population, _draw_send_sets, client_init, client_init_rngs
+from .protocol import Population, ProtocolError, _draw_send_sets, client_init, client_init_rngs
 from .sgld import Hyperparams
 
 
@@ -114,7 +114,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, randresp.CalibrationError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, randresp.CalibrationError, FileNotFoundError, ValueError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

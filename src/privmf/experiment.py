@@ -79,8 +79,13 @@ class ExperimentConfig:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.split_mode == "random-holdout" and not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in (0,1), got {self.test_fraction}")
-        try:  # the checks of k, eta0, gamma and seed
+        if self.z_target is not None and not self.z_target > 0:
+            raise ConfigError(f"z_target must be positive, got {self.z_target}")
+        if not all(eps > 0 for eps in self.baseline_isgld):
+            raise ConfigError(f"baseline_isgld entries must be positive, got {self.baseline_isgld}")
+        try:  # the checks of k, eta0, gamma and seed, and of every budget cell
             Hyperparams.with_gamma_priors(self.k, self.eta0, self.gamma, self.seed)
+            list(_runs(self))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -153,25 +158,23 @@ def _evaluator(config: ExperimentConfig, train: RatingDataset, test: RatingDatas
     return lambda model: auc(test, train, model)
 
 
-def _runs(config: ExperimentConfig, train: RatingDataset, rep_seed: int):
-    """A repetition's runs in ``curves.csv`` order, as ``(variant, train
-    set, budget, eps_I label, eps_g label)``: the non-private baseline, each
-    iSGLD baseline, then each budget cell. An ``inf`` eps_g entry in the
-    config requests the unbounded-fake-error variant, whose achieved value
-    budget is 0 (nothing is truncated, so sampling leaks nothing beyond the
-    error distribution itself)."""
+def _runs(config: ExperimentConfig):
+    """A repetition's runs in ``curves.csv`` order, as ``(variant, iSGLD
+    eps, budget, eps_I label, eps_g label)``: the non-private baseline, each
+    iSGLD baseline, then each budget cell; a one-class grid ignores eps_g.
+    An ``inf`` eps_g entry in the config requests the unbounded-fake-error
+    variant, whose achieved value budget is 0 (nothing is truncated, so
+    sampling leaks nothing beyond the error distribution itself)."""
     if config.baseline_nonprivate:
-        yield "nonprivate", train, None, None, None
+        yield "nonprivate", None, None, None, None
     for eps in config.baseline_isgld:
-        yield f"isgld_eps{eps:g}", isgld_perturb(train, eps, derive_rng(rep_seed, TAG_ISGLD)), None, None, None
+        yield f"isgld_eps{eps:g}", eps, None, None, None
     for eps_i in config.eps_i:
         for eps_g in [None] if config.task == "one-class" else config.eps_g:
-            unbounded = eps_g is not None and math.isinf(eps_g)
-            budget = PrivacyBudget(eps_i=eps_i, eps_p=config.eps_p, eps_g=None if unbounded else eps_g)
-            if unbounded:
-                yield "private_alpha_inf", train, budget, eps_i, 0.0
+            if eps_g is not None and math.isinf(eps_g):
+                yield "private_alpha_inf", None, PrivacyBudget(eps_i, config.eps_p), eps_i, 0.0
             else:
-                yield "private", train, budget, eps_i, eps_g
+                yield "private", None, PrivacyBudget(eps_i, config.eps_p, eps_g), eps_i, eps_g
 
 
 def _fmt_budget(v: float | None) -> str:
@@ -184,6 +187,8 @@ def run_experiments(config: ExperimentConfig, dataset: RatingDataset | None = No
     """Run the configured learning-curve grid; returns output file paths."""
     if dataset is None:
         dataset = load_dataset(config)
+    if config.z_target is not None and not config.z_target < dataset.n_items:
+        raise ConfigError(f"z_target must be below the item count {dataset.n_items}, got {config.z_target}")
     out_dir = Path(config.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     curves_path = out_dir / "curves.csv"
@@ -214,7 +219,8 @@ def run_experiments(config: ExperimentConfig, dataset: RatingDataset | None = No
             )
             evaluate = _evaluator(config, train, test)
 
-            for variant, data, budget, eps_i, eps_g in _runs(config, train, rep_seed):
+            for variant, isgld, budget, eps_i, eps_g in _runs(config):
+                data = train if isgld is None else isgld_perturb(train, isgld, derive_rng(rep_seed, TAG_ISGLD))
                 result = run_training(
                     data,
                     hp,

@@ -55,6 +55,7 @@ _GL3 = ((-math.sqrt(0.6), 5.0 / 9.0), (0.0, 8.0 / 9.0), (math.sqrt(0.6), 5.0 / 9
 _NARROW = 1e-3
 # Newton steps per bound before the search gives up
 _MAX_STEPS = 200
+_DELTA = 1e-6  # width of the band below eps_g that an achieved budget lands in
 
 # substitute for a zero sample standard deviation (e.g. a single rating)
 SIGMA_FLOOR = 1e-6
@@ -196,14 +197,14 @@ def epsilon_g_of(alpha: float, mu: float, sigma: float) -> float:
     return -math.log(c)
 
 
-def solve_alpha(eps_g: float, mu: float, sigma: float, delta: float = 1e-6) -> AlphaBound:
-    """Find alpha whose achieved budget lands in [eps_g - delta, eps_g]:
+def solve_alpha(eps_g: float, mu: float, sigma: float) -> AlphaBound:
+    """Find alpha whose achieved budget lands in [eps_g - _DELTA, eps_g]:
     ``solve_alphas`` of one client."""
-    return solve_alphas(eps_g, [mu], [sigma], delta).lane(0)
+    return solve_alphas(eps_g, [mu], [sigma]).lane(0)
 
 
-def solve_alphas(eps_g, mu, sigma, delta: float = 1e-6) -> AlphaBounds:
-    """Each client's bound whose achieved budget lands in [eps_g - delta,
+def solve_alphas(eps_g, mu, sigma) -> AlphaBounds:
+    """Each client's bound whose achieved budget lands in [eps_g - _DELTA,
     eps_g], for its errors' ``mu`` and ``sigma``; ``eps_g`` is one budget
     for all or one per client.
 
@@ -221,8 +222,6 @@ def solve_alphas(eps_g, mu, sigma, delta: float = 1e-6) -> AlphaBounds:
     for name, x in (("eps_g", eps_g), ("sigma", sigma)):
         if not np.all(x > 0):
             raise ValueError(f"{name} must be positive, got {x[np.argmin(x > 0)]}")
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
 
     amax = _max(np.abs(mu + 2.0 * sigma), np.abs(mu - 2.0 * sigma))
     eps_at_max = _epsilon_gs(amax, mu, sigma)
@@ -236,7 +235,7 @@ def solve_alphas(eps_g, mu, sigma, delta: float = 1e-6) -> AlphaBounds:
     # that solution, keeps the start positive where 0.5 + 0.5c rounds to 0.5.
     c = _map(math.exp, -e)
     a = s * _max(_quantiles(0.5 + 0.5 * c), c * _SQRT_HALF_PI)
-    target, m_std = e - 0.5 * delta, np.abs(m) / s
+    target, m_std = e - 0.5 * _DELTA, np.abs(m) / s
     lo, hi = np.zeros(len(open_)), amax[open_]
     for _ in range(_MAX_STEPS):
         if not len(open_):
@@ -247,7 +246,7 @@ def solve_alphas(eps_g, mu, sigma, delta: float = 1e-6) -> AlphaBounds:
         got = np.full(len(c), math.inf)
         got[has_mass] = -_map(math.log, c[has_mass])
         over = got > e
-        under = ~over & (got < e - delta)
+        under = ~over & (got < e - _DELTA)
         landed = ~(over | under)
         lo, hi = np.where(over, a, lo), np.where(under, a, hi)
         if landed.any():
@@ -266,7 +265,7 @@ def solve_alphas(eps_g, mu, sigma, delta: float = 1e-6) -> AlphaBounds:
         a[step] += (got[step] - target[step]) * c[step] / dc[step]
     if len(open_):
         raise ArithmeticError(
-            f"search failed to land in [eps_g-delta, eps_g] for eps_g={e[0]}, delta={delta}"
+            f"search failed to land in [eps_g-delta, eps_g] for eps_g={e[0]}, delta={_DELTA}"
         )
     flags = np.zeros((2, len(mu)), dtype=bool)
     return AlphaBounds(alpha, achieved, amax, clamped, *flags)

@@ -11,11 +11,11 @@ rows in one block, each client's segment of it in client order.
 ``ClientState``. The simulator keeps a run's mutable client state in one
 ``Population`` built from those records: the user factors, permanently
 perturbed bits, response parameters and ledger as arrays, and the
-rated-row layouts, which are fixed for a run, built once. Rounds take
-only a ``Population`` and run for all its clients at once: the numerical
-round here (``population_iteration``), the one-class round in
+rated-row layout (``sgld.rated_chunks``), fixed for a run, built once.
+Rounds take only a ``Population`` and run for all its clients at once: the
+numerical round here (``population_iteration``), the one-class round in
 ``bpr.population_iteration``. Both first draw every client's send set
-(``_draw_send_sets``), then go chunk by chunk in two passes: a loop over
+(``_draw_send_sets``), then walk the layout's chunks in two passes: a loop over
 the clients that only pulls the rest of each client's draws from its own
 round stream, in the order a lone client round draws them, then array
 passes over all the chunk's rows, which update the population's arrays in
@@ -53,12 +53,11 @@ from .rng import TAG_CLIENT_INIT, TAG_CLIENT_ROUND, derive_rng, derive_rngs
 from .sgld import (
     FactorModel,
     Hyperparams,
-    UserRows,
     init_model,
     item_pass,
     learning_rate,
+    rated_chunks,
     reduce_item_deltas,
-    row_chunks,
     user_pass,
 )
 
@@ -115,14 +114,13 @@ class Population:
     - ``partnerless_rounds``: one-class, every item rated, nothing sent;
     - ``eps_g_worst``: the largest eps_g achieved in any round.
 
-    The rated-row layouts are fixed for a run, so the ``task``'s are built
-    here, once, and read-only: ``chunks`` for ``"numerical"``, ``rated``
-    for ``"one-class"``. Built inside the first round instead, after its
-    temporaries, they raised the peak RSS of an ML-100K-shaped run by
-    ~30 MB.
+    ``chunks`` holds the clients' rated rows as ``sgld.rated_chunks`` lays
+    them out, the one layout both rounds read. It is fixed for a run, so it
+    is built here, once. Built inside the first round instead, after its
+    temporaries, it raised the peak RSS of an ML-100K-shaped run by ~30 MB.
     """
 
-    def __init__(self, clients: list[ClientState], task: str | None = None):
+    def __init__(self, clients: list[ClientState]):
         if not clients:
             raise ValueError("a population needs at least one client")
         first, m = clients[0], len(clients)
@@ -138,18 +136,8 @@ class Population:
             np.zeros((4, m), dtype=np.int64)
         )
         self.eps_g_worst = np.zeros(m)
-        if task == "numerical":
-            # per chunk of consecutive clients holding ~sgld._CHUNK_ROWS rated
-            # rows, (lo, hi, the layout of their rated rows with ratings)
-            self.chunks = []
-            for lo, hi in row_chunks(self.h.tolist()):
-                part = clients[lo:hi]
-                rows = UserRows(np.concatenate([c.items for c in part]), self.h[lo:hi],
-                                np.concatenate([c.ratings for c in part]))
-                self.chunks.append((lo, hi, rows.freeze()))
-        elif task == "one-class":
-            # every client's rated items, user i being client i
-            self.rated = UserRows(np.concatenate([c.items for c in clients]), self.h).freeze()
+        self.chunks = rated_chunks(np.concatenate([c.items for c in clients]), self.h,
+                                   np.concatenate([c.ratings for c in clients]))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -258,8 +246,8 @@ def _draw_send_sets(pop: Population, t: int):
 
 
 def population_iteration(pop: Population, v_snapshot: np.ndarray, t: int) -> RoundUpdates:
-    """One round of the numerical task for a ``Population`` built for it:
-    every client's update, in client order.
+    """One round of the numerical task for a ``Population``: every
+    client's update, in client order.
 
     Each client draws from its own round-``t`` stream, in one order: the
     send set, the user-step noise, the fake-error uniforms, the item-step
@@ -324,7 +312,7 @@ def client_iteration(state: ClientState, v_snapshot: np.ndarray, t: int) -> Roun
     """One client round from ``state``: ``population_iteration`` of that
     client alone, which lists the sent items in ascending id order.
     ``state`` is left unchanged."""
-    return population_iteration(Population([state], "numerical"), v_snapshot, t)
+    return population_iteration(Population([state]), v_snapshot, t)
 
 
 def server_begin_round(v: np.ndarray) -> np.ndarray:
@@ -436,7 +424,7 @@ def run_training(
         logger.warning("excluded %d client(s) with no ratings", train.n_users - len(clients))
     if not clients:
         raise ProtocolError("no clients with ratings")
-    pop = Population(clients, task)
+    pop = Population(clients)
     del clients  # the population holds the run's client state from here on
 
     if task == "one-class":

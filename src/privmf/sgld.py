@@ -1,5 +1,7 @@
 """Matrix-factorization core: predictions, Langevin-noise gradient steps,
-and the centralized trainer used as the reference for the distributed path.
+the rated-row layout (``rated_chunks``, the one code that chunks rated rows,
+into read-only ``UserRows``), and the centralized trainer used as the
+reference for the distributed path.
 
 All steps are additive deltas: ``delta = eta_t * (e * other - lambda * self)``
 plus N(0, eta_t I) noise when enabled, applied as ``x <- x + delta``. With
@@ -174,20 +176,6 @@ def item_step(
 _CHUNK_ROWS = 4096
 
 
-def row_chunks(counts) -> list[tuple[int, int]]:
-    """Ranges ``[lo, hi)`` of consecutive users, each closed once its rated
-    rows reach the chunk size."""
-    out, lo, rows = [], 0, 0
-    for i, h in enumerate(counts):
-        rows += h
-        if rows >= _CHUNK_ROWS:
-            out.append((lo, i + 1))
-            lo, rows = i + 1, 0
-    if lo < len(counts):
-        out.append((lo, len(counts)))
-    return out
-
-
 class UserRows:
     """The rows of a chunk of users, one per (user, item), grouped by equal
     row count: the rated items with their ratings, or the items each user
@@ -199,7 +187,7 @@ class UserRows:
     contiguous ``(m, h)`` block. A per-user reduction reshapes each block
     to ``(m, h, ...)`` and reduces axis 1, which sums every user's rows as
     numpy sums that user's own ``(h, ...)`` rows over axis 0; padding to a
-    common length would not.
+    common length would not. A layout's arrays are read-only.
     """
 
     def __init__(self, items: np.ndarray, counts, ratings: np.ndarray | None = None):
@@ -215,21 +203,16 @@ class UserRows:
         self.owner = np.repeat(order, counts)  # user of each row, by position
         self.start = np.empty_like(self.h)  # each user's first row
         self.start[order] = ends - counts
-        # (users, first row, h) of each run of equal counts
+        self._rank = np.empty_like(order)
+        self._rank[order] = np.arange(len(order))
+        for array in (self.h, self.items, self.ratings, self.owner, self.start, self._rank, order):
+            if array is not None:
+                array.setflags(write=False)
+        # (users, first row, h) of each run of equal counts, read-only views of ``order``
         edges = np.flatnonzero(np.r_[True, np.diff(counts) != 0, True]).tolist()
         self.groups = [
             (order[a:b], int(ends[a] - counts[a]), int(counts[a])) for a, b in zip(edges, edges[1:])
         ]
-        self._rank = np.empty_like(order)
-        self._rank[order] = np.arange(len(order))
-
-    def freeze(self) -> "UserRows":
-        """Mark the layout's arrays read-only, for a layout kept across rounds."""
-        for array in (self.h, self.items, self.ratings, self.owner, self.start, self._rank,
-                      *(users for users, _, _ in self.groups)):
-            if array is not None:
-                array.setflags(write=False)
-        return self
 
     def per_user(self, values: np.ndarray, reduce) -> np.ndarray:
         """``reduce`` of each group's ``(m, h, ...)`` view of the row
@@ -254,6 +237,20 @@ class UserRows:
         keys = self._rank[self.owner] * n_items + below  # ascending
         before = np.searchsorted(keys, self._rank[users] * n_items + j, side="right")
         return j + before - self.start[users]
+
+
+def rated_chunks(items, counts, ratings) -> list[tuple[int, int, UserRows]]:
+    """Users' rated rows in chunks: ``(lo, hi, the layout of their rows)``
+    per range ``[lo, hi)`` of consecutive users, each range closed once it
+    holds ``_CHUNK_ROWS`` rows. ``items`` and ``ratings`` hold the users'
+    rows back to back in user order, ``counts[i]`` of them for user ``i``."""
+    out, lo, a, b = [], 0, 0, 0
+    for i, h in enumerate(counts.tolist()):
+        b += h
+        if b - a >= _CHUNK_ROWS or i == len(counts) - 1:
+            out.append((lo, i + 1, UserRows(items[a:b], counts[lo : i + 1], ratings[a:b])))
+            lo, a = i + 1, b
+    return out
 
 
 def user_pass(
@@ -353,19 +350,16 @@ def centralized_train(train, hp: Hyperparams, n_rounds: int) -> FactorModel:
     model = init_model(train.n_users, train.n_items, hp)
     rng = derive_rng(hp.seed, TAG_CENTRAL_TRAIN)
     users = train.active_users()
-    # the users' rows in the train CSR: back to back, each user's in item order
-    h = np.diff(train.indptr)[users]
-    at = np.cumsum([0, *h.tolist()]).tolist()
+    # users without ratings have no rows, so ``order`` holds the users' rows
+    # back to back, each user's in item order, user i's from at[i]
+    at = train.indptr[[*users, train.n_users]]
     chunks = []
-    for lo, hi in row_chunks(h.tolist()):
-        a, b = at[lo], at[hi]
-        rated = train.order[a:b]
-        rows = UserRows(train.items[rated], h[lo:hi], train.ratings[rated])
+    for lo, hi, rows in rated_chunks(train.items[train.order], np.diff(at), train.ratings[train.order]):
         # the stream holds, user by user, h rows of user-step noise, then h
         # rows of item-step noise: each rated row's two rows in that draw
         first = 2 * (np.cumsum(rows.h) - rows.h)
         user_at = first[rows.owner] + np.arange(len(rows.items)) - rows.start[rows.owner]
-        chunks.append((users[lo:hi], rows, user_at, user_at + rows.h[rows.owner], a, b))
+        chunks.append((users[lo:hi], rows, user_at, user_at + rows.h[rows.owner], at[lo], at[hi]))
     # the round's item ids, one per rated row, chunk by chunk
     items = np.concatenate([np.empty(0, np.int64), *(c[1].items for c in chunks)])
 

@@ -199,7 +199,7 @@ class TestClientIteration:
         state = make_bpr_client(hp, seed=master)
         v = np.random.default_rng(5).normal(size=(10, hp.k))
         u_before = state.u.copy()
-        pop = Population([state], "one-class")
+        pop = Population([state])
         update = population_iteration(pop, v, 1)
         assert list(update.item_ids) == [1, 4, 7]
 
@@ -239,7 +239,7 @@ class TestClientIteration:
 
     def test_all_items_rated_warns_and_skips(self, caplog):
         hp = make_hp(k=2, seed=4)
-        pop = Population([make_bpr_client(hp, n_items=3, items=(0, 1, 2), seed=13)], "one-class")
+        pop = Population([make_bpr_client(hp, n_items=3, items=(0, 1, 2), seed=13)])
         with caplog.at_level(logging.WARNING):
             update = population_iteration(pop, np.zeros((3, hp.k)), 1)
         assert len(update.item_ids) == 0 and update.deltas.shape == (0, hp.k)
@@ -262,7 +262,7 @@ class TestClientIteration:
                 make_bpr_client(hp, items=(1, 4, 7), seed=17),
                 rr=RRParams(f=0.0, p=0.5, q=0.9, p_star=0.5, q_star=0.9, h=3, z=5.0),
             )
-            pop = Population([state], "one-class")
+            pop = Population([state])
             update = population_iteration(pop, v, 2)
             runs.append((update, pop.u[0]))
         (a, u_a), (b, u_b) = runs

@@ -209,6 +209,12 @@ class TestCli:
             ("k", "0", "k must be >= 1"),
             ("eta0", "-1", "eta0 must be positive"),
             ("test_fraction", "1.5", r"test_fraction must be in \(0,1\)"),
+            ("eps_i", "0", "eps_i must be positive"),
+            ("eps_g", "-1", "eps_g must be positive"),
+            ("eps_p", "0", "eps_p must be positive"),
+            ("z_target", "0", "z_target must be positive"),
+            ("z_target", "100", "z_target must be below the item count 38"),
+            ("baseline_isgld", "0", "baseline_isgld entries must be positive"),
         ],
     )
     def test_rejected_config_leaves_the_last_results(self, tmp_path, ratings_file, capsys, key, value, error):
@@ -221,6 +227,13 @@ class TestCli:
         assert main(["run", "--config", str(bad)]) == 1
         assert re.search(error, capsys.readouterr().err)
         assert {name: (out / name).read_bytes() for name in before} == before
+
+    def test_run_without_clients_is_error(self, tmp_path, capsys):
+        # a 0.9 holdout of two ratings leaves no rating to train on
+        path = tmp_path / "two.tsv"
+        path.write_text("0\t0\t4\n1\t1\t3\n", encoding="utf-8")
+        assert main(["run", "--config", str(write_config(tmp_path, path, test_fraction="0.9"))]) == 1
+        assert capsys.readouterr().err == "error: no clients with ratings\n"
 
     @pytest.mark.parametrize(
         "eps_p, first_block",

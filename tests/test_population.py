@@ -197,7 +197,7 @@ def assert_same_rounds(ds, hp, budget, rounds, chunk_rows, task="numerical", sil
     v = model0.v
     v.setflags(write=False)  # a broadcast snapshot
     with mock.patch.object(sgld, "_CHUNK_ROWS", chunk_rows):
-        pop = Population(clients, task)
+        pop = Population(clients)
         for t in range(1, rounds + 1):
             got, want = step(pop, v, t), oracle(theirs, v, t)
             assert_same(pop, got, theirs, want, ledger)
@@ -341,6 +341,14 @@ def assert_same_layout(rows, want):
         assert np.array_equal(users, users_want) and (lo, h) == (lo_want, h_want)
 
 
+def assert_read_only(rows):
+    arrays = [rows.h, rows.items, rows.owner, rows.start, rows._rank, *(users for users, _, _ in rows.groups)]
+    for array in arrays + ([] if rows.ratings is None else [rows.ratings]):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
+
+
 def test_run_fixed_blocks_are_read_only():
     ds = synthetic_dataset(30, 60, seed=1, mean_ratings_per_user=8)
     hp = Hyperparams(3, 0.1, 0.6, np.full(3, 0.01), np.full(3, 0.01), 0)
@@ -348,28 +356,47 @@ def test_run_fixed_blocks_are_read_only():
     clients = make_clients(ds, hp, budget)
     for chunk_rows in (1, 24, 4096):
         with mock.patch.object(sgld, "_CHUNK_ROWS", chunk_rows):
-            numerical, one_class = Population(clients, "numerical"), Population(clients, "one-class")
-        layouts = [rows for _, _, rows in numerical.chunks] + [one_class.rated]
-        arrays = [numerical.bits_prime, one_class.bits_prime]
-        for rows in layouts:
-            arrays += [rows.h, rows.items, rows.owner, rows.start, *(users for users, _, _ in rows.groups)]
-            arrays += [] if rows.ratings is None else [rows.ratings]
-        for array in arrays:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[...] = 0
+            pop = Population(clients)
+        assert not pop.bits_prime.flags.writeable
+        with pytest.raises(ValueError):
+            pop.bits_prime[...] = 0
         # each layout is the one built from the clients' per-user lists
-        for lo, hi, rows in numerical.chunks:
+        for lo, hi, rows in pop.chunks:
+            assert_read_only(rows)
             part = clients[lo:hi]
             assert_same_layout(rows, list_layout([c.items for c in part], [c.ratings for c in part]))
-        assert_same_layout(one_class.rated, list_layout([c.items for c in clients]))
     # a round's send-set layout: users that send nothing, and runs of equal counts
     rng = np.random.default_rng(4)
     for n_users in (1, 2, 9, 40):
         counts = rng.integers(0, 5, n_users)
         items = [np.sort(rng.choice(60, size=h, replace=False)) for h in counts.tolist()]
         flat = np.concatenate([np.empty(0, np.int64), *items])
-        assert_same_layout(UserRows(flat, counts), list_layout(items))
+        rows = UserRows(flat, counts)
+        assert_same_layout(rows, list_layout(items))
+        assert_read_only(rows)
+
+
+def test_rated_chunks_close_once_they_hold_the_chunk_rows():
+    counts = np.array([2, 2, 3, 1, 4])
+    items = np.concatenate([np.arange(h) for h in counts.tolist()])
+    with mock.patch.object(sgld, "_CHUNK_ROWS", 4):
+        chunks = sgld.rated_chunks(items, counts, np.arange(len(items), dtype=np.float64))
+    assert [(lo, hi) for lo, hi, _ in chunks] == [(0, 2), (2, 4), (4, 5)]
+    assert [rows.ratings.tolist() for _, _, rows in chunks] == [[0, 1, 2, 3], [7, 4, 5, 6], [8, 9, 10, 11]]
+
+
+def test_send_sets_do_not_depend_on_the_block_size():
+    ds = synthetic_dataset(30, 60, seed=1, mean_ratings_per_user=8)
+    hp = Hyperparams(3, 0.1, 0.6, np.full(3, 0.01), np.full(3, 0.01), 0)
+    pop = Population(make_clients(ds, hp, PrivacyBudget(eps_i=1.0)))
+    runs = []
+    # blocks of one client, of seven with a short last block, and of all 30
+    for block in (1, ds.n_items, ds.n_items + 1, 7 * ds.n_items, 8192, 2**30):
+        with mock.patch.object(protocol, "_SEND_BLOCK", block):
+            rngs, items, at = protocol._draw_send_sets(pop, 3)
+        runs.append((items, at, [rng.random() for rng in rngs]))
+    for items, at, next_draws in runs[1:]:
+        assert np.array_equal(items, runs[0][0]) and at == runs[0][1] and next_draws == runs[0][2]
 
 
 @pytest.mark.parametrize("task, eps_g", [("numerical", 0.01), ("numerical", 40.0), ("one-class", None)])
@@ -405,7 +432,7 @@ def test_population_of_one_equals_the_per_client_oracle():
     v = init_model(ds.n_users, ds.n_items, hp).v
     # numerical: every bound clamps at eps_g = 0.01
     states = make_clients(ds, hp, PrivacyBudget(eps_i=1.0, eps_g=0.01))
-    pops, theirs = [Population([s], "numerical") for s in states], [OracleClient(s) for s in states]
+    pops, theirs = [Population([s]) for s in states], [OracleClient(s) for s in states]
     for t in (1, 2):
         for state, pop, b in zip(states, pops, theirs):
             got, want = population_iteration(pop, v, t), oracle_population([b], v, t)
@@ -418,7 +445,7 @@ def test_population_of_one_equals_the_per_client_oracle():
     ds = build_dataset(triples, 2, 5)
     v = init_model(2, 5, hp).v
     states = make_clients(ds, hp, None)
-    pops, theirs = [Population([s], "one-class") for s in states], [OracleClient(s) for s in states]
+    pops, theirs = [Population([s]) for s in states], [OracleClient(s) for s in states]
     for state, pop, b in zip(states, pops, theirs):
         got, want = bpr.population_iteration(pop, v, 1), oracle_bpr_population([b], v, 1)
         assert_same(pop, got, [b], want, ("partnerless_rounds",))
@@ -437,7 +464,7 @@ def test_one_class_segments_equal_lone_client_rounds(chunk_rows):
     v = init_model(ds.n_users, ds.n_items, hp).v
     states = make_clients(ds, hp, PrivacyBudget(eps_i=2.0))
     with mock.patch.object(sgld, "_CHUNK_ROWS", chunk_rows):
-        ours, theirs = Population(states, "one-class"), [Population([s], "one-class") for s in states]
+        ours, theirs = Population(states), [Population([s]) for s in states]
         for t in (1, 2):
             got = bpr.population_iteration(ours, v, t)
             assert got.client_ids.tolist() == ds.active_users()
@@ -473,7 +500,7 @@ def contract_population(task):
 def test_rounds_leave_the_client_states_unchanged(task):
     states, v = contract_population(task)
     before = [state_bits(s) for s in states]
-    pop = Population(states, task)
+    pop = Population(states)
     for t in (1, 2, 3):
         ROUNDS[task][0](pop, v, t)
     assert [state_bits(s) for s in states] == before
@@ -489,7 +516,7 @@ def test_populations_from_one_state_list_give_equal_rounds(task):
     states, v = contract_population(task)
     runs = []
     for _ in range(2):
-        pop = Population(states, task)
+        pop = Population(states)
         rounds = [ROUNDS[task][0](pop, v, t) for t in (1, 2)]
         runs.append((pop, rounds))
     (first, want), (second, got) = runs

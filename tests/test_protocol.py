@@ -113,7 +113,7 @@ class TestClientIteration:
         hp = make_hp()
         state = make_client(hp)
         state = replace(state, rr=RRParams(f=0.0, p=0.0, q=0.0, p_star=0.0, q_star=0.0, h=state.h, z=0.0))
-        pop = Population([state], "numerical")
+        pop = Population([state])
         up = population_iteration(pop, np.full((12, hp.k), 0.1), 1)
         assert len(up.item_ids) == 0 and up.deltas.shape == (0, hp.k)
         assert frames_of(up) == [FinishMessage(state.client_id)]
@@ -154,7 +154,7 @@ class TestClientIteration:
             client_init(i, *ds.user_items(i), model0.u[i], ds.n_items, hp, budget, z_target, hp.seed)
             for i in ds.active_users()
         ]
-        pop = Population(clients, "numerical")
+        pop = Population(clients)
         fallbacks = 0
         received = []
         collect = protocol.server_collect
@@ -221,12 +221,12 @@ class TestServer:
         clients = [client_init(i, *ds.user_items(i), model0.u[i], ds.n_items, hp, None, None, 7)
                    for i in ds.active_users()]
         v, before = model0.v, model0.v.copy()
-        v_next, n_grad = server_round(v, Population(clients, "numerical"), population_iteration, 1)
+        v_next, n_grad = server_round(v, Population(clients), population_iteration, 1)
         assert np.array_equal(v.view(np.uint64), before.view(np.uint64))
         assert v_next is not v and not np.shares_memory(v_next, v)
         assert n_grad == len(ds)
         # bitwise the old in-place update: v += sums / count
-        updates = population_iteration(Population(clients, "numerical"), before, 1)
+        updates = population_iteration(Population(clients), before, 1)
         sums, counts = server_collect(updates, len(clients), ds.n_items)
         expected = before.copy()
         expected += sums / counts.sum()
@@ -345,7 +345,7 @@ class TestRoundUpdates:
         v = init_model(ds.n_users, ds.n_items, hp).v
         clients = [client_init(i, *ds.user_items(i), np.zeros(hp.k), ds.n_items, hp, None, None, 7)
                    for i in ds.active_users()]
-        updates = population_iteration(Population(clients, "numerical"), v, 1)
+        updates = population_iteration(Population(clients), v, 1)
         assert updates.client_ids.tolist() == ds.active_users()
         assert updates.deltas.shape == (len(ds), hp.k)
         with pytest.raises(ValueError):
@@ -363,7 +363,7 @@ class TestInformationFlow:
             clients.append(client_init(i, items, ratings, model0.u[i], ds.n_items, hp, None, None, 7))
         v = model0.v.copy()
         snapshot = server_begin_round(v)
-        updates = population_iteration(Population(clients, "numerical"), snapshot, 1)
+        updates = population_iteration(Population(clients), snapshot, 1)
         data = encode_updates(updates, Handshake(hp.k, ds.n_items))
         seen = list(iter_messages(data, expect_k=hp.k))
         assert seen[0] == Handshake(hp.k, ds.n_items)
