@@ -2,12 +2,14 @@
 
 Clients keep ratings and user factors local; a server holds only item
 factors and receives randomized gradient messages. A two-stage randomized
-response hides which items a user rated, and bounded fake errors make
-gradients for unrated items indistinguishable from real ones, with
-per-round differential-privacy budgets calibrated in closed form.
+response hides which items a user rated, with per-round
+differential-privacy budgets calibrated in closed form. Fake errors for
+unrated items are drawn from N(mu, sigma) truncated to (-alpha, alpha):
+``eps_g`` bounds their density over that model, inside the window. Real
+errors are not truncated.
 """
 
-from .bpr import bpr_step, sd_bpr_client_iteration
+from .bpr import bpr_step
 from .codec import (
     CodecError,
     FinishMessage,
@@ -47,7 +49,6 @@ from .protocol import (
     ProtocolError,
     TrainingResult,
     client_init,
-    client_iteration,
     run_training,
     server_round,
 )

@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from . import randresp
-from .experiment import ConfigError, load_config, load_dataset, run_experiments
-from .protocol import Population, ProtocolError, _draw_send_sets, client_init, client_init_rngs
+from .experiment import ConfigError, check_z_target, load_config, load_dataset, run_experiments
+from .protocol import Population, ProtocolError, _draw_send_sets
 from .sgld import Hyperparams
 
 
@@ -40,29 +40,36 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
+def _calibrates(budget: randresp.PrivacyBudget, h: int, n_items: int, z_target: float) -> bool:
+    """Whether a client with ``h`` ratings can be set up for ``budget``."""
+    try:
+        randresp.calibrate(budget.eps_i, h, n_items, z_target, eps_p=budget.resolved_eps_p())
+    except randresp.CalibrationError:
+        return False
+    return True
+
+
 def _cmd_attack(args) -> int:
     """Simulate the averaging adversary against each configured eps_i."""
     config = load_config(args.config)
     dataset = load_dataset(config)
-    rounds = config.iterations
+    check_z_target(config, dataset)
+    rounds, n_items = config.iterations, dataset.n_items
+    # the whole data set's target: the attacked clients are a subset of it
     z_target = config.z_target if config.z_target is not None else len(dataset) / dataset.n_users
     hp = Hyperparams.with_gamma_priors(config.k, config.eta0, config.gamma, config.seed)
-    u0, n_items = np.zeros(hp.k), dataset.n_items
+    u0, h = np.zeros((dataset.n_users, hp.k)), np.diff(dataset.indptr)
+    rated = np.zeros((dataset.n_users, n_items), dtype=bool)  # B, one row per user
+    rated[dataset.users, dataset.items] = True
     for block, eps_i in enumerate(config.eps_i):
         budget = randresp.PrivacyBudget(eps_i, config.eps_p)
-        users, states = dataset.active_users(), []
-        for user, rng0 in zip(users, client_init_rngs(config.seed, users)):
-            try:
-                state = client_init(
-                    user, *dataset.user_items(user), u0, n_items, hp, budget, z_target, config.seed, rng0
-                )
-            except randresp.CalibrationError:
-                continue
-            states.append(state)
-        skipped = len(users) - len(states)
+        # the clients whose h calibrates, over the data set's id universe,
+        # so each keeps its id and its streams
+        fits = [n for n in np.unique(h[h > 0]).tolist() if _calibrates(budget, n, n_items, z_target)]
+        attacked = np.isin(h, fits)
         hits = np.zeros(3, dtype=np.int64)  # bits of B, rated bits of B, bits of B'
-        if states:
-            pop = Population(states)
+        if attacked.any():
+            pop = Population(dataset._rows(attacked[dataset.users]), u0, hp, budget, z_target)
             # how often each client sent each item: sums of 0/1, exact, so
             # counts / rounds is the per-item mean of the sampled send sets
             counts = np.zeros((len(pop), n_items), dtype=np.int32)
@@ -70,16 +77,16 @@ def _cmd_attack(args) -> int:
                 _, items, at = _draw_send_sets(pop, t)
                 counts[np.repeat(np.arange(len(pop)), np.diff(at)), items] += 1
             guess = randresp.classify_rated(counts / rounds, pop.p_star[:, None], pop.q_star[:, None])
-            rated = np.stack([state.bits for state in states]) == 1
-            hits[:] = (np.sum(guess == rated), np.sum(guess & rated), np.sum(guess == pop.bits_prime))
-        attacked, rated_total = len(states), sum(state.h for state in states)
+            truth = rated[pop.ids]
+            hits[:] = (np.sum(guess == truth), np.sum(guess & truth), np.sum(guess == pop.bits_prime))
+        n_attacked, rated_total = int(attacked.sum()), int(h[attacked].sum())
 
         if block:
             print()
-        print(f"clients attacked   : {attacked} (skipped {skipped})")
+        print(f"clients attacked   : {n_attacked} (skipped {np.count_nonzero(h) - n_attacked})")
         print(f"rounds observed    : {rounds}")
         print(f"eps_i              : {eps_i:g}")
-        bit_total = max(attacked * n_items, 1)
+        bit_total = max(n_attacked * n_items, 1)
         print(f"accuracy vs B      : {hits[0] / bit_total:.4f}")
         print(f"rated-bit recall   : {hits[1] / max(rated_total, 1):.4f}")
         print(f"accuracy vs B'     : {hits[2] / bit_total:.4f}")

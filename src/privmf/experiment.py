@@ -183,12 +183,21 @@ def _fmt_budget(v: float | None) -> str:
     return f"{v:g}"
 
 
+def check_z_target(config: ExperimentConfig, dataset: RatingDataset) -> None:
+    """Reject a ``z_target`` no client calibrates for; both CLI commands check it first."""
+    if config.z_target is not None and not config.z_target < dataset.n_items:
+        raise ConfigError(f"z_target must be below the item count {dataset.n_items}, got {config.z_target}")
+
+
 def run_experiments(config: ExperimentConfig, dataset: RatingDataset | None = None) -> dict:
     """Run the configured learning-curve grid; returns output file paths."""
     if dataset is None:
         dataset = load_dataset(config)
-    if config.z_target is not None and not config.z_target < dataset.n_items:
-        raise ConfigError(f"z_target must be below the item count {dataset.n_items}, got {config.z_target}")
+    check_z_target(config, dataset)
+    # a random holdout keeps n - round(fraction * n) ratings to train on
+    held_out = round(config.test_fraction * len(dataset)) if config.split_mode == "random-holdout" else 0
+    if len(dataset) == held_out:
+        raise ConfigError("no clients with ratings")
     out_dir = Path(config.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     curves_path = out_dir / "curves.csv"

@@ -7,28 +7,22 @@ fake-error gradients for unrated ones), one gradient frame per row followed
 by a finish frame. A round is one ``codec.RoundUpdates``: every client's
 rows in one block, each client's segment of it in client order.
 
-``client_init`` decides each client's set-up once, as a frozen
-``ClientState``. The simulator keeps a run's mutable client state in one
-``Population`` built from those records: the user factors, permanently
-perturbed bits, response parameters and ledger as arrays, and the
-rated-row layout (``sgld.rated_chunks``), fixed for a run, built once.
+A run's mutable client state is one ``Population`` built from the train
+set and from what ``client_init`` decides per client: the user factors,
+permanently perturbed bits, response parameters and ledger as arrays, and
+the rated-row layout (``sgld.rated_chunks``), fixed for a run, built once.
 Rounds take only a ``Population`` and run for all its clients at once: the
 numerical round here (``population_iteration``), the one-class round in
 ``bpr.population_iteration``. Both first draw every client's send set
-(``_draw_send_sets``), then walk the layout's chunks in two passes: a loop over
-the clients that only pulls the rest of each client's draws from its own
-round stream, in the order a lone client round draws them, then array
+(``_draw_send_sets``), then walk the layout's chunks in two passes: a loop
+over the clients that only pulls the rest of each client's draws from its
+own round stream, in the order a lone client round draws them, then array
 passes over all the chunk's rows, which update the population's arrays in
-place (the numerical round draws every client's fake errors in one call
-between its user and item steps). The streams stay per client and
-unchanged, so every update, user factor and ledger entry equals that
-client's round computed alone (``client_iteration``, a population of one
-built from the client's ``ClientState``, which it leaves unchanged). The
-server only ever sees gradient/finish frames: ratings, rated-item bit
-vectors, and user factors never leave the client. With
-``transport="bytes"`` a round crosses ``codec.encode_updates`` and
-``codec.decode_updates``; in memory ``server_collect`` reduces the
-population step's ``RoundUpdates`` as it is.
+place. So every update, user factor and ledger entry equals that client's
+round computed alone, in a population of one. The server only ever sees gradient/finish frames: ratings, rated-item bit vectors, and
+user factors never leave the client. With ``transport="bytes"`` a round
+crosses ``codec.encode_updates`` and ``codec.decode_updates``; in memory
+``server_collect`` reduces the round's ``RoundUpdates`` as they are.
 
 The server is stateless: ``run_training`` holds the item factors ``V``
 and the round index ``t``. ``server_round`` hands the round a read-only
@@ -49,7 +43,7 @@ import numpy as np
 from . import fakegrad, randresp
 from .codec import Handshake, RoundUpdates, decode_updates, encode_updates
 from .data import RatingDataset
-from .rng import TAG_CLIENT_INIT, TAG_CLIENT_ROUND, derive_rng, derive_rngs
+from .rng import TAG_CLIENT_INIT, TAG_CLIENT_ROUND, derive_rngs
 from .sgld import (
     FactorModel,
     Hyperparams,
@@ -70,43 +64,29 @@ class ProtocolError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class ClientState:
-    """What ``client_init`` decided for one client. A round never changes it:
-    the run's user factors and ledger live in its ``Population``."""
+    """What ``client_init`` decided for one client: its response parameters
+    and its permanently perturbed bits."""
 
     client_id: int
-    u: np.ndarray  # the initial user factor
-    items: np.ndarray  # rated item ids, ascending
-    ratings: np.ndarray
-    bits_prime: np.ndarray
     rr: randresp.RRParams
-    budget: randresp.PrivacyBudget | None
-    hp: Hyperparams
-    master_seed: int
-
-    @property
-    def h(self) -> int:
-        return len(self.items)
-
-    @property
-    def bits(self) -> np.ndarray:
-        """1 exactly at the rated items, 0 elsewhere (derived on each access)."""
-        bits = np.zeros(len(self.bits_prime), dtype=np.uint8)
-        bits[self.items] = 1
-        return bits
+    bits_prime: np.ndarray
 
 
 class Population:
     """A run's mutable client state as arrays: row ``i`` of every array is
-    client ``ids[i]``'s.
+    client ``ids[i]``'s, the users of ``train`` with ratings, ascending.
 
-    It is built from the clients' ``ClientState``s, which it copies and
-    never changes. The clients share ``hp``, ``budget`` and
-    ``master_seed``. ``u`` holds the user factors ``(m, k)`` and
-    ``bits_prime`` the read-only ``(m, n_items)`` bool block of permanently
-    perturbed bits. ``p``, ``q``, ``p_star``, ``q_star`` and
-    ``one_minus_q_star`` hold the response parameters, and ``h`` the rated
-    counts. The simulator-side privacy ledger, in client-rounds and never
-    part of a round's updates, starts at zero:
+    It is built from ``train``, which it only reads. ``u`` copies the
+    clients' rows of ``u0`` and ``h`` counts their ratings. One
+    ``client_init`` call per client, in client order, on its
+    ``TAG_CLIENT_INIT`` stream from one ``derive_rngs`` pass, decides its
+    set-up for ``z_target`` expected sends per round (by default the train
+    set's mean ratings per user): ``bits_prime`` holds the read-only
+    ``(m, n_items)`` bool block of permanently perturbed bits, and ``p``,
+    ``q``, ``p_star``, ``q_star`` and ``one_minus_q_star`` the response
+    parameters. The clients share ``hp`` and ``budget``. The
+    simulator-side privacy ledger, in client-rounds and never part of a
+    round's updates, starts at zero:
 
     - ``clamped_rounds``: eps_g out of reach, bound clamped at alpha_max;
     - ``floored_rounds``: no error spread, bound solved at the sigma floor;
@@ -114,30 +94,41 @@ class Population:
     - ``partnerless_rounds``: one-class, every item rated, nothing sent;
     - ``eps_g_worst``: the largest eps_g achieved in any round.
 
-    ``chunks`` holds the clients' rated rows as ``sgld.rated_chunks`` lays
-    them out, the one layout both rounds read. It is fixed for a run, so it
-    is built here, once. Built inside the first round instead, after its
-    temporaries, it raised the peak RSS of an ML-100K-shaped run by ~30 MB.
+    ``chunks`` lays out the clients' rated rows, read through the train
+    CSR, with ``sgld.rated_chunks``: the one layout both rounds read, fixed
+    for a run and built here, once. Built inside the first round instead,
+    after its temporaries, it raised the peak RSS of an ML-100K-shaped run
+    by ~30 MB.
     """
 
-    def __init__(self, clients: list[ClientState]):
-        if not clients:
-            raise ValueError("a population needs at least one client")
-        first, m = clients[0], len(clients)
-        self.hp, self.budget, self.master_seed = first.hp, first.budget, first.master_seed
-        self.ids = np.array([c.client_id for c in clients], dtype=np.int64)
-        self.h = np.array([c.h for c in clients], dtype=np.int64)
-        self.u = np.stack([c.u for c in clients])
-        self.bits_prime = np.stack([c.bits_prime for c in clients], dtype=bool, casting="unsafe")
+    def __init__(self, train: RatingDataset, u0: np.ndarray, hp: Hyperparams,
+                 budget: randresp.PrivacyBudget | None, z_target: float | None = None):
+        counts = np.diff(train.indptr)
+        self.ids = np.flatnonzero(counts)
+        if not len(self.ids):
+            raise ProtocolError("no clients with ratings")
+        z_target = len(train) / train.n_users if z_target is None else z_target
+        self.hp, self.budget, m = hp, budget, len(self.ids)
+        self.h = counts[self.ids]
+        self.u = u0[self.ids]
+        # users without ratings have no rows, so ``order`` holds the clients'
+        # rows back to back, each client's in item order
+        items, ratings = train.items[train.order], train.ratings[train.order]
+        self.bits_prime = np.zeros((m, train.n_items), dtype=bool)
+        rr = np.empty((m, 5))
+        rngs = derive_rngs([(hp.seed, TAG_CLIENT_INIT, i) for i in self.ids.tolist()])
+        starts = (np.cumsum(self.h) - self.h).tolist()
+        for i, (client, rng0, a, h) in enumerate(zip(self.ids.tolist(), rngs, starts, self.h.tolist())):
+            state = client_init(client, items[a : a + h], train.n_items, budget, z_target, rng0)
+            self.bits_prime[i] = state.bits_prime
+            rr[i] = state.rr.p, state.rr.q, state.rr.p_star, state.rr.q_star, state.rr.one_minus_q_star
         self.bits_prime.setflags(write=False)
-        rr = np.array([(c.rr.p, c.rr.q, c.rr.p_star, c.rr.q_star, c.rr.one_minus_q_star) for c in clients])
         self.p, self.q, self.p_star, self.q_star, self.one_minus_q_star = rr.T.copy()
         self.clamped_rounds, self.floored_rounds, self.fallback_rounds, self.partnerless_rounds = (
             np.zeros((4, m), dtype=np.int64)
         )
         self.eps_g_worst = np.zeros(m)
-        self.chunks = rated_chunks(np.concatenate([c.items for c in clients]), self.h,
-                                   np.concatenate([c.ratings for c in clients]))
+        self.chunks = rated_chunks(items, self.h, ratings)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -154,59 +145,28 @@ class Population:
 def client_init(
     client_id: int,
     items: np.ndarray,
-    ratings: np.ndarray,
-    u0: np.ndarray,
     n_items: int,
-    hp: Hyperparams,
     budget: randresp.PrivacyBudget | None,
     z_target: float | None,
-    master_seed: int,
-    rng0: np.random.Generator | None = None,
+    rng0: np.random.Generator | None,
 ) -> ClientState:
-    """One-time client setup: solve the response probabilities and fix the
-    permanently perturbed bit vector. Deterministic per (master seed, id):
-    the perturbation draws from ``rng0``, the client's ``TAG_CLIENT_INIT``
-    stream. Population builders hand it in from ``client_init_rngs``; the
-    default derives it here, for callers that set up a single client."""
+    """One-time client setup for the rated ``items``: solve the response
+    probabilities and fix the permanently perturbed bit vector, drawn from
+    ``rng0``, the client's ``TAG_CLIENT_INIT`` stream. Without a budget the
+    send set is the rated set: nothing is perturbed and no stream is read."""
     h = len(items)
     if h < 1:
         raise ValueError(f"client {client_id} has no ratings and cannot participate")
     bits = np.zeros(n_items, dtype=np.uint8)
     bits[items] = 1
-
     if budget is None:
-        # privacy disabled: the send set is the rated set, nothing perturbed
         rr = randresp.RRParams(f=0.0, p=0.0, q=1.0, p_star=0.0, q_star=1.0, h=h, z=float(h))
-        bits_prime = bits.copy()
-    else:
-        if z_target is None:
-            raise ValueError("z_target is required when privacy is enabled")
-        try:
-            rr = randresp.calibrate(
-                budget.eps_i, h, n_items, z_target, eps_p=budget.resolved_eps_p()
-            )
-        except randresp.CalibrationError as exc:
-            raise randresp.CalibrationError(f"client {client_id}: {exc}") from exc
-        if rng0 is None:
-            rng0 = derive_rng(master_seed, TAG_CLIENT_INIT, client_id)
-        bits_prime = randresp.prr(bits, rr.f, rng0)
-
-    return ClientState(
-        client_id=client_id,
-        u=np.array(u0, dtype=np.float64),
-        items=np.asarray(items, dtype=np.int64),
-        ratings=np.asarray(ratings, dtype=np.float64),
-        bits_prime=bits_prime,
-        rr=rr,
-        budget=budget,
-        hp=hp,
-        master_seed=master_seed,
-    )
-
-
-def client_init_rngs(master_seed: int, client_ids: list[int]) -> list[np.random.Generator]:
-    """The clients' ``TAG_CLIENT_INIT`` streams from one ``derive_rngs`` pass."""
-    return derive_rngs([(master_seed, TAG_CLIENT_INIT, i) for i in client_ids])
+        return ClientState(client_id, rr, bits)
+    try:
+        rr = randresp.calibrate(budget.eps_i, h, n_items, z_target, eps_p=budget.resolved_eps_p())
+    except randresp.CalibrationError as exc:
+        raise randresp.CalibrationError(f"client {client_id}: {exc}") from exc
+    return ClientState(client_id, rr, randresp.prr(bits, rr.f, rng0))
 
 
 # uniforms per send-set block: bounds the block of clients drawn at once
@@ -230,7 +190,7 @@ def _draw_send_sets(pop: Population, t: int):
     per_block = max(1, _SEND_BLOCK // n_items)
     uniforms = np.empty((min(per_block, m), n_items))
     probs = np.empty_like(uniforms)
-    rngs = derive_rngs([(pop.master_seed, TAG_CLIENT_ROUND, i, t) for i in pop.ids.tolist()])
+    rngs = derive_rngs([(pop.hp.seed, TAG_CLIENT_ROUND, i, t) for i in pop.ids.tolist()])
     sent, counts = [], []
     for lo in range(0, m, per_block):
         hi = min(lo + per_block, m)
@@ -308,11 +268,8 @@ def population_iteration(pop: Population, v_snapshot: np.ndarray, t: int) -> Rou
     return RoundUpdates(pop.ids, at, items, deltas)
 
 
-def client_iteration(state: ClientState, v_snapshot: np.ndarray, t: int) -> RoundUpdates:
-    """One client round from ``state``: ``population_iteration`` of that
-    client alone, which lists the sent items in ascending id order.
-    ``state`` is left unchanged."""
-    return population_iteration(Population([state]), v_snapshot, t)
+# the name the benchmark's tracer binds the numerical round by
+client_iteration = population_iteration
 
 
 def server_begin_round(v: np.ndarray) -> np.ndarray:
@@ -411,21 +368,10 @@ def run_training(
         raise ValueError(f"unknown task {task!r}")
     if transport not in ("memory", "bytes"):
         raise ValueError(f"unknown transport {transport!r}")
-    if budget is not None and z_target is None:
-        z_target = len(train) / train.n_users
-
     model0 = init_model(train.n_users, train.n_items, hp)
-    active = train.active_users()
-    clients = [
-        client_init(i, *train.user_items(i), model0.u[i], train.n_items, hp, budget, z_target, hp.seed, rng0)
-        for i, rng0 in zip(active, client_init_rngs(hp.seed, active))
-    ]
-    if len(clients) < train.n_users:
-        logger.warning("excluded %d client(s) with no ratings", train.n_users - len(clients))
-    if not clients:
-        raise ProtocolError("no clients with ratings")
-    pop = Population(clients)
-    del clients  # the population holds the run's client state from here on
+    pop = Population(train, model0.u, hp, budget, z_target)
+    if len(pop) < train.n_users:
+        logger.warning("excluded %d client(s) with no ratings", train.n_users - len(pop))
 
     if task == "one-class":
         from . import bpr

@@ -10,7 +10,7 @@ from privmf import fakegrad
 from privmf.bpr import sigma_bar
 from privmf.codec import Message, RoundUpdates, _decode_at
 from privmf.data import DataError, RatingDataset, RatingTriple, _first_fault
-from privmf.protocol import ClientState, Population, _draw_send_sets
+from privmf.protocol import Population, _draw_send_sets
 
 
 def predict(u: np.ndarray, v: np.ndarray) -> float:
@@ -61,18 +61,24 @@ def average_attack(samples: np.ndarray) -> np.ndarray:
 
 
 class OracleClient:
-    """A client as the per-client round oracles keep it: its frozen
-    ``ClientState``, read through, with its own mutable user factor and
-    ledger, which the oracles update."""
+    """A client as the per-client round oracles keep it: its rated rows and
+    bits, its own mutable user factor and ledger, which the oracles update,
+    and ``pop``, the population of one built from a one-client slice of
+    ``ds`` that keeps the client's id, so it draws from the client's own
+    streams. What set-up decided (``bits_prime``, ``p``, ``q``) is read
+    from that population."""
 
-    def __init__(self, state: ClientState):
-        self.state = state
-        self.u = state.u.copy()
+    def __init__(self, ds: RatingDataset, client_id: int, u0: np.ndarray, hp, budget, z_target: float):
+        self.pop = Population(ds._rows(ds.users == client_id), u0, hp, budget, z_target)
+        self.client_id, self.hp, self.budget = client_id, hp, budget
+        self.items, self.ratings = ds.user_items(client_id)
+        self.h = len(self.items)
+        self.bits = np.zeros(ds.n_items, dtype=np.uint8)
+        self.bits[self.items] = 1
+        self.bits_prime, self.p, self.q = self.pop.bits_prime[0], float(self.pop.p[0]), float(self.pop.q[0])
+        self.u = u0[client_id].copy()
         self.clamped_rounds = self.floored_rounds = self.fallback_rounds = self.partnerless_rounds = 0
         self.eps_g_worst = 0.0
-
-    def __getattr__(self, name):
-        return getattr(self.state, name)
 
 
 def list_layout(items: list[np.ndarray], ratings: list[np.ndarray] | None = None) -> dict:
@@ -98,13 +104,13 @@ def list_layout(items: list[np.ndarray], ratings: list[np.ndarray] | None = None
     }
 
 
-def draw_send_set(state: ClientState, t: int) -> tuple[np.random.Generator, np.ndarray]:
+def draw_send_set(client: OracleClient, t: int) -> tuple[np.random.Generator, np.ndarray]:
     """The client's round-``t`` stream and the ids it sends, ascending.
 
     The send set is the stream's first draw, so every client round and the
     ``privmf attack`` redraw see the same sets.
     """
-    rngs, items, _ = _draw_send_sets(Population([state]), t)
+    rngs, items, _ = _draw_send_sets(client.pop, t)
     return rngs[0], items
 
 

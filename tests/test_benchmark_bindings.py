@@ -95,3 +95,35 @@ def test_every_untraced_read_resolves(monkeypatch):
     assert all(r.seconds > 0.0 for r in result.curve)
     assert result.final_metric() == 0.5
     assert result.model.u.shape == (ds.n_users, hp.k) and result.model.v.shape == (ds.n_items, hp.k)
+
+
+def test_captured_client_inits_are_the_population_the_run_uses(monkeypatch):
+    # the correctness gate reads each captured state's rr: it must be what
+    # the run's rounds draw with, row for row of the run's Population
+    base = synthetic_dataset(12, 20, seed=4, mean_ratings_per_user=5)
+    ds = build_dataset(base.triples, base.n_users + 2, base.n_items)  # two users without ratings
+    hp = Hyperparams.with_gamma_priors(2, 0.1, 0.6, seed=3)
+    states, pops = [], []
+    client_init, assemble = protocol.client_init, protocol.assemble_model
+
+    def capturing(*args, **kwargs):
+        states.append(client_init(*args, **kwargs))
+        return states[-1]
+
+    def recording(u0, pop, v):
+        pops.append(pop)
+        return assemble(u0, pop, v)
+
+    monkeypatch.setattr(protocol, "client_init", capturing)
+    monkeypatch.setattr(protocol, "assemble_model", recording)
+    protocol.run_training(ds, hp, 2, budget=PrivacyBudget(eps_i=2.0), evaluator=lambda model: 0.0)
+    pop = pops[0]
+    assert all(p is pop for p in pops)
+    assert [s.client_id for s in states] == pop.ids.tolist() == ds.active_users()
+    for i, state in enumerate(states):
+        rr = state.rr
+        assert (rr.p, rr.q, rr.p_star, rr.q_star, rr.one_minus_q_star) == (
+            pop.p[i], pop.q[i], pop.p_star[i], pop.q_star[i], pop.one_minus_q_star[i]
+        )
+        assert rr.h == pop.h[i]
+        assert np.array_equal(state.bits_prime == 1, pop.bits_prime[i])

@@ -9,8 +9,7 @@ from oracles import bpr_errors, bpr_margin, build_dataset
 from privmf.bpr import bpr_step, population_iteration, sd_bpr_client_iteration, sigma_bar
 from privmf.codec import FinishMessage, encode_updates, iter_messages
 from privmf.data import RatingTriple
-from privmf.protocol import Population, client_init, run_training
-from privmf.randresp import RRParams
+from privmf.protocol import Population, run_training
 from privmf.rng import TAG_CLIENT_ROUND, derive_rng
 from privmf.sgld import Hyperparams, learning_rate
 
@@ -186,20 +185,20 @@ class TestBlockSteps:
 
 
 def make_bpr_client(hp, n_items=10, items=(1, 4, 7), seed=42, cid=0):
-    items = np.array(items)
-    ratings = np.full(len(items), 1.0, dtype=float)
-    u0 = np.full(hp.k, 0.05)
-    return client_init(cid, items, ratings, u0, n_items, hp, None, None, seed)
+    """A population of one, without privacy: client ``cid`` of a one-client
+    data set, set up from master seed ``seed``, with ``u0`` its factors."""
+    triples = [RatingTriple(cid, j, 1.0) for j in items]
+    u0 = np.full((cid + 1, hp.k), 0.05)
+    return Population(build_dataset(triples, cid + 1, n_items), u0, replace(hp, seed=seed), None), u0
 
 
 class TestClientIteration:
     def test_disabled_privacy_matches_reference_round(self):
         hp = make_hp(k=2, eta0=0.3, seed=1)
         master = 42
-        state = make_bpr_client(hp, seed=master)
+        pop, u0 = make_bpr_client(hp, seed=master)
         v = np.random.default_rng(5).normal(size=(10, hp.k))
-        u_before = state.u.copy()
-        pop = Population([state])
+        u_before = u0[0].copy()
         update = population_iteration(pop, v, 1)
         assert list(update.item_ids) == [1, 4, 7]
 
@@ -218,28 +217,26 @@ class TestClientIteration:
             expected.append(-eta * (-s * u_before + hp.lambda_v * v[j]))
         np.testing.assert_array_equal(update.deltas, np.array(expected))
         np.testing.assert_array_equal(pop.u[0], u_before + du_acc / 3)
-        np.testing.assert_array_equal(state.u, u_before)
+        np.testing.assert_array_equal(u0[0], u_before)
 
     def test_single_rated_item_sends_one_gradient(self):
         hp = make_hp(k=2, seed=2)
-        state = make_bpr_client(hp, items=(4,), seed=9)
-        update = sd_bpr_client_iteration(state, np.zeros((10, hp.k)), 1)
+        pop, _ = make_bpr_client(hp, items=(4,), seed=9, cid=3)
+        update = sd_bpr_client_iteration(pop, np.zeros((10, hp.k)), 1)
         assert len(update.item_ids) == 1 and update.item_ids[0] == 4
-        assert list(iter_messages(encode_updates(update)))[-1] == FinishMessage(state.client_id)
+        assert list(iter_messages(encode_updates(update)))[-1] == FinishMessage(3)
 
     def test_unrated_selection_sends_negative_role_delta(self):
         hp = make_hp(k=2, eta0=0.2, seed=3)
         # force the send-set to pick only an unrated item
-        state = replace(
-            make_bpr_client(hp, items=(0,), seed=11),
-            rr=RRParams(f=0.0, p=1.0, q=0.0, p_star=1.0, q_star=0.0, h=1, z=9.0),
-        )
-        update = sd_bpr_client_iteration(state, np.random.default_rng(1).normal(size=(10, hp.k)), 1)
+        pop, _ = make_bpr_client(hp, items=(0,), seed=11)
+        pop.p[0], pop.q[0] = 1.0, 0.0
+        update = sd_bpr_client_iteration(pop, np.random.default_rng(1).normal(size=(10, hp.k)), 1)
         assert list(update.item_ids) == list(range(1, 10))
 
     def test_all_items_rated_warns_and_skips(self, caplog):
         hp = make_hp(k=2, seed=4)
-        pop = Population([make_bpr_client(hp, n_items=3, items=(0, 1, 2), seed=13)])
+        pop, _ = make_bpr_client(hp, n_items=3, items=(0, 1, 2), seed=13)
         with caplog.at_level(logging.WARNING):
             update = population_iteration(pop, np.zeros((3, hp.k)), 1)
         assert len(update.item_ids) == 0 and update.deltas.shape == (0, hp.k)
@@ -258,11 +255,8 @@ class TestClientIteration:
         v = np.random.default_rng(2).normal(size=(10, hp.k))
         runs = []
         for _ in range(2):
-            state = replace(
-                make_bpr_client(hp, items=(1, 4, 7), seed=17),
-                rr=RRParams(f=0.0, p=0.5, q=0.9, p_star=0.5, q_star=0.9, h=3, z=5.0),
-            )
-            pop = Population([state])
+            pop, _ = make_bpr_client(hp, items=(1, 4, 7), seed=17)
+            pop.p[0], pop.q[0] = 0.5, 0.9
             update = population_iteration(pop, v, 2)
             runs.append((update, pop.u[0]))
         (a, u_a), (b, u_b) = runs

@@ -215,6 +215,8 @@ class TestCli:
             ("z_target", "0", "z_target must be positive"),
             ("z_target", "100", "z_target must be below the item count 38"),
             ("baseline_isgld", "0", "baseline_isgld entries must be positive"),
+            # a holdout that rounds to every rating leaves none to train on
+            ("test_fraction", "0.999", "^error: no clients with ratings\n$"),
         ],
     )
     def test_rejected_config_leaves_the_last_results(self, tmp_path, ratings_file, capsys, key, value, error):
@@ -227,6 +229,18 @@ class TestCli:
         assert main(["run", "--config", str(bad)]) == 1
         assert re.search(error, capsys.readouterr().err)
         assert {name: (out / name).read_bytes() for name in before} == before
+
+    @pytest.mark.parametrize("z_target", ["38", "100"])
+    def test_attack_rejects_what_run_rejects(self, tmp_path, ratings_file, capsys, z_target):
+        # a z_target at or above the item count: both commands exit 1 with one text
+        cfg = write_config(tmp_path, ratings_file, z_target=z_target, iterations="6")
+        errors = []
+        for command in ("run", "attack"):
+            assert main([command, "--config", str(cfg)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors == [f"error: z_target must be below the item count 38, got {float(z_target)}\n"] * 2
 
     def test_run_without_clients_is_error(self, tmp_path, capsys):
         # a 0.9 holdout of two ratings leaves no rating to train on

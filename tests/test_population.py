@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from oracles import OracleClient, build_dataset, list_layout, record, round_of, segments
 from privmf import bpr, fakegrad, protocol, sgld
 from privmf.data import RatingTriple, synthetic_dataset
-from privmf.protocol import Population, client_init, client_iteration, population_iteration
+from privmf.protocol import Population, client_iteration, population_iteration
 from privmf.randresp import PrivacyBudget, irr
 from privmf.rng import TAG_CLIENT_ROUND, derive_rng
 from privmf.sgld import Hyperparams, UserRows, init_model, learning_rate, prediction_errors
@@ -81,8 +81,8 @@ def oracle_fake_errors(errors, eps_g, n, rng):
 
 
 def oracle_send_set(state, t):
-    rng = derive_rng(state.master_seed, TAG_CLIENT_ROUND, state.client_id, t)
-    return rng, np.flatnonzero(irr(state.bits_prime, state.rr.p, state.rr.q, rng))
+    rng = derive_rng(state.hp.seed, TAG_CLIENT_ROUND, state.client_id, t)
+    return rng, np.flatnonzero(irr(state.bits_prime, state.p, state.q, rng))
 
 
 def oracle_iteration(state, v_snapshot, t):
@@ -187,17 +187,13 @@ def assert_same_rounds(ds, hp, budget, rounds, chunk_rows, task="numerical", sil
     model0 = init_model(ds.n_users, ds.n_items, hp)
     z_target = len(ds) / ds.n_users
     step, oracle, ledger = ROUNDS[task]
-    clients = [
-        client_init(i, *ds.user_items(i), model0.u[i], ds.n_items, hp, budget, z_target, hp.seed)
-        for i in ds.active_users()
-    ]
-    for i in silent:
-        clients[i] = replace(clients[i], rr=replace(clients[i].rr, p=0.0, q=0.0))
-    theirs = [OracleClient(c) for c in clients]
+    theirs = [OracleClient(ds, i, model0.u, hp, budget, z_target) for i in ds.active_users()]
     v = model0.v
     v.setflags(write=False)  # a broadcast snapshot
     with mock.patch.object(sgld, "_CHUNK_ROWS", chunk_rows):
-        pop = Population(clients)
+        pop = Population(ds, model0.u, hp, budget)
+        for i in silent:
+            pop.p[i] = pop.q[i] = theirs[i].p = theirs[i].q = 0.0
         for t in range(1, rounds + 1):
             got, want = step(pop, v, t), oracle(theirs, v, t)
             assert_same(pop, got, theirs, want, ledger)
@@ -300,11 +296,10 @@ def test_benchmark_workload_streams_unchanged(name, monkeypatch):
     got = workload.train(inputs, 2)
     # the oracle steps the run's clients one by one and hands the run its
     # user factors
-    clients, init, oracle = [], protocol.client_init, ROUNDS[workload.task][1]
-
-    def capturing(*args):
-        clients.append(OracleClient(init(*args)))
-        return clients[-1].state
+    train, hp, oracle = inputs.train, inputs.hp, ROUNDS[workload.task][1]
+    u0 = init_model(train.n_users, train.n_items, hp).u
+    z_target = len(train) / train.n_users
+    clients = [OracleClient(train, i, u0, hp, workload.budget, z_target) for i in train.active_users()]
 
     def oracle_step(pop, v, t):
         updates = oracle(clients, v, t)
@@ -312,7 +307,6 @@ def test_benchmark_workload_streams_unchanged(name, monkeypatch):
         return updates
 
     module = bpr if workload.task == "one-class" else protocol
-    monkeypatch.setattr(protocol, "client_init", capturing)
     monkeypatch.setattr(module, "population_iteration", oracle_step)
     want = workload.train(inputs, 2)
     assert [r.messages for r in got.curve] == [r.messages for r in want.curve]
@@ -320,13 +314,42 @@ def test_benchmark_workload_streams_unchanged(name, monkeypatch):
     assert np.array_equal(bits(got.model.v), bits(want.model.v))
 
 
-def make_clients(ds, hp, budget):
-    model0 = init_model(ds.n_users, ds.n_items, hp)
-    z_target = len(ds) / ds.n_users
-    return [
-        client_init(i, *ds.user_items(i), model0.u[i], ds.n_items, hp, budget, z_target, hp.seed)
-        for i in ds.active_users()
-    ]
+@pytest.mark.parametrize("name, clients", [("desk-rmse-private", 190), ("desk-auc-bytes", 199)])
+def test_noise_off_deltas_reveal_the_rated_rows(name, clients):
+    # a pinned finding, not a property to keep: with SGLD noise off, a server
+    # that knows eta_t, lambda_v and the v it broadcast forms, per delta row,
+    # r = delta + eta_t * lambda_v * v_j, a multiple of the client's u. On
+    # the desk set, round 1 of seed 7, r tells every client's rated rows
+    # from the rest; a change that hides or closes the channel fails here
+    workload = load_workloads()[name]
+    inputs = workload.build(7)
+    train, hp = inputs.train, inputs.hp
+    model0 = init_model(train.n_users, train.n_items, hp)
+    updates = ROUNDS[workload.task][0](Population(train, model0.u, hp, workload.budget), model0.v, 1)
+    r = updates.deltas + learning_rate(1, hp) * hp.lambda_v * model0.v[updates.item_ids]
+    bounds, both, told = updates.offsets.tolist(), 0, 0
+    for client, a, b in zip(updates.client_ids.tolist(), bounds, bounds[1:]):
+        # the clients that send both rated and unrated rows
+        rated = np.isin(updates.item_ids[a:b], train.user_items(client)[0])
+        if rated.all() or not rated.any():
+            continue
+        both, rows = both + 1, r[a:b]
+        if workload.task == "numerical":
+            # a fake error lies inside the eps_g window, a real one outside:
+            # ||r|| ranks every rated row above every fake one (AUC 1.0)
+            norm = np.linalg.norm(rows, axis=1)
+            told += bool(norm[rated].min() > norm[~rated].max())
+        else:
+            # a rated row's r is +eta_t s u, an unrated row's -eta_t s u
+            told += np.array_equal(rows @ rows[0] > 0, rated == rated[0])
+    assert told == both == clients
+
+
+def make_oracles(ds, hp, budget):
+    """The per-client oracles of ``ds``'s clients, from the run's initial
+    user factors."""
+    u0 = init_model(ds.n_users, ds.n_items, hp).u
+    return [OracleClient(ds, i, u0, hp, budget, len(ds) / ds.n_users) for i in ds.active_users()]
 
 
 def assert_same_layout(rows, want):
@@ -353,18 +376,18 @@ def test_run_fixed_blocks_are_read_only():
     ds = synthetic_dataset(30, 60, seed=1, mean_ratings_per_user=8)
     hp = Hyperparams(3, 0.1, 0.6, np.full(3, 0.01), np.full(3, 0.01), 0)
     budget = PrivacyBudget(eps_i=1.0, eps_g=4.0)
-    clients = make_clients(ds, hp, budget)
+    u0 = init_model(ds.n_users, ds.n_items, hp).u
     for chunk_rows in (1, 24, 4096):
         with mock.patch.object(sgld, "_CHUNK_ROWS", chunk_rows):
-            pop = Population(clients)
+            pop = Population(ds, u0, hp, budget)
         assert not pop.bits_prime.flags.writeable
         with pytest.raises(ValueError):
             pop.bits_prime[...] = 0
         # each layout is the one built from the clients' per-user lists
         for lo, hi, rows in pop.chunks:
             assert_read_only(rows)
-            part = clients[lo:hi]
-            assert_same_layout(rows, list_layout([c.items for c in part], [c.ratings for c in part]))
+            part = [ds.user_items(i) for i in pop.ids[lo:hi].tolist()]
+            assert_same_layout(rows, list_layout(*map(list, zip(*part))))
     # a round's send-set layout: users that send nothing, and runs of equal counts
     rng = np.random.default_rng(4)
     for n_users in (1, 2, 9, 40):
@@ -388,7 +411,7 @@ def test_rated_chunks_close_once_they_hold_the_chunk_rows():
 def test_send_sets_do_not_depend_on_the_block_size():
     ds = synthetic_dataset(30, 60, seed=1, mean_ratings_per_user=8)
     hp = Hyperparams(3, 0.1, 0.6, np.full(3, 0.01), np.full(3, 0.01), 0)
-    pop = Population(make_clients(ds, hp, PrivacyBudget(eps_i=1.0)))
+    pop = Population(ds, init_model(ds.n_users, ds.n_items, hp).u, hp, PrivacyBudget(eps_i=1.0))
     runs = []
     # blocks of one client, of seven with a short last block, and of all 30
     for block in (1, ds.n_items, ds.n_items + 1, 7 * ds.n_items, 8192, 2**30):
@@ -431,26 +454,25 @@ def test_population_of_one_equals_the_per_client_oracle():
     hp = Hyperparams(2, 0.1, 0.6, np.full(2, 0.01), np.full(2, 0.01), 0)
     v = init_model(ds.n_users, ds.n_items, hp).v
     # numerical: every bound clamps at eps_g = 0.01
-    states = make_clients(ds, hp, PrivacyBudget(eps_i=1.0, eps_g=0.01))
-    pops, theirs = [Population([s]) for s in states], [OracleClient(s) for s in states]
+    theirs = make_oracles(ds, hp, PrivacyBudget(eps_i=1.0, eps_g=0.01))
+    # the benchmark's name for the round of a population of one
+    assert client_iteration is population_iteration
     for t in (1, 2):
-        for state, pop, b in zip(states, pops, theirs):
-            got, want = population_iteration(pop, v, t), oracle_population([b], v, t)
-            assert_same(pop, got, [b], want, LEDGER)
-            if t == 1:  # the one-client call is the first round of a population of one
-                assert_same(pop, client_iteration(state, v, t), [b], want, ())
-    assert all(pop.clamped_rounds.tolist() == [2] for pop in pops)
+        for b in theirs:
+            got, want = population_iteration(b.pop, v, t), oracle_population([b], v, t)
+            assert b.pop.ids.tolist() == [b.client_id]
+            assert_same(b.pop, got, [b], want, LEDGER)
+    assert all(b.pop.clamped_rounds.tolist() == [2] for b in theirs)
     # one-class: a client that rated every item counts a partnerless round
     triples = [RatingTriple(0, j, 4.0) for j in range(5)] + [RatingTriple(1, 0, 3.0), RatingTriple(1, 3, 5.0)]
     ds = build_dataset(triples, 2, 5)
     v = init_model(2, 5, hp).v
-    states = make_clients(ds, hp, None)
-    pops, theirs = [Population([s]) for s in states], [OracleClient(s) for s in states]
-    for state, pop, b in zip(states, pops, theirs):
-        got, want = bpr.population_iteration(pop, v, 1), oracle_bpr_population([b], v, 1)
-        assert_same(pop, got, [b], want, ("partnerless_rounds",))
-        assert_same(pop, bpr.sd_bpr_client_iteration(state, v, 1), [b], want, ())
-    assert [pop.partnerless_rounds.tolist() for pop in pops] == [[1], [0]]
+    theirs = make_oracles(ds, hp, None)
+    assert bpr.sd_bpr_client_iteration is bpr.population_iteration
+    for b in theirs:
+        got, want = bpr.population_iteration(b.pop, v, 1), oracle_bpr_population([b], v, 1)
+        assert_same(b.pop, got, [b], want, ("partnerless_rounds",))
+    assert [b.pop.partnerless_rounds.tolist() for b in theirs] == [[1], [0]]
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 7, 4096])
@@ -461,10 +483,11 @@ def test_one_class_segments_equal_lone_client_rounds(chunk_rows):
     triples = [t for t in ds.triples if t.user_id != 0] + [RatingTriple(0, j, 4.0) for j in range(15)]
     ds = build_dataset(triples, ds.n_users, ds.n_items)
     hp = Hyperparams(3, 0.2, 0.6, np.full(3, 0.01), np.full(3, 0.01), 5)
-    v = init_model(ds.n_users, ds.n_items, hp).v
-    states = make_clients(ds, hp, PrivacyBudget(eps_i=2.0))
+    model0 = init_model(ds.n_users, ds.n_items, hp)
+    v, budget = model0.v, PrivacyBudget(eps_i=2.0)
     with mock.patch.object(sgld, "_CHUNK_ROWS", chunk_rows):
-        ours, theirs = Population(states), [Population([s]) for s in states]
+        ours = Population(ds, model0.u, hp, budget)
+        theirs = [b.pop for b in make_oracles(ds, hp, budget)]
         for t in (1, 2):
             got = bpr.population_iteration(ours, v, t)
             assert got.client_ids.tolist() == ds.active_users()
@@ -478,33 +501,48 @@ def test_one_class_segments_equal_lone_client_rounds(chunk_rows):
 
 
 def state_bits(state):
-    """Every field of a ``ClientState``, arrays as their bytes."""
+    """Every field of an object, arrays as their bytes."""
     return [
         (name, value.dtype, value.tobytes()) if isinstance(value, np.ndarray) else (name, value)
         for name, value in vars(state).items()
     ]
 
 
-def contract_population(task):
-    # user 0 rated every item: one-class rounds are partnerless, and with
-    # eps_g = 0.01 every numerical bound clamps
+def contract_inputs(task):
+    """A population's inputs ``(train, u0, hp, budget)`` and the item factors.
+
+    User 0 rated every item: one-class rounds are partnerless, and with
+    eps_g = 0.01 every numerical bound clamps."""
     ds = synthetic_dataset(12, 15, seed=2, mean_ratings_per_user=5)
     triples = [t for t in ds.triples if t.user_id != 0] + [RatingTriple(0, j, 4.0) for j in range(15)]
     ds = build_dataset(triples, ds.n_users, ds.n_items)
     hp = Hyperparams(3, 0.2, 0.6, np.full(3, 0.01), np.full(3, 0.01), 5)
     budget = PrivacyBudget(eps_i=2.0, eps_g=0.01 if task == "numerical" else None)
-    return make_clients(ds, hp, budget), init_model(ds.n_users, ds.n_items, hp).v
+    model0 = init_model(ds.n_users, ds.n_items, hp)
+    return (ds, model0.u, hp, budget), model0.v
 
 
 @pytest.mark.parametrize("task", ["numerical", "one-class"])
-def test_rounds_leave_the_client_states_unchanged(task):
-    states, v = contract_population(task)
-    before = [state_bits(s) for s in states]
-    pop = Population(states)
+def test_rounds_leave_the_client_states_unchanged(task, monkeypatch):
+    # no round writes an input it was given: the population's inputs, the
+    # records client_init returned, or the item factors
+    inputs, v = contract_inputs(task)
+    ds, u0, hp, _ = inputs
+    states, init = [], protocol.client_init
+
+    def capturing(*args):
+        states.append(init(*args))
+        return states[-1]
+
+    monkeypatch.setattr(protocol, "client_init", capturing)
+    pop = Population(*inputs)
+    given = [ds, hp, *states]
+    before = [state_bits(x) for x in given], u0.tobytes(), v.tobytes()
     for t in (1, 2, 3):
         ROUNDS[task][0](pop, v, t)
-    assert [state_bits(s) for s in states] == before
-    assert not any(np.shares_memory(s.u, pop.u) or np.shares_memory(s.bits_prime, pop.bits_prime) for s in states)
+    assert ([state_bits(x) for x in given], u0.tobytes(), v.tobytes()) == before
+    assert len(states) == len(pop) and not np.shares_memory(u0, pop.u)
+    assert not any(np.shares_memory(s.bits_prime, pop.bits_prime) for s in states)
     ledger = pop.partnerless_rounds if task == "one-class" else pop.clamped_rounds
     assert ledger.sum() > 0
 
@@ -512,11 +550,11 @@ def test_rounds_leave_the_client_states_unchanged(task):
 @pytest.mark.parametrize("task", ["numerical", "one-class"])
 def test_populations_from_one_state_list_give_equal_rounds(task):
     # the second population is built after the first one's rounds: it
-    # starts from the same records, so it repeats them bit for bit
-    states, v = contract_population(task)
+    # starts from the same inputs, so it repeats them bit for bit
+    inputs, v = contract_inputs(task)
     runs = []
     for _ in range(2):
-        pop = Population(states)
+        pop = Population(*inputs)
         rounds = [ROUNDS[task][0](pop, v, t) for t in (1, 2)]
         runs.append((pop, rounds))
     (first, want), (second, got) = runs
@@ -531,10 +569,14 @@ def test_populations_from_one_state_list_give_equal_rounds(task):
 
 @pytest.mark.parametrize("task", ["numerical", "one-class"])
 def test_one_client_call_repeats_with_the_same_arguments(task):
-    states, v = contract_population(task)
+    # the benchmark's names for the rounds, on two populations of one built
+    # from the same client's slice
+    (ds, u0, hp, budget), v = contract_inputs(task)
     call = client_iteration if task == "numerical" else bpr.sd_bpr_client_iteration
-    for state in states:
-        first, second = call(state, v, 2), call(state, v, 2)
+    for i in ds.active_users():
+        one = ds._rows(ds.users == i)
+        first, second = (call(Population(one, u0, hp, budget, len(ds) / ds.n_users), v, 2) for _ in range(2))
+        assert first.client_ids.tolist() == [i]
         for name in ("client_ids", "offsets", "item_ids"):
             assert np.array_equal(getattr(first, name), getattr(second, name))
         assert np.array_equal(bits(first.deltas), bits(second.deltas))

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import build_dataset, draw_send_set, fake_errors, round_of, segments
+from oracles import OracleClient, build_dataset, draw_send_set, fake_errors, round_of, segments
 from privmf import protocol
 from privmf.codec import (
     FinishMessage,
@@ -22,7 +22,6 @@ from privmf.protocol import (
     Population,
     ProtocolError,
     client_init,
-    client_init_rngs,
     client_iteration,
     population_iteration,
     run_training,
@@ -31,8 +30,8 @@ from privmf.protocol import (
     server_end_round,
     server_round,
 )
-from privmf.randresp import PrivacyBudget, RRParams, irr, solve_f
-from privmf.rng import TAG_CLIENT_INIT, TAG_CLIENT_ROUND, derive_rng, derive_rngs
+from privmf.randresp import PrivacyBudget, irr, solve_f
+from privmf.rng import TAG_CLIENT_INIT, TAG_CLIENT_ROUND, derive_rng
 from privmf.sgld import (
     Hyperparams,
     centralized_train,
@@ -49,10 +48,16 @@ def make_hp(k=3, eta0=0.1, gamma=0.6, seed=0, noise=False):
 
 
 def make_client(hp, n_items=12, items=(1, 4, 7), budget=None, z_target=None, seed=99, cid=0):
-    items = np.array(items)
-    ratings = np.linspace(2.0, 4.0, len(items))
-    u0 = np.full(hp.k, 0.05)
-    return client_init(cid, items, ratings, u0, n_items, hp, budget, z_target, seed)
+    """A population of one: client ``cid`` of a one-client data set, set up
+    from master seed ``seed``."""
+    triples = [RatingTriple(cid, j, r) for j, r in zip(items, np.linspace(2.0, 4.0, len(items)).tolist())]
+    u0 = np.full((cid + 1, hp.k), 0.05)
+    return Population(build_dataset(triples, cid + 1, n_items), u0, replace(hp, seed=seed), budget, z_target)
+
+
+def init_client(cid, items, n_items=12, budget=None, z_target=None, seed=99):
+    """``client_init`` on the client's own init stream."""
+    return client_init(cid, np.array(items), n_items, budget, z_target, derive_rng(seed, TAG_CLIENT_INIT, cid))
 
 
 def frames_of(update):
@@ -61,78 +66,80 @@ def frames_of(update):
 
 class TestClientInit:
     def test_permanent_vector_reproducible(self):
-        hp = make_hp()
         budget = PrivacyBudget(eps_i=1.0)
-        a = make_client(hp, budget=budget, z_target=4.0)
-        b = make_client(hp, budget=budget, z_target=4.0)
+        a = init_client(0, (1, 4, 7), budget=budget, z_target=4.0)
+        b = init_client(0, (1, 4, 7), budget=budget, z_target=4.0)
         assert np.array_equal(a.bits_prime, b.bits_prime)
 
     def test_eps_p_defaults_to_twice_eps_i(self):
-        hp = make_hp()
-        state = make_client(hp, budget=PrivacyBudget(eps_i=1.0), z_target=4.0)
-        assert state.rr.f == pytest.approx(solve_f(2.0, state.h))
+        state = init_client(0, (1, 4, 7), budget=PrivacyBudget(eps_i=1.0), z_target=4.0)
+        assert state.rr.f == pytest.approx(solve_f(2.0, state.rr.h))
 
     def test_no_ratings_rejected(self):
-        hp = make_hp()
         with pytest.raises(ValueError, match="no ratings"):
-            client_init(0, np.array([], dtype=int), np.array([]), np.zeros(3), 10, hp, None, None, 0)
+            client_init(0, np.array([], dtype=int), 10, None, None, None)
 
-    def test_handed_in_stream_equals_the_derived_one(self):
-        # run_training and privmf attack derive every init stream in one
-        # derive_rngs pass and hand each to client_init
-        hp, budget = make_hp(), PrivacyBudget(eps_i=1.0)
+    def test_handed_in_stream_equals_the_derived_one(self, monkeypatch):
+        # a population derives every init stream in one derive_rngs pass and
+        # hands each to client_init: each is the client's own stream
+        hp, budget = make_hp(seed=99), PrivacyBudget(eps_i=1.0)
         ids = [0, 3, 8]
-        rngs = client_init_rngs(99, ids)
-        assert [r.random() for r in rngs] == [
-            r.random() for r in derive_rngs([(99, TAG_CLIENT_INIT, i) for i in ids])
-        ]
-        for cid, rng0 in zip(ids, client_init_rngs(99, ids)):
-            items = np.array([1, 4, 7]) + cid
-            args = (cid, items, np.linspace(2.0, 4.0, 3), np.full(hp.k, 0.05), 16, hp, budget, 4.0, 99)
-            handed, derived = client_init(*args, rng0), client_init(*args)
-            assert np.array_equal(handed.bits_prime, derived.bits_prime)
-            assert handed.bits_prime.dtype == derived.bits_prime.dtype == np.uint8
-            assert handed.rr == derived.rr
+        triples = [RatingTriple(i, j + i, r) for i in ids for j, r in ((1, 2.0), (4, 3.0), (7, 4.0))]
+        ds = build_dataset(triples, 9, 16)
+        handed, init = [], protocol.client_init
+
+        def capturing(*args):
+            handed.append(init(*args))
+            return handed[-1]
+
+        monkeypatch.setattr(protocol, "client_init", capturing)
+        pop = Population(ds, np.zeros((9, hp.k)), hp, budget, 4.0)
+        assert pop.ids.tolist() == [s.client_id for s in handed] == ids
+        for row, state in zip(pop.bits_prime, handed):
+            derived = init_client(state.client_id, ds.user_items(state.client_id)[0], 16, budget, 4.0)
+            assert np.array_equal(state.bits_prime, derived.bits_prime)
+            assert state.bits_prime.dtype == derived.bits_prime.dtype == np.uint8
+            assert state.rr == derived.rr
+            assert np.array_equal(row, state.bits_prime == 1)
 
     def test_bits_flag_rated_items(self):
-        state = make_client(make_hp(), items=(2, 5))
-        assert list(np.flatnonzero(state.bits)) == [2, 5]
-        assert np.array_equal(state.bits, state.bits_prime)  # privacy disabled
+        state = init_client(0, (2, 5))
+        assert list(np.flatnonzero(state.bits_prime)) == [2, 5]  # privacy disabled: B' is B
+        assert state.rr.h == 2 and state.rr.p == 0.0 and state.rr.q == 1.0
 
 
 class TestClientIteration:
     def test_disabled_privacy_sends_exactly_rated_items(self):
         hp = make_hp()
-        state = make_client(hp, items=(1, 4, 7))
-        up = client_iteration(state, np.full((12, hp.k), 0.1), 1)
+        pop = make_client(hp, items=(1, 4, 7), cid=2)
+        up = client_iteration(pop, np.full((12, hp.k), 0.1), 1)
         assert list(up.item_ids) == [1, 4, 7]
         assert up.deltas.shape == (3, hp.k)
-        assert frames_of(up)[-1] == FinishMessage(state.client_id)
+        assert frames_of(up)[-1] == FinishMessage(2)
 
     def test_empty_send_set_still_updates_user(self):
         hp = make_hp()
-        state = make_client(hp)
-        state = replace(state, rr=RRParams(f=0.0, p=0.0, q=0.0, p_star=0.0, q_star=0.0, h=state.h, z=0.0))
-        pop = Population([state])
+        pop = make_client(hp)
+        pop.p[0] = pop.q[0] = 0.0
         up = population_iteration(pop, np.full((12, hp.k), 0.1), 1)
         assert len(up.item_ids) == 0 and up.deltas.shape == (0, hp.k)
-        assert frames_of(up) == [FinishMessage(state.client_id)]
-        assert not np.array_equal(state.u, pop.u[0])
+        assert frames_of(up) == [FinishMessage(0)]
+        assert not np.array_equal(np.full(hp.k, 0.05), pop.u[0])
 
     def test_message_count_matches_conditional_law(self):
         # with B' fixed, per-round counts are Bernoulli sums with p/q on B' bits
         hp = make_hp(k=2)
         n_items = 60
         budget = PrivacyBudget(eps_i=2.0, eps_g=1.0)
-        state = make_client(hp, n_items=n_items, items=tuple(range(0, 30, 2)), budget=budget, z_target=10.0)
-        ones = int(state.bits_prime.sum())
-        expected = ones * state.rr.q + (n_items - ones) * state.rr.p
-        var = ones * state.rr.q * (1 - state.rr.q) + (n_items - ones) * state.rr.p * (1 - state.rr.p)
+        pop = make_client(hp, n_items=n_items, items=tuple(range(0, 30, 2)), budget=budget, z_target=10.0)
+        ones, p, q = int(pop.bits_prime.sum()), pop.p[0], pop.q[0]
+        expected = ones * q + (n_items - ones) * p
+        var = ones * q * (1 - q) + (n_items - ones) * p * (1 - p)
         rounds = 3000
         v = np.full((n_items, hp.k), 0.1)
         total = 0
         for t in range(1, rounds + 1):
-            total += len(client_iteration(state, v, t).item_ids)
+            total += len(client_iteration(pop, v, t).item_ids)
         mean = total / rounds
         assert abs(mean - expected) < 3 * math.sqrt(var / rounds)
 
@@ -150,11 +157,8 @@ class TestClientIteration:
         # the same run replayed client-round by client-round; noise is off,
         # so the fake uniforms are the round stream's next draw after the send set
         model0, z_target = init_model(ds.n_users, ds.n_items, hp), len(ds) / ds.n_users
-        clients = [
-            client_init(i, *ds.user_items(i), model0.u[i], ds.n_items, hp, budget, z_target, hp.seed)
-            for i in ds.active_users()
-        ]
-        pop = Population(clients)
+        clients = [OracleClient(ds, i, model0.u, hp, budget, z_target) for i in ds.active_users()]
+        pop = Population(ds, model0.u, hp, budget)
         fallbacks = 0
         received = []
         collect = protocol.server_collect
@@ -218,16 +222,14 @@ class TestServer:
         ds = synthetic_dataset(6, 10, seed=1, mean_ratings_per_user=4)
         hp = make_hp(seed=2, noise=True)
         model0 = init_model(ds.n_users, ds.n_items, hp)
-        clients = [client_init(i, *ds.user_items(i), model0.u[i], ds.n_items, hp, None, None, 7)
-                   for i in ds.active_users()]
         v, before = model0.v, model0.v.copy()
-        v_next, n_grad = server_round(v, Population(clients), population_iteration, 1)
+        v_next, n_grad = server_round(v, Population(ds, model0.u, hp, None), population_iteration, 1)
         assert np.array_equal(v.view(np.uint64), before.view(np.uint64))
         assert v_next is not v and not np.shares_memory(v_next, v)
         assert n_grad == len(ds)
         # bitwise the old in-place update: v += sums / count
-        updates = population_iteration(Population(clients), before, 1)
-        sums, counts = server_collect(updates, len(clients), ds.n_items)
+        updates = population_iteration(Population(ds, model0.u, hp, None), before, 1)
+        sums, counts = server_collect(updates, len(ds.active_users()), ds.n_items)
         expected = before.copy()
         expected += sums / counts.sum()
         assert np.array_equal(v_next.view(np.uint64), expected.view(np.uint64))
@@ -343,9 +345,7 @@ class TestRoundUpdates:
         ds = synthetic_dataset(6, 10, seed=1, mean_ratings_per_user=4)
         hp = make_hp(seed=2)
         v = init_model(ds.n_users, ds.n_items, hp).v
-        clients = [client_init(i, *ds.user_items(i), np.zeros(hp.k), ds.n_items, hp, None, None, 7)
-                   for i in ds.active_users()]
-        updates = population_iteration(Population(clients), v, 1)
+        updates = population_iteration(Population(ds, np.zeros((ds.n_users, hp.k)), hp, None), v, 1)
         assert updates.client_ids.tolist() == ds.active_users()
         assert updates.deltas.shape == (len(ds), hp.k)
         with pytest.raises(ValueError):
@@ -357,13 +357,10 @@ class TestInformationFlow:
         ds = synthetic_dataset(6, 10, seed=1, mean_ratings_per_user=4)
         hp = make_hp(seed=2)
         model0 = init_model(ds.n_users, ds.n_items, hp)
-        clients = []
-        for i in range(ds.n_users):
-            items, ratings = ds.user_items(i)
-            clients.append(client_init(i, items, ratings, model0.u[i], ds.n_items, hp, None, None, 7))
+        pop = Population(ds, model0.u, hp, None)
         v = model0.v.copy()
         snapshot = server_begin_round(v)
-        updates = population_iteration(Population(clients), snapshot, 1)
+        updates = population_iteration(pop, snapshot, 1)
         data = encode_updates(updates, Handshake(hp.k, ds.n_items))
         seen = list(iter_messages(data, expect_k=hp.k))
         assert seen[0] == Handshake(hp.k, ds.n_items)
@@ -373,7 +370,7 @@ class TestInformationFlow:
         for name in ("client_ids", "offsets", "item_ids"):
             assert np.array_equal(getattr(decoded, name), getattr(updates, name))
         assert np.array_equal(decoded.deltas.view(np.uint64), updates.deltas.view(np.uint64))
-        sums, counts = server_collect(decoded, len(clients), ds.n_items)
+        sums, counts = server_collect(decoded, len(pop), ds.n_items)
         server_end_round(v, sums, counts)
 
 
@@ -440,9 +437,8 @@ class TestRunTraining:
         assert len(sent) == 3 * len(users)
         z_target = len(ds) / ds.n_users
         for user in users:
-            state = client_init(
-                user, *ds.user_items(user), np.zeros(hp.k), ds.n_items, hp, budget, z_target, hp.seed
-            )
+            rng0 = derive_rng(hp.seed, TAG_CLIENT_INIT, user)
+            state = client_init(user, ds.user_items(user)[0], ds.n_items, budget, z_target, rng0)
             for t in (1, 2, 3):
                 rng = derive_rng(hp.seed, TAG_CLIENT_ROUND, user, t)
                 redrawn = irr(state.bits_prime, state.rr.p, state.rr.q, rng)
