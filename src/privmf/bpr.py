@@ -9,15 +9,16 @@ the transmitted item set (the existence surface) is identical to the
 numerical task's.
 
 The simulator runs a one-class round for the whole population at once
-(``population_iteration``), over the population's chunks of clients, in
-two passes, as the numerical round does: a loop over the clients that only
-pulls each client's partner draws and pair noise from its own round
-stream, then one ``bpr_step`` over all the chunk's pairs, whose item deltas
-go straight to their clients' segments of the round's block, the layout of
-the numerical round. The round reads the server's item factors only through the
-read-only snapshot it is handed, and writes only the ``Population``'s user
-factors and ledger. Every update, user factor and ledger entry equals that
-client's round computed alone, in a population of one.
+(``population_iteration``): after the population's ``send_sets`` draw, it
+walks the population's chunks of clients in two passes, as the numerical
+round does: a loop over the clients that only pulls each client's partner
+draws and pair noise from its own round stream, then one ``bpr_step`` over
+all the chunk's pairs, whose item deltas go straight to their clients'
+segments of the round's block, the numerical round's layout. The round
+reads the server's item factors only through the read-only snapshot it is
+handed, and writes only the ``Population``'s user factors and ledger.
+Every update, user factor and ledger entry equals that client's round
+computed alone, in a population of one.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 import numpy as np
 
 from .codec import RoundUpdates
-from .protocol import Population, _draw_send_sets
 from .sgld import Hyperparams, UserRows, learning_rate
 
 
@@ -93,7 +93,7 @@ def bpr_step(
     return noise[..., 0, :], d_own
 
 
-def population_iteration(pop: Population, v_snapshot: np.ndarray, t: int) -> RoundUpdates:
+def population_iteration(pop, v_snapshot: np.ndarray, t: int) -> RoundUpdates:
     """One round of the one-class task for a ``protocol.Population``: every
     client's update, in client order.
 
@@ -109,7 +109,7 @@ def population_iteration(pop: Population, v_snapshot: np.ndarray, t: int) -> Rou
     """
     hp, n_items = pop.hp, len(v_snapshot)
     eta = learning_rate(t, hp)
-    rngs, items, at = _draw_send_sets(pop, t)
+    rngs, items, at = pop.send_sets(t)
     counts = np.diff(at)
     partnerless = (pop.h == n_items) & (counts > 0)
     pop.partnerless_rounds += partnerless

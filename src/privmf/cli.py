@@ -15,7 +15,7 @@ import numpy as np
 
 from . import randresp
 from .experiment import ConfigError, check_z_target, load_config, load_dataset, run_experiments
-from .protocol import Population, ProtocolError, _draw_send_sets
+from .protocol import Population, ProtocolError
 from .sgld import Hyperparams
 
 
@@ -74,7 +74,7 @@ def _cmd_attack(args) -> int:
             # counts / rounds is the per-item mean of the sampled send sets
             counts = np.zeros((len(pop), n_items), dtype=np.int32)
             for t in range(1, rounds + 1):
-                _, items, at = _draw_send_sets(pop, t)
+                _, items, at = pop.send_sets(t)
                 counts[np.repeat(np.arange(len(pop)), np.diff(at)), items] += 1
             guess = randresp.classify_rated(counts / rounds, pop.p_star[:, None], pop.q_star[:, None])
             truth = rated[pop.ids]

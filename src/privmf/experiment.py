@@ -77,6 +77,8 @@ class ExperimentConfig:
         # rejected here, before a run writes anything
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+        if self.split_mode not in ("random-holdout", "leave-one-out"):
+            raise ConfigError(f"split must be random-holdout or leave-one-out, got {self.split_mode!r}")
         if self.split_mode == "random-holdout" and not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in (0,1), got {self.test_fraction}")
         if self.z_target is not None and not self.z_target > 0:
@@ -114,10 +116,9 @@ def _parse_value(key: str, token: str):
     if key in scalar_int:
         return int(token)
     if key in boolean:
-        try:
-            return _BOOL[token.lower()]
-        except KeyError:
-            raise ConfigError(f"{key}: expected a boolean, got {token!r}") from None
+        if token.lower() not in _BOOL:
+            raise ValueError(f"expected a boolean, got {token!r}")
+        return _BOOL[token.lower()]
     return token  # string-valued keys
 
 
@@ -135,7 +136,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         key = aliases.get(key.strip(), key.strip())
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _parse_value(key, token.strip())
+        try:
+            values[key] = _parse_value(key, token.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
     return ExperimentConfig(**values)
 
 
@@ -194,10 +198,16 @@ def run_experiments(config: ExperimentConfig, dataset: RatingDataset | None = No
     if dataset is None:
         dataset = load_dataset(config)
     check_z_target(config, dataset)
-    # a random holdout keeps n - round(fraction * n) ratings to train on
-    held_out = round(config.test_fraction * len(dataset)) if config.split_mode == "random-holdout" else 0
+    # a random holdout holds out round(fraction * n) ratings, leave-one-out
+    # one per user with at least two
+    if config.split_mode == "random-holdout":
+        held_out = round(config.test_fraction * len(dataset))
+    else:
+        held_out = int(np.count_nonzero(np.diff(dataset.indptr) >= 2))
     if len(dataset) == held_out:
         raise ConfigError("no clients with ratings")
+    if held_out == 0:
+        raise ConfigError(f"the {config.split_mode} split holds out no rating to test on")
     out_dir = Path(config.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     curves_path = out_dir / "curves.csv"

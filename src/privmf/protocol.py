@@ -14,7 +14,7 @@ the rated-row layout (``sgld.rated_chunks``), fixed for a run, built once.
 Rounds take only a ``Population`` and run for all its clients at once: the
 numerical round here (``population_iteration``), the one-class round in
 ``bpr.population_iteration``. Both first draw every client's send set
-(``_draw_send_sets``), then walk the layout's chunks in two passes: a loop
+(``Population.send_sets``), then walk the layout's chunks in two passes: a loop
 over the clients that only pulls the rest of each client's draws from its
 own round stream, in the order a lone client round draws them, then array
 passes over all the chunk's rows, which update the population's arrays in
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fakegrad, randresp
+from . import bpr, fakegrad, randresp
 from .codec import Handshake, RoundUpdates, decode_updates, encode_updates
 from .data import RatingDataset
 from .rng import TAG_CLIENT_INIT, TAG_CLIENT_ROUND, derive_rngs
@@ -72,6 +72,10 @@ class ClientState:
     bits_prime: np.ndarray
 
 
+# uniforms per send-set block: bounds the block of clients drawn at once
+_SEND_BLOCK = 1 << 13
+
+
 class Population:
     """A run's mutable client state as arrays: row ``i`` of every array is
     client ``ids[i]``'s, the users of ``train`` with ratings, ascending.
@@ -79,7 +83,8 @@ class Population:
     It is built from ``train``, which it only reads. ``u`` copies the
     clients' rows of ``u0`` and ``h`` counts their ratings. One
     ``client_init`` call per client, in client order, on its
-    ``TAG_CLIENT_INIT`` stream from one ``derive_rngs`` pass, decides its
+    ``TAG_CLIENT_INIT`` stream from one ``derive_rngs`` pass (only with a
+    budget: without one nothing is perturbed), decides its
     set-up for ``z_target`` expected sends per round (by default the train
     set's mean ratings per user): ``bits_prime`` holds the read-only
     ``(m, n_items)`` bool block of permanently perturbed bits, and ``p``,
@@ -116,7 +121,8 @@ class Population:
         items, ratings = train.items[train.order], train.ratings[train.order]
         self.bits_prime = np.zeros((m, train.n_items), dtype=bool)
         rr = np.empty((m, 5))
-        rngs = derive_rngs([(hp.seed, TAG_CLIENT_INIT, i) for i in self.ids.tolist()])
+        keys = [(hp.seed, TAG_CLIENT_INIT, i) for i in self.ids.tolist()]
+        rngs = [None] * m if budget is None else derive_rngs(keys)
         starts = (np.cumsum(self.h) - self.h).tolist()
         for i, (client, rng0, a, h) in enumerate(zip(self.ids.tolist(), rngs, starts, self.h.tolist())):
             state = client_init(client, items[a : a + h], train.n_items, budget, z_target, rng0)
@@ -140,6 +146,38 @@ class Population:
         self.fallback_rounds += bounds.fallback
         worst = bounds.eps_g_achieved > self.eps_g_worst
         self.eps_g_worst[worst] = bounds.eps_g_achieved[worst]
+
+    def send_sets(self, t: int) -> tuple[list[np.random.Generator], np.ndarray, list[int]]:
+        """Each client's round-``t`` stream, and all the send sets in one
+        array with each client's offset into it.
+
+        The round streams are derived in one ``derive_rngs`` call. A block of
+        clients draws its ``randresp.irr`` uniforms ``u`` client by client,
+        and two compares, ``(u < q) & (bits_prime | (u < p))``, turn them into
+        send sets. That is ``u < where(bits_prime, q, p)`` while ``p <= q``,
+        which every client has: ``calibrate`` keeps ``q* >= p*``, so
+        ``q - p = (q* - p*) / (1 - f) >= 0``, and no budget sets ``p = 0``,
+        ``q = 1``. Blocks hold ~``_SEND_BLOCK`` uniforms, so no round holds a
+        float per (client, item).
+        """
+        if t < 1:
+            raise ValueError(f"round index must be >= 1, got {t}")
+        m, n_items = self.bits_prime.shape
+        per_block = max(1, _SEND_BLOCK // n_items)
+        uniforms = np.empty((min(per_block, m), n_items))
+        rngs = derive_rngs([(self.hp.seed, TAG_CLIENT_ROUND, i, t) for i in self.ids.tolist()])
+        sent, counts = [], []
+        for lo in range(0, m, per_block):
+            hi = min(lo + per_block, m)
+            for rng, row in zip(rngs[lo:hi], uniforms):
+                rng.random(out=row)
+            u = uniforms[: hi - lo]
+            hit = u < self.q[lo:hi, None]
+            hit &= self.bits_prime[lo:hi] | (u < self.p[lo:hi, None])
+            owner, ids = np.divmod(np.flatnonzero(hit), n_items)
+            sent.append(ids)
+            counts.append(np.bincount(owner, minlength=hi - lo))
+        return rngs, np.concatenate(sent), np.cumsum([0, *np.concatenate(counts).tolist()]).tolist()
 
 
 def client_init(
@@ -169,42 +207,6 @@ def client_init(
     return ClientState(client_id, rr, randresp.prr(bits, rr.f, rng0))
 
 
-# uniforms per send-set block: bounds the block of clients drawn at once
-_SEND_BLOCK = 1 << 13
-
-
-def _draw_send_sets(pop: Population, t: int):
-    """Each client's round stream, and all the send sets in one array with
-    each client's offset into it.
-
-    All the round streams are derived in one ``derive_rngs`` call. A block
-    of clients draws its ``randresp.irr`` uniforms client by client into one
-    ``(clients, n_items)`` block, which one comparison against its
-    thresholds, ``q`` at the block's rows of ``bits_prime`` and ``p``
-    elsewhere, turns into send sets. Blocks hold ~``_SEND_BLOCK`` uniforms,
-    so no round holds a float per (client, item).
-    """
-    if t < 1:
-        raise ValueError(f"round index must be >= 1, got {t}")
-    m, n_items = pop.bits_prime.shape
-    per_block = max(1, _SEND_BLOCK // n_items)
-    uniforms = np.empty((min(per_block, m), n_items))
-    probs = np.empty_like(uniforms)
-    rngs = derive_rngs([(pop.hp.seed, TAG_CLIENT_ROUND, i, t) for i in pop.ids.tolist()])
-    sent, counts = [], []
-    for lo in range(0, m, per_block):
-        hi = min(lo + per_block, m)
-        for rng, row in zip(rngs[lo:hi], uniforms):
-            rng.random(out=row)
-        n = hi - lo
-        np.copyto(probs[:n], pop.p[lo:hi, None])
-        np.copyto(probs[:n], pop.q[lo:hi, None], where=pop.bits_prime[lo:hi])
-        owner, ids = np.divmod(np.flatnonzero(uniforms[:n] < probs[:n]), n_items)
-        sent.append(ids)
-        counts.append(np.bincount(owner, minlength=n))
-    return rngs, np.concatenate(sent), np.cumsum([0, *np.concatenate(counts).tolist()]).tolist()
-
-
 def population_iteration(pop: Population, v_snapshot: np.ndarray, t: int) -> RoundUpdates:
     """One round of the numerical task for a ``Population``: every
     client's update, in client order.
@@ -222,7 +224,7 @@ def population_iteration(pop: Population, v_snapshot: np.ndarray, t: int) -> Rou
     hp, m, n_items, noise = pop.hp, len(pop), len(v_snapshot), pop.hp.noise_enabled
     eps_g = None if pop.budget is None else pop.budget.eps_g
     eta = learning_rate(t, hp)
-    rngs, items, at = _draw_send_sets(pop, t)
+    rngs, items, at = pop.send_sets(t)
     # per sent item: whether it is rated, its error (a rated row's own, else
     # a fake), room for a fake-error uniform, and its delta row, the round's
     # block; per client: the user step's results
@@ -373,12 +375,8 @@ def run_training(
     if len(pop) < train.n_users:
         logger.warning("excluded %d client(s) with no ratings", train.n_users - len(pop))
 
-    if task == "one-class":
-        from . import bpr
-
-        step_fn = bpr.population_iteration
-    else:
-        step_fn = population_iteration
+    # read from the module per run: the benchmark's tracer patches its attributes
+    step_fn = bpr.population_iteration if task == "one-class" else population_iteration
 
     u0, v = model0.u, model0.v  # v: the server's item factors; a round returns new ones
     del model0  # so the first V does not outlive round 1

@@ -155,7 +155,9 @@ def calibrate(
     b = h * (1.0 + rm1) + (n_items - h) - z_target * rm1
     root = math.sqrt(b * b + 4.0 * a * z_target)
     p_star = 2.0 * z_target / (b + root) if b > 0.0 else (root - b) / (2.0 * a)
-    q_star = (1.0 + rm1) * p_star / (1.0 + rm1 * p_star)
+    # r >= 1 puts q* at or above p*; where both round to within a few ulps
+    # of 1 the quotient can round below p*, and the inversion then gives p > q
+    q_star = max((1.0 + rm1) * p_star / (1.0 + rm1 * p_star), p_star)
     one_minus_q_star = (1.0 - p_star) / (1.0 + rm1 * p_star)
 
     f = solve_f(eps_p_val, h)

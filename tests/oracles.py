@@ -10,7 +10,9 @@ from privmf import fakegrad
 from privmf.bpr import sigma_bar
 from privmf.codec import Message, RoundUpdates, _decode_at
 from privmf.data import DataError, RatingDataset, RatingTriple, _first_fault
-from privmf.protocol import Population, _draw_send_sets
+from privmf.protocol import Population
+from privmf.randresp import irr
+from privmf.rng import TAG_CLIENT_ROUND, derive_rng
 
 
 def predict(u: np.ndarray, v: np.ndarray) -> float:
@@ -105,13 +107,14 @@ def list_layout(items: list[np.ndarray], ratings: list[np.ndarray] | None = None
 
 
 def draw_send_set(client: OracleClient, t: int) -> tuple[np.random.Generator, np.ndarray]:
-    """The client's round-``t`` stream and the ids it sends, ascending.
+    """The client's round-``t`` stream and the ids it sends, ascending: the
+    reference for ``Population.send_sets``, one ``randresp.irr`` draw.
 
     The send set is the stream's first draw, so every client round and the
     ``privmf attack`` redraw see the same sets.
     """
-    rngs, items, _ = _draw_send_sets(client.pop, t)
-    return rngs[0], items
+    rng = derive_rng(client.hp.seed, TAG_CLIENT_ROUND, client.client_id, t)
+    return rng, np.flatnonzero(irr(client.bits_prime, client.p, client.q, rng))
 
 
 def record(state: OracleClient, bound: fakegrad.AlphaBound) -> None:

@@ -228,9 +228,10 @@ class TestClientIteration:
 
     def test_unrated_selection_sends_negative_role_delta(self):
         hp = make_hp(k=2, eta0=0.2, seed=3)
-        # force the send-set to pick only an unrated item
+        # force the send-set to pick only unrated items: at the no-budget
+        # p = 0, q = 1 it is B', here flipped to the unrated set
         pop, _ = make_bpr_client(hp, items=(0,), seed=11)
-        pop.p[0], pop.q[0] = 1.0, 0.0
+        pop.bits_prime = ~pop.bits_prime
         update = sd_bpr_client_iteration(pop, np.random.default_rng(1).normal(size=(10, hp.k)), 1)
         assert list(update.item_ids) == list(range(1, 10))
 

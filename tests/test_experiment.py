@@ -79,6 +79,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="expected 'key = value'"):
             load_config(cfg)
 
+    @pytest.mark.parametrize(
+        "key, token, error",
+        [
+            ("k", "two", "invalid literal for int() with base 10: 'two'"),
+            ("eta0", "fast", "could not convert string to float: 'fast'"),
+            ("eps_i", "4, one", "could not convert string to float: ' one'"),
+            ("init_prediction", "median", "could not convert string to float: 'median'"),
+            ("noise", "maybe", "expected a boolean, got 'maybe'"),
+        ],
+    )
+    def test_malformed_value_names_file_line_and_key(self, tmp_path, ratings_file, key, token, error):
+        cfg = write_config(tmp_path, ratings_file, **{key: token})
+        line = cfg.read_text(encoding="utf-8").splitlines().index(f"{key} = {token}") + 1
+        with pytest.raises(ConfigError) as info:
+            load_config(cfg)
+        assert str(info.value) == f"{cfg}:{line}: {key}: {error}"
+
     def test_task_defaults(self):
         numerical = ExperimentConfig(dataset="x")
         assert numerical.k == 50 and numerical.split_mode == "random-holdout"
@@ -217,6 +234,13 @@ class TestCli:
             ("baseline_isgld", "0", "baseline_isgld entries must be positive"),
             # a holdout that rounds to every rating leaves none to train on
             ("test_fraction", "0.999", "^error: no clients with ratings\n$"),
+            ("split", "k-fold", "split must be random-holdout or leave-one-out"),
+            # a split that holds out nothing leaves nothing to score: a 0.1
+            # holdout of three ratings, and leave-one-out of one rating per user
+            ("test_fraction", {"test_fraction": "0.1", "ratings": "0\t0\t4\n1\t1\t3\n2\t2\t5\n"},
+             "^error: the random-holdout split holds out no rating to test on\n$"),
+            ("task", {"task": "one-class", "ratings": "0\t0\t4\n1\t1\t3\n2\t2\t5\n"},
+             "^error: the leave-one-out split holds out no rating to test on\n$"),
         ],
     )
     def test_rejected_config_leaves_the_last_results(self, tmp_path, ratings_file, capsys, key, value, error):
@@ -225,7 +249,12 @@ class TestCli:
         out = tmp_path / "out"
         before = {name: (out / name).read_bytes() for name in ("curves.csv", "summary.csv")}
         capsys.readouterr()
-        bad = write_config(tmp_path, ratings_file, **{**settings, key: value})
+        # a dict value is several settings; its "ratings" lines are the data set
+        overrides = dict(value) if isinstance(value, dict) else {key: value}
+        if "ratings" in overrides:
+            ratings_file = tmp_path / "bad.tsv"
+            ratings_file.write_text(overrides.pop("ratings"), encoding="utf-8")
+        bad = write_config(tmp_path, ratings_file, **{**settings, **overrides})
         assert main(["run", "--config", str(bad)]) == 1
         assert re.search(error, capsys.readouterr().err)
         assert {name: (out / name).read_bytes() for name in before} == before

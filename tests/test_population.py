@@ -3,9 +3,10 @@
 ``oracle_iteration`` below is the numerical client round as it ran one
 client at a time, with its SGLD step and fake-error sampler inlined, and
 ``oracle_bpr_iteration`` the one-class client round, with its pair step and
-``sigma_bar`` inlined; both draw their send sets with ``randresp.irr``, so
-they share no arithmetic with the population kernels. Each oracle keeps
-its client's user factor and ledger in an ``oracles.OracleClient``. Every
+``sigma_bar`` inlined; both draw their send sets with ``randresp.irr``
+(``oracles.draw_send_set``), so they share no arithmetic with the
+population kernels. Each oracle keeps its client's user factor and ledger
+in an ``oracles.OracleClient``. Every
 update, user factor and ledger counter of ``protocol.population_iteration``
 and ``bpr.population_iteration`` over a ``Population`` must equal them bit
 for bit.
@@ -24,12 +25,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import OracleClient, build_dataset, list_layout, record, round_of, segments
+from oracles import OracleClient, build_dataset, draw_send_set, list_layout, record, round_of, segments
 from privmf import bpr, fakegrad, protocol, sgld
 from privmf.data import RatingTriple, synthetic_dataset
-from privmf.protocol import Population, client_iteration, population_iteration
-from privmf.randresp import PrivacyBudget, irr
-from privmf.rng import TAG_CLIENT_ROUND, derive_rng
+from privmf.protocol import Population, client_init, client_iteration, population_iteration
+from privmf.randresp import PrivacyBudget
+from privmf.rng import TAG_CLIENT_INIT, derive_rng
 from privmf.sgld import Hyperparams, UserRows, init_model, learning_rate, prediction_errors
 
 _inv_cdf = statistics.NormalDist().inv_cdf
@@ -80,13 +81,8 @@ def oracle_fake_errors(errors, eps_g, n, rng):
         return oracle_sample(mu, sigma, amax, n, rng), bound
 
 
-def oracle_send_set(state, t):
-    rng = derive_rng(state.hp.seed, TAG_CLIENT_ROUND, state.client_id, t)
-    return rng, np.flatnonzero(irr(state.bits_prime, state.p, state.q, rng))
-
-
 def oracle_iteration(state, v_snapshot, t):
-    rng, selected = oracle_send_set(state, t)
+    rng, selected = draw_send_set(state, t)
     hp = state.hp
     eta = learning_rate(t, hp)
     errs = prediction_errors(state.u, v_snapshot, state.items, state.ratings)
@@ -130,7 +126,7 @@ def oracle_bpr_step(u, v_pos, v_neg, eta_t, hp, rng):
 
 
 def oracle_bpr_iteration(state, v_snapshot, t):
-    rng, selected = oracle_send_set(state, t)
+    rng, selected = draw_send_set(state, t)
     hp = state.hp
     eta = learning_rate(t, hp)
     unrated = np.flatnonzero(state.bits == 0)
@@ -408,6 +404,26 @@ def test_rated_chunks_close_once_they_hold_the_chunk_rows():
     assert [rows.ratings.tolist() for _, _, rows in chunks] == [[0, 1, 2, 3], [7, 4, 5, 6], [8, 9, 10, 11]]
 
 
+def test_a_population_without_budget_derives_no_init_stream(monkeypatch):
+    ds = synthetic_dataset(30, 60, seed=1, mean_ratings_per_user=8)
+    hp = Hyperparams(3, 0.1, 0.6, np.full(3, 0.01), np.full(3, 0.01), 0)
+    u0 = init_model(ds.n_users, ds.n_items, hp).u
+    derived, derive = [], protocol.derive_rngs
+    monkeypatch.setattr(protocol, "derive_rngs", lambda keys: derived.append(keys) or derive(keys))
+    pop = Population(ds, u0, hp, None)
+    assert derived == []
+    # the arrays of a build that handed each client its init stream
+    for i, client in enumerate(pop.ids.tolist()):
+        rng0 = derive_rng(hp.seed, TAG_CLIENT_INIT, client)
+        state = client_init(client, ds.user_items(client)[0], ds.n_items, None, None, rng0)
+        assert np.array_equal(pop.bits_prime[i], state.bits_prime)
+        assert (pop.p[i], pop.q[i], pop.p_star[i], pop.q_star[i], pop.one_minus_q_star[i]) == (
+            state.rr.p, state.rr.q, state.rr.p_star, state.rr.q_star, state.rr.one_minus_q_star)
+    # a private build derives one per client
+    Population(ds, u0, hp, PrivacyBudget(eps_i=1.0))
+    assert [key[2] for keys in derived for key in keys] == pop.ids.tolist()
+
+
 def test_send_sets_do_not_depend_on_the_block_size():
     ds = synthetic_dataset(30, 60, seed=1, mean_ratings_per_user=8)
     hp = Hyperparams(3, 0.1, 0.6, np.full(3, 0.01), np.full(3, 0.01), 0)
@@ -416,7 +432,7 @@ def test_send_sets_do_not_depend_on_the_block_size():
     # blocks of one client, of seven with a short last block, and of all 30
     for block in (1, ds.n_items, ds.n_items + 1, 7 * ds.n_items, 8192, 2**30):
         with mock.patch.object(protocol, "_SEND_BLOCK", block):
-            rngs, items, at = protocol._draw_send_sets(pop, 3)
+            rngs, items, at = pop.send_sets(3)
         runs.append((items, at, [rng.random() for rng in rngs]))
     for items, at, next_draws in runs[1:]:
         assert np.array_equal(items, runs[0][0]) and at == runs[0][1] and next_draws == runs[0][2]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import average_attack, effective_probs
 from privmf.randresp import (
@@ -136,6 +138,26 @@ class TestCalibrate:
         params = RRParams(f=0.5, p=0.1, q=0.6, p_star=0.2, q_star=0.7, h=3, z=1.0)
         assert params.one_minus_q_star == 1.0 - 0.7
         assert epsilon_i_of(0.2, 0.7, 3, params.one_minus_q_star) == epsilon_i_of(0.2, 0.7, 3)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        eps_i=st.floats(-3.0, 2.0).map(lambda x: 10.0**x),
+        eps_p=st.none() | st.floats(-3.0, 3.0).map(lambda x: 10.0**x),
+        n_items=st.integers(1, 5000),
+        h_share=st.floats(0.0, 1.0),
+        z_share=st.floats(0.0, 1.0),
+    )
+    # z near n: q* rounded below p* and gave p = 1.0 > q = 1 - 4e-16
+    @example(eps_i=1.0, eps_p=None, n_items=4, h_share=1.0, z_share=0.9999999999999999)
+    def test_calibrated_response_keeps_p_below_q(self, eps_i, eps_p, n_items, h_share, z_share):
+        # Population.send_sets thresholds as (u < q) & (B' | (u < p)), which
+        # is u < where(B', q, p) only while p <= q
+        h = max(1, round(h_share * n_items))
+        try:
+            params = calibrate(eps_i, h, n_items, z_share * n_items, eps_p=eps_p)
+        except CalibrationError:
+            return
+        assert 0.0 <= params.p <= params.q <= 1.0
 
     def test_impossible_targets_named(self):
         with pytest.raises(CalibrationError, match="z_target"):
