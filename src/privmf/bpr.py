@@ -11,14 +11,15 @@ numerical task's.
 The simulator runs a one-class round for the whole population at once
 (``population_iteration``): after the population's ``send_sets`` draw, it
 walks the population's chunks of clients in two passes, as the numerical
-round does: a loop over the clients that only pulls each client's partner
-draws and pair noise from its own round stream, then one ``bpr_step`` over
-all the chunk's pairs, whose item deltas go straight to their clients'
-segments of the round's block, the numerical round's layout. The round
-reads the server's item factors only through the read-only snapshot it is
-handed, and writes only the ``Population``'s user factors and ledger.
-Every update, user factor and ledger entry equals that client's round
-computed alone, in a population of one.
+round does. Pass 1 draws every partner of the chunk with one
+``rng.integers_below`` call, one raw pull from each client's round stream,
+and, with noise on, loops over the clients for their pair noise. Pass 2
+is one ``bpr_step`` over all the chunk's pairs, whose item deltas go
+straight to their clients' segments of the round's block, the numerical
+round's layout. The round reads the server's item factors only through
+the read-only snapshot it is handed, and writes only the ``Population``'s
+user factors and ledger. Every update, user factor and ledger entry
+equals that client's round computed alone, in a population of one.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import math
 import numpy as np
 
 from .codec import RoundUpdates
+from .rng import integers_below
 from .sgld import Hyperparams, UserRows, learning_rate
 
 
@@ -101,11 +103,14 @@ def population_iteration(pop, v_snapshot: np.ndarray, t: int) -> RoundUpdates:
     sends its positive-role delta; a selected unrated item pairs with a
     uniform rated partner and sends its negative-role delta. Each client
     draws from its own round-``t`` stream, in one order: the send set, one
-    partner per selected item in send-set order, the pair noise. The user
-    factor applies the average of all its pair deltas once per round. No
-    fake errors are needed, so the fake-gradient budget is unused. A client
-    that has rated every item has no unrated partner: it sends nothing, and
-    the round is counted in its ``partnerless_rounds``.
+    partner per selected item in send-set order, the pair noise. The
+    partners are drawn as ``Generator.integers`` would draw them, bit for
+    bit, for a chunk of clients at once (``rng.integers_below``); only the
+    pair noise is pulled client by client. The user factor applies the
+    average of all its pair deltas once per round. No fake errors are
+    needed, so the fake-gradient budget is unused. A client that has rated
+    every item has no unrated partner: it sends nothing, and the round is
+    counted in its ``partnerless_rounds``.
     """
     hp, n_items = pop.hp, len(v_snapshot)
     eta = learning_rate(t, hp)
@@ -130,12 +135,13 @@ def population_iteration(pop, v_snapshot: np.ndarray, t: int) -> RoundUpdates:
         # a rated item draws among the unrated items, an unrated one among the rated
         high = np.where(positive, n_items - h, h)
 
-        # pass 1: the rest of each client's stream, in its order
-        draws = np.empty(len(rows.items), dtype=np.int64)
-        noise = np.empty((len(rows.items), 3, hp.k)) if hp.noise_enabled else None
-        for rng, first, n in zip(rngs[lo:hi], rows.start.tolist(), rows.h.tolist()):
-            draws[first : first + n] = rng.integers(0, high[first : first + n])
-            if noise is not None:
+        # pass 1: the rest of each client's stream, in its order: the
+        # partner draws, one raw pull per client, then the pair noise
+        draws = integers_below(rngs[lo:hi], high, rows.start, rows.h)
+        noise = None
+        if hp.noise_enabled:
+            noise = np.empty((len(rows.items), 3, hp.k))
+            for rng, first, n in zip(rngs[lo:hi], rows.start.tolist(), rows.h.tolist()):
                 rng.standard_normal(out=noise[first : first + n])
 
         # pass 2: every pair of the chunk in one step

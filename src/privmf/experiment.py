@@ -200,14 +200,21 @@ def run_experiments(config: ExperimentConfig, dataset: RatingDataset | None = No
     check_z_target(config, dataset)
     # a random holdout holds out round(fraction * n) ratings, leave-one-out
     # one per user with at least two
+    h = np.diff(dataset.indptr)
     if config.split_mode == "random-holdout":
         held_out = round(config.test_fraction * len(dataset))
     else:
-        held_out = int(np.count_nonzero(np.diff(dataset.indptr) >= 2))
+        held_out = int(np.count_nonzero(h >= 2))
     if len(dataset) == held_out:
         raise ConfigError("no clients with ratings")
     if held_out == 0:
         raise ConfigError(f"the {config.split_mode} split holds out no rating to test on")
+    # AUC ranks a user's held-out item against the n_items - h items it never rated
+    if config.task == "one-class" and config.split_mode == "leave-one-out" and not (
+        np.any((h >= 2) & (h < dataset.n_items))
+    ):
+        raise ConfigError("no held-out rating has an unrated item to rank against: every "
+                          "user with two ratings or more has rated every item")
     out_dir = Path(config.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     curves_path = out_dir / "curves.csv"

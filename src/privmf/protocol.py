@@ -14,11 +14,12 @@ the rated-row layout (``sgld.rated_chunks``), fixed for a run, built once.
 Rounds take only a ``Population`` and run for all its clients at once: the
 numerical round here (``population_iteration``), the one-class round in
 ``bpr.population_iteration``. Both first draw every client's send set
-(``Population.send_sets``), then walk the layout's chunks in two passes: a loop
-over the clients that only pulls the rest of each client's draws from its
-own round stream, in the order a lone client round draws them, then array
-passes over all the chunk's rows, which update the population's arrays in
-place. So every update, user factor and ledger entry equals that client's
+(``Population.send_sets``), then walk the layout's chunks in two passes:
+one that only pulls the rest of each client's draws from its own round
+stream, in the order a lone client round draws them (a loop over the
+clients, but one array draw for the one-class partners), then array passes
+over all the chunk's rows, which update the population's arrays in place.
+So every update, user factor and ledger entry equals that client's
 round computed alone, in a population of one. The server only ever sees gradient/finish frames: ratings, rated-item bit vectors, and
 user factors never leave the client. With ``transport="bytes"`` a round
 crosses ``codec.encode_updates`` and ``codec.decode_updates``; in memory

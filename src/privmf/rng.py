@@ -14,6 +14,10 @@ arithmetic over all the keys, then seeds one ``PCG64`` per key from its
 four state words. Only the seeding differs: such a generator's
 ``bit_generator.seed_seq`` is not a ``SeedSequence``, so it cannot
 ``spawn()``.
+
+``integers_below`` draws ``rng.integers(0, bounds)`` for many streams at
+once, bit for bit: it runs ``Generator.integers``' bounded draw over each
+stream's raw 64-bit words as array arithmetic.
 """
 
 from __future__ import annotations
@@ -155,6 +159,95 @@ def _pcg64_states(words: np.ndarray) -> np.ndarray:
     state ^= state >> _XSHIFT
     # word pairs read as little-endian uint64, as generate_state reads them
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+def integers_below(rngs, high: np.ndarray, starts, counts) -> np.ndarray:
+    """``rng.integers(0, high[s : s + n])`` for each ``rng``, ``s`` and ``n``
+    of ``rngs``, ``starts`` and ``counts``, bit for bit, as one int64 array
+    laid out as ``high``; the segments cover ``high`` and do not overlap.
+
+    For a bound below 2**32, numpy takes Lemire's bounded draw ("Fast
+    random integer generation in an interval", ACM TOMACS 2019) over the
+    stream's 32-bit halves, which PCG64 serves low half first from each
+    64-bit word. A bound of 1 takes no half and gives 0. Any other bound
+    ``b`` takes a half ``x``, and ``m = x * b`` gives the draw ``m >> 32``
+    unless ``m``'s low word is below ``(2**32 - b) % b``; then it takes the
+    next half. Here each stream pulls the ``ceil(n32 / 2)`` words its
+    ``n32`` bounds above 1 need at one accept each, in one ``random_raw``
+    call, and every half is tried at once. A stream with a rejected half is
+    redrawn alone, half by half, pulling one more word whenever its loop
+    needs it. A half rejects with odds ``(2**32 % b) / 2**32``: below
+    2**-22 for bounds below 1024, about 1/2 just above 2**31.
+
+    A stream must hold no buffered half when called, which a stream that
+    has only made 64-bit draws does not. A stream that ends on an odd
+    half leaves its last word's high half unread where numpy would buffer
+    it: the stream's next 64-bit draws (``random``, ``standard_normal``,
+    ...) are numpy's, its next 32-bit one is not. A bound outside
+    ``[1, 2**32)`` raises ValueError.
+    """
+    high, starts, counts = (np.asarray(a, dtype=np.int64) for a in (high, starts, counts))
+    if len(high) and not (high.min() >= 1 and high.max() <= _MASK32):
+        raise ValueError(f"bounds must be in [1, 2**32), got {high.min()} to {high.max()}")
+    drawn = high > 1
+    before = np.zeros(len(high) + 1, dtype=np.int64)  # drawn rows before each row
+    np.cumsum(drawn, out=before[1:])
+    n32 = before[starts + counts] - before[starts]
+    del before
+    # each stream's words go to ``raw`` at ``first``, the streams in row order,
+    # so the halves run as the drawn rows do, bar each odd stream's last one
+    words = (n32 + 1) // 2
+    order = np.argsort(starts, kind="stable")
+    first = np.empty_like(words)
+    first[order] = np.cumsum(words[order]) - words[order]
+    raw = np.empty(int(words.sum()), dtype="<u8")
+    for rng, a, w in zip(rngs, first.tolist(), words.tolist()):
+        if w:
+            raw[a : a + w] = rng.bit_generator.random_raw(w)
+    halves = raw.view("<u4")
+    used = np.ones(len(halves), dtype=bool)
+    odd = n32 % 2 == 1
+    used[2 * (first[odd] + words[odd]) - 1] = False
+    bound = high[drawn].astype(np.uint64)
+    m = halves[used].astype(np.uint64)
+    m *= bound
+    low = m & _MASK32
+    # the rejection threshold (2**32 - b) % b, over ``bound``'s memory
+    threshold = np.subtract(2**32, bound, out=bound)
+    threshold %= high[drawn].astype(np.uint64)
+    rejected = low < threshold
+    del low, bound, threshold
+    m >>= 32
+    out = np.zeros(len(high), dtype=np.int64)
+    out[drawn] = m
+    if rejected.any():
+        # the streams holding a rejected row run Lemire's loop alone
+        bad = np.flatnonzero(drawn)[rejected]
+        hits = np.searchsorted(bad, starts + counts) - np.searchsorted(bad, starts)
+        for i in np.flatnonzero(hits).tolist():
+            rows = starts[i] + np.flatnonzero(drawn[starts[i] : starts[i] + counts[i]])
+            pulled = halves[2 * first[i] : 2 * (first[i] + words[i])].tolist()
+            out[rows] = _lemire_loop(rngs[i], pulled, high[rows].tolist())
+    return out
+
+
+def _lemire_loop(rng: np.random.Generator, halves: list[int], bounds: list[int]) -> list[int]:
+    """Lemire's bounded draw for each of ``bounds`` in turn, as numpy runs
+    it: from the 32-bit ``halves`` already pulled from ``rng``, then from
+    one more word of ``rng`` whenever they run out."""
+    draws, taken = [], 0
+    for b in bounds:
+        threshold = (2**32 - b) % b
+        while True:
+            if taken == len(halves):
+                word = int(rng.bit_generator.random_raw())
+                halves += [word & _MASK32, word >> 32]
+            m = halves[taken] * b
+            taken += 1
+            if m & _MASK32 >= threshold:
+                break
+        draws.append(m >> 32)
+    return draws
 
 
 class _StateWords(ISeedSequence):

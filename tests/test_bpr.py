@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 from dataclasses import replace
@@ -6,10 +7,12 @@ import numpy as np
 import pytest
 
 from oracles import bpr_errors, bpr_margin, build_dataset
+from privmf import bpr
 from privmf.bpr import bpr_step, population_iteration, sd_bpr_client_iteration, sigma_bar
 from privmf.codec import FinishMessage, encode_updates, iter_messages
-from privmf.data import RatingTriple
+from privmf.data import RatingTriple, SplitSpec, split, synthetic_dataset
 from privmf.protocol import Population, run_training
+from privmf.randresp import PrivacyBudget
 from privmf.rng import TAG_CLIENT_ROUND, derive_rng
 from privmf.sgld import Hyperparams, learning_rate
 
@@ -265,3 +268,46 @@ class TestClientIteration:
         assert np.array_equal(a.item_ids, b.item_ids)
         assert np.array_equal(a.deltas.view(np.uint64), b.deltas.view(np.uint64))
         assert np.array_equal(u_a.view(np.uint64), u_b.view(np.uint64))
+
+
+def sha256(*arrays) -> str:
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+# round 3's item ids and deltas, and the final u and v, of three rounds on
+# the benchmark's desk one-class set (eps_i = 4, per-item average), as the
+# per-client ``rng.integers`` partner draws gave them; the transports agree.
+# A BLAS whose dot sums in another order would move them.
+DESK_ROUND_PINS = {
+    (7, False): ("207e11b5bba69a3be5d810675458437d1224aa4bc3c2f444b9d9179a503f688a",
+                 "cdea9691bcd1a7cabcba85b979f81c4be5fb7db97b41e29b23e7fc5a0f00cdf3"),
+    (7, True): ("4bcf20e6223f53fdd3f3c1dc80372bdac5d42b56573b32d79a413163fc149f07",
+                "6cfbea16f4794eb41e6e35f6dae34d660611730c5da4b1ca08830a3b92182cd4"),
+    (1009, False): ("98151a84570c59db68b635f2e2ca496333d372f4ce895642797a10075ee61151",
+                    "1165325d0dfe089791fec89c105a836500269217244f6f3fcccc5d96be9192a8"),
+    (1009, True): ("48d0950b41145155af10b2d9a05103a0f680bca01c3f1ae1028c1e1e31442f65",
+                   "981463e93cf33b7a430eb95fadedb022a9cca10300be0e9401d178adefa08b73"),
+}
+
+
+@pytest.mark.parametrize(
+    "seed, noise, transport",
+    [(seed, noise, transport) for seed in (7, 1009)
+     for noise, transport in ((False, "memory"), (False, "bytes"), (True, "memory"))],
+)
+def test_desk_one_class_round_is_pinned(monkeypatch, seed, noise, transport):
+    dataset = synthetic_dataset(200, 400, seed=seed, mean_ratings_per_user=40, signal=1.0)
+    train, _ = split(dataset, SplitSpec("leave-one-out", seed=seed))
+    hp = Hyperparams.with_gamma_priors(10, 10.0, 0.6, seed=seed, noise_enabled=noise)
+    rounds = []
+
+    def recording(pop, v, t):
+        rounds.append(population_iteration(pop, v, t))
+        return rounds[-1]
+
+    monkeypatch.setattr(bpr, "population_iteration", recording)
+    model = run_training(train, hp, 3, budget=PrivacyBudget(eps_i=4.0), task="one-class",
+                         transport=transport, per_item_average=True).model
+    third = rounds[2]
+    assert (sha256(third.item_ids.astype("<i8"), third.deltas.astype("<f8")),
+            sha256(model.u.astype("<f8"), model.v.astype("<f8"))) == DESK_ROUND_PINS[seed, noise]

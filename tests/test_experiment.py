@@ -241,6 +241,10 @@ class TestCli:
              "^error: the random-holdout split holds out no rating to test on\n$"),
             ("task", {"task": "one-class", "ratings": "0\t0\t4\n1\t1\t3\n2\t2\t5\n"},
              "^error: the leave-one-out split holds out no rating to test on\n$"),
+            # leave-one-out holds out one of two ratings per user, but each
+            # user rated both items, so no held-out item has one to rank against
+            ("task", {"task": "one-class", "ratings": "0\t0\t4\n0\t1\t3\n1\t0\t5\n1\t1\t2\n"},
+             "^error: no held-out rating has an unrated item to rank against"),
         ],
     )
     def test_rejected_config_leaves_the_last_results(self, tmp_path, ratings_file, capsys, key, value, error):

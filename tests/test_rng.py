@@ -1,7 +1,11 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from privmf.rng import TAG_CLIENT_ROUND, derive_rng, derive_rngs
+from privmf.rng import TAG_CLIENT_ROUND, derive_rng, derive_rngs, integers_below
 from privmf.sgld import Hyperparams
 
 # one word each up to 2**32 - 1, then two words, then three
@@ -89,3 +93,66 @@ def test_non_integral_part_raises(part):
 def test_fractional_seed_is_not_truncated():
     with pytest.raises(TypeError):
         Hyperparams.with_gamma_priors(4, 0.1, 0.6, seed=7.5)
+
+
+# a bound of 1 takes no half; one just above 2**31 rejects about half its
+# halves; one near 2**32 - 1 almost never, but is the top of the range
+BOUNDS = st.one_of(
+    st.just(1),
+    st.integers(2, 9),
+    st.integers(1, 2**32 - 1),
+    st.integers(2**31 + 1, 2**31 + 8),
+    st.integers(2**32 - 8, 2**32 - 1),
+)
+
+
+def assert_generator_integers(clients, shuffle=random.Random(0).shuffle):
+    """``integers_below`` over ``(seed, bounds)`` clients, their segments
+    laid out back to back in a shuffled order, against ``Generator.integers``."""
+    order = list(range(len(clients)))
+    shuffle(order)
+    starts, high = [0] * len(clients), []
+    for i in order:
+        starts[i] = len(high)
+        high += clients[i][1]
+    rngs = [np.random.default_rng(seed) for seed, _ in clients]
+    draws = integers_below(rngs, np.array(high, dtype=np.int64), starts, [len(b) for _, b in clients])
+    for rng, start, (seed, bounds) in zip(rngs, starts, clients):
+        expected = np.random.default_rng(seed)
+        segment = draws[start : start + len(bounds)]
+        assert segment.tolist() == expected.integers(0, np.array(bounds, dtype=np.int64)).tolist(), seed
+        # the streams go on as numpy's, in 64-bit draws
+        assert rng.random() == expected.random()
+        assert rng.standard_normal() == expected.standard_normal()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    clients=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.lists(BOUNDS, max_size=9)), max_size=6),
+    layout=st.randoms(use_true_random=False),
+)
+def test_integers_below_draws_as_generator_integers(clients, layout):
+    # clients with zero rows, odd and even counts, in any layout order
+    assert_generator_integers(clients, layout.shuffle)
+
+
+def test_integers_below_redraws_rejected_halves():
+    # 40 bounds of 2**31 + 1 reject ~20 halves: each rejecting client is
+    # redrawn past its pulled words, odd and even counts alike
+    clients = [(seed, [2**31 + 1] * n) for seed, n in enumerate([40, 39, 1, 0, 2, 3])]
+    assert_generator_integers(clients)
+    bound = np.uint64(2**31 + 1)
+    halves = np.random.default_rng(0).bit_generator.random_raw(20).astype("<u8").view("<u4")
+    assert np.count_nonzero((halves * bound & 0xFFFFFFFF) < 2**32 % bound) > 5
+
+
+def test_bounds_of_one_take_no_draw():
+    rng, untouched = np.random.default_rng(3), np.random.default_rng(3)
+    assert integers_below([rng], np.ones(5, dtype=np.int64), [0], [5]).tolist() == [0] * 5
+    assert rng.bit_generator.state == untouched.bit_generator.state
+
+
+@pytest.mark.parametrize("bound", [0, -3, 2**32, 2**40])
+def test_bound_outside_32_bits_raises(bound):
+    with pytest.raises(ValueError, match=r"bounds must be in \[1, 2\*\*32\)"):
+        integers_below([np.random.default_rng(0)], np.array([5, bound]), [0], [2])
