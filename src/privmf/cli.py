@@ -121,7 +121,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, randresp.CalibrationError, FileNotFoundError, ValueError, ProtocolError) as exc:
+    except (ConfigError, randresp.CalibrationError, OSError, ValueError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -194,87 +195,85 @@ def check_z_target(config: ExperimentConfig, dataset: RatingDataset) -> None:
 
 
 def run_experiments(config: ExperimentConfig, dataset: RatingDataset | None = None) -> dict:
-    """Run the configured learning-curve grid; returns output file paths."""
+    """Run the configured learning-curve grid; returns output file paths.
+
+    The grid goes to ``curves.csv.partial``, flushed after each run. Only a
+    finished grid replaces ``curves.csv`` and ``summary.csv``: on any error
+    the partial files are deleted, so the last run's output stays.
+    """
     if dataset is None:
         dataset = load_dataset(config)
     check_z_target(config, dataset)
-    # a random holdout holds out round(fraction * n) ratings, leave-one-out
-    # one per user with at least two
-    h = np.diff(dataset.indptr)
-    if config.split_mode == "random-holdout":
-        held_out = round(config.test_fraction * len(dataset))
-    else:
-        held_out = int(np.count_nonzero(h >= 2))
-    if len(dataset) == held_out:
-        raise ConfigError("no clients with ratings")
-    if held_out == 0:
-        raise ConfigError(f"the {config.split_mode} split holds out no rating to test on")
-    # AUC ranks a user's held-out item against the n_items - h items it never rated
-    if config.task == "one-class" and config.split_mode == "leave-one-out" and not (
-        np.any((h >= 2) & (h < dataset.n_items))
-    ):
-        raise ConfigError("no held-out rating has an unrated item to rank against: every "
-                          "user with two ratings or more has rated every item")
     out_dir = Path(config.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    curves_path = out_dir / "curves.csv"
-    summary_path = out_dir / "summary.csv"
-
+    paths = {"curves": out_dir / "curves.csv", "summary": out_dir / "summary.csv"}
+    partial = {name: path.with_name(path.name + ".partial") for name, path in paths.items()}
     rows_for_summary: list[dict] = []
-    with curves_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
+    try:
+        with partial["curves"].open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_HEADER)
 
-        for rep in range(config.repetitions):
-            rep_seed = int(derive_rng(config.seed, TAG_REPETITION, rep).integers(2**31 - 1))
-            train, test = split(
-                dataset,
-                SplitSpec(mode=config.split_mode, fraction=config.test_fraction, seed=rep_seed),
-            )
-            if config.init_prediction == "mean":
-                init_pred = float(np.mean(train.ratings))
-            else:
-                init_pred = float(config.init_prediction)
-            hp = Hyperparams.with_gamma_priors(
-                config.k,
-                config.eta0,
-                config.gamma,
-                seed=rep_seed,
-                noise_enabled=config.noise,
-                init_prediction=init_pred,
-            )
-            evaluate = _evaluator(config, train, test)
-
-            for variant, isgld, budget, eps_i, eps_g in _runs(config):
-                data = train if isgld is None else isgld_perturb(train, isgld, derive_rng(rep_seed, TAG_ISGLD))
-                result = run_training(
-                    data,
-                    hp,
-                    config.iterations,
-                    budget=budget,
-                    z_target=config.z_target,
-                    task=config.task,
-                    evaluator=evaluate,
-                    per_item_average=config.per_item_average,
+            for rep in range(config.repetitions):
+                rep_seed = int(derive_rng(config.seed, TAG_REPETITION, rep).integers(2**31 - 1))
+                train, test = split(
+                    dataset,
+                    SplitSpec(mode=config.split_mode, fraction=config.test_fraction, seed=rep_seed),
                 )
-                for record in result.curve:
-                    row = {
-                        "rep": rep,
-                        "budget_eps_I": _fmt_budget(eps_i),
-                        "budget_eps_g": _fmt_budget(eps_g),
-                        "variant": variant,
-                        "t": record.t,
-                        "metric": config.metric_name,
-                        "value": f"{record.metric:.6f}",
-                        "messages": record.messages,
-                    }
-                    writer.writerow([row[c] for c in CSV_HEADER])
-                    rows_for_summary.append(row)
-                fh.flush()
+                if len(train) == 0:
+                    raise ConfigError("no clients with ratings")
+                if len(test) == 0:
+                    raise ConfigError(f"the {config.split_mode} split holds out no rating to test on")
+                if config.init_prediction == "mean":
+                    init_pred = float(np.mean(train.ratings))
+                else:
+                    init_pred = float(config.init_prediction)
+                hp = Hyperparams.with_gamma_priors(
+                    config.k,
+                    config.eta0,
+                    config.gamma,
+                    seed=rep_seed,
+                    noise_enabled=config.noise,
+                    init_prediction=init_pred,
+                )
+                evaluate = _evaluator(config, train, test)
 
-    _write_summary(summary_path, rows_for_summary)
-    logger.info("wrote %s and %s", curves_path, summary_path)
-    return {"curves": curves_path, "summary": summary_path}
+                for variant, isgld, budget, eps_i, eps_g in _runs(config):
+                    data = train if isgld is None else isgld_perturb(train, isgld, derive_rng(rep_seed, TAG_ISGLD))
+                    result = run_training(
+                        data,
+                        hp,
+                        config.iterations,
+                        budget=budget,
+                        z_target=config.z_target,
+                        task=config.task,
+                        evaluator=evaluate,
+                        per_item_average=config.per_item_average,
+                    )
+                    for record in result.curve:
+                        row = {
+                            "rep": rep,
+                            "budget_eps_I": _fmt_budget(eps_i),
+                            "budget_eps_g": _fmt_budget(eps_g),
+                            "variant": variant,
+                            "t": record.t,
+                            "metric": config.metric_name,
+                            "value": f"{record.metric:.6f}",
+                            "messages": record.messages,
+                        }
+                        writer.writerow([row[c] for c in CSV_HEADER])
+                        rows_for_summary.append(row)
+                    fh.flush()
+
+        _write_summary(partial["summary"], rows_for_summary)
+    except BaseException:
+        for path in partial.values():
+            path.unlink(missing_ok=True)
+        raise
+    for name, path in paths.items():
+        os.replace(partial[name], path)
+    logger.info("wrote %s and %s", paths["curves"], paths["summary"])
+    return paths
 
 
 def _write_summary(path: Path, rows: list[dict]) -> None:

@@ -25,8 +25,8 @@ def auc(test: RatingDataset, train: RatingDataset, model: FactorModel) -> float:
 
     For each test user each held-out rated item competes against every
     other item the user did not rate in train; the score is the fraction
-    ranked strictly below the positive, ties counting one half. Users with
-    no candidate negatives are skipped.
+    ranked strictly below the positive, ties counting one half. A held-out
+    rating with no such item is skipped; if every one is, ``ValueError``.
 
     Blocks of test users are scored at once, one row per test row in
     ``test.order``. Each user's scores are its own matvec: one product of
@@ -58,7 +58,8 @@ def auc(test: RatingDataset, train: RatingDataset, model: FactorModel) -> float:
         ratios.append((less + 0.5 * ties)[n_neg > 0] / n_neg[n_neg > 0])
     per_row_auc = np.concatenate([np.empty(0), *ratios])
     if not per_row_auc.size:
-        raise ValueError("no test user had candidate negatives")
+        raise ValueError("no held-out rating has an unrated item to rank against: each test "
+                         "user rated every other item in train")
     return float(np.mean(per_row_auc))
 
 

@@ -245,13 +245,20 @@ class TestCli:
             # user rated both items, so no held-out item has one to rank against
             ("task", {"task": "one-class", "ratings": "0\t0\t4\n0\t1\t3\n1\t0\t5\n1\t1\t2\n"},
              "^error: no held-out rating has an unrated item to rank against"),
+            # no client calibrates for eps_p = 0.5: the non-private baseline
+            # has run by the time the first private run fails
+            ("eps_p", "0.5", r"^error: client \d+: inverted p="),
+            # the split is checked before the train mean is taken
+            ("init_prediction", {"init_prediction": "mean", "test_fraction": "0.999"},
+             "^error: no clients with ratings\n$"),
         ],
     )
     def test_rejected_config_leaves_the_last_results(self, tmp_path, ratings_file, capsys, key, value, error):
         settings = {"iterations": "2", "repetitions": "1"}
         assert main(["run", "--config", str(write_config(tmp_path, ratings_file, **settings))]) == 0
         out = tmp_path / "out"
-        before = {name: (out / name).read_bytes() for name in ("curves.csv", "summary.csv")}
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(before) == ["curves.csv", "summary.csv"]
         capsys.readouterr()
         # a dict value is several settings; its "ratings" lines are the data set
         overrides = dict(value) if isinstance(value, dict) else {key: value}
@@ -261,7 +268,42 @@ class TestCli:
         bad = write_config(tmp_path, ratings_file, **{**settings, **overrides})
         assert main(["run", "--config", str(bad)]) == 1
         assert re.search(error, capsys.readouterr().err)
-        assert {name: (out / name).read_bytes() for name in before} == before
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_failed_run_leaves_the_last_results(self, tmp_path, ratings_file, monkeypatch):
+        config = load_config(write_config(tmp_path, ratings_file, iterations="2", repetitions="1"))
+        run_experiments(config)
+        out = tmp_path / "out"
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        calls = []
+
+        def second_run_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                assert (out / "curves.csv.partial").exists()
+                raise RuntimeError("run 2 failed")
+            return run_training(*args, **kwargs)
+
+        monkeypatch.setattr("privmf.experiment.run_training", second_run_fails)
+        with pytest.raises(RuntimeError, match="run 2 failed"):
+            run_experiments(config)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "setting, error",
+        [
+            # an output that names a file, and a data set that names a directory
+            ("output", r"^error: \[Errno 17\] File exists: .*ratings\.tsv'\n$"),
+            ("dataset", r"^error: \[Errno 21\] Is a directory: .*'\n$"),
+        ],
+    )
+    def test_os_error_is_one_line(self, tmp_path, ratings_file, capsys, setting, error):
+        target = {"output": str(ratings_file), "dataset": str(tmp_path)}[setting]
+        cfg = write_config(tmp_path, ratings_file, iterations="2", repetitions="1", **{setting: target})
+        assert main(["run", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(error, captured.err)
 
     @pytest.mark.parametrize("z_target", ["38", "100"])
     def test_attack_rejects_what_run_rejects(self, tmp_path, ratings_file, capsys, z_target):
