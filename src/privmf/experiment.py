@@ -15,7 +15,7 @@ import csv
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ from .sgld import Hyperparams
 logger = logging.getLogger(__name__)
 
 CSV_HEADER = ["rep", "budget_eps_I", "budget_eps_g", "variant", "t", "metric", "value", "messages"]
+_DELIMITERS = {"auto": None, "tab": "\t", "comma": ","}  # by ``format``
 
 
 class ConfigError(ValueError):
@@ -69,6 +70,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in ("numerical", "one-class"):
             raise ConfigError(f"task must be numerical or one-class, got {self.task!r}")
+        if self.fmt not in _DELIMITERS:
+            raise ConfigError(f"unknown format {self.fmt!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         if self.k is None:
@@ -86,6 +89,10 @@ class ExperimentConfig:
             raise ConfigError(f"z_target must be positive, got {self.z_target}")
         if not all(eps > 0 for eps in self.baseline_isgld):
             raise ConfigError(f"baseline_isgld entries must be positive, got {self.baseline_isgld}")
+        for name in ("eps_i", "eps_g", "baseline_isgld"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} entries must be distinct, got {values}")
         try:  # the checks of k, eta0, gamma and seed, and of every budget cell
             Hyperparams.with_gamma_priors(self.k, self.eta0, self.gamma, self.seed)
             list(_runs(self))
@@ -100,31 +107,28 @@ class ExperimentConfig:
 _BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 
-def _parse_value(key: str, token: str):
-    list_float = {"eps_i", "eps_g", "baseline_isgld"}
-    scalar_float = {"eta0", "gamma", "test_fraction", "score_min", "score_max"}
-    optional_float = {"eps_p", "z_target"}
-    scalar_int = {"k", "seed", "iterations", "repetitions", "desk_users", "desk_items", "desk_min_ratings"}
-    boolean = {"noise", "baseline_nonprivate", "desk_scale", "per_item_average"}
-    if key == "init_prediction":
-        return "mean" if token.lower() == "mean" else float(token)
-    if key in list_float:
-        return [float(p) for p in token.split(",") if p.strip()] if token else []
-    if key in scalar_float:
-        return float(token)
-    if key in optional_float:
-        return None if token == "" else float(token)
-    if key in scalar_int:
-        return int(token)
-    if key in boolean:
-        if token.lower() not in _BOOL:
-            raise ValueError(f"expected a boolean, got {token!r}")
-        return _BOOL[token.lower()]
-    return token  # string-valued keys
+def _bool(token: str) -> bool:
+    if token.lower() not in _BOOL:
+        raise ValueError(f"expected a boolean, got {token!r}")
+    return _BOOL[token.lower()]
+
+
+# a value's parser by its field's annotation; a field with any other
+# annotation fails here, when the module loads
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "int | None": lambda token: None if token == "" else int(token),
+    "float": float,
+    "float | None": lambda token: None if token == "" else float(token),
+    "bool": _bool,
+    "list[float]": lambda token: [float(p) for p in token.split(",") if p.strip()] if token else [],
+    "float | str": lambda token: "mean" if token.lower() == "mean" else float(token),
+}
+_FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
     aliases = {"format": "fmt", "split": "split_mode"}
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
@@ -135,21 +139,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, token = line.partition("=")
         key = aliases.get(key.strip(), key.strip())
-        if key not in known:
+        if key not in _FIELD_PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _parse_value(key, token.strip())
+            values[key] = _FIELD_PARSERS[key](token.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
     return ExperimentConfig(**values)
 
 
 def load_dataset(config: ExperimentConfig) -> RatingDataset:
-    delimiter = {"auto": None, "tab": "\t", "comma": ","}.get(config.fmt)
-    if config.fmt not in ("auto", "tab", "comma"):
-        raise ConfigError(f"unknown format {config.fmt!r}")
     text = Path(config.dataset).read_text(encoding="utf-8")
-    dataset = parse_ratings(text, delimiter, (config.score_min, config.score_max))
+    dataset = parse_ratings(text, _DELIMITERS[config.fmt], (config.score_min, config.score_max))
     if config.desk_scale:
         dataset = subsample(
             dataset, config.desk_users, config.desk_items, config.desk_min_ratings, config.seed
@@ -208,7 +209,8 @@ def run_experiments(config: ExperimentConfig, dataset: RatingDataset | None = No
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {"curves": out_dir / "curves.csv", "summary": out_dir / "summary.csv"}
     partial = {name: path.with_name(path.name + ".partial") for name, path in paths.items()}
-    rows_for_summary: list[dict] = []
+    # (value, messages) pairs by (budget_eps_I, budget_eps_g, variant, t, metric)
+    groups: dict[tuple, list[tuple[float, int]]] = {}
     try:
         with partial["curves"].open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -251,21 +253,13 @@ def run_experiments(config: ExperimentConfig, dataset: RatingDataset | None = No
                         per_item_average=config.per_item_average,
                     )
                     for record in result.curve:
-                        row = {
-                            "rep": rep,
-                            "budget_eps_I": _fmt_budget(eps_i),
-                            "budget_eps_g": _fmt_budget(eps_g),
-                            "variant": variant,
-                            "t": record.t,
-                            "metric": config.metric_name,
-                            "value": f"{record.metric:.6f}",
-                            "messages": record.messages,
-                        }
-                        writer.writerow([row[c] for c in CSV_HEADER])
-                        rows_for_summary.append(row)
+                        value = f"{record.metric:.6f}"
+                        key = (_fmt_budget(eps_i), _fmt_budget(eps_g), variant, record.t, config.metric_name)
+                        writer.writerow([rep, *key, value, record.messages])
+                        groups.setdefault(key, []).append((float(value), record.messages))
                     fh.flush()
 
-        _write_summary(partial["summary"], rows_for_summary)
+        _write_summary(partial["summary"], groups)
     except BaseException:
         for path in partial.values():
             path.unlink(missing_ok=True)
@@ -276,20 +270,12 @@ def run_experiments(config: ExperimentConfig, dataset: RatingDataset | None = No
     return paths
 
 
-def _write_summary(path: Path, rows: list[dict]) -> None:
-    groups: dict[tuple, list[dict]] = {}
-    for row in rows:
-        key = (row["budget_eps_I"], row["budget_eps_g"], row["variant"], row["t"], row["metric"])
-        groups.setdefault(key, []).append(row)
+def _write_summary(path: Path, groups: dict[tuple, list[tuple[float, int]]]) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["budget_eps_I", "budget_eps_g", "variant", "t", "metric", "mean", "std", "reps", "messages_mean"]
         )
         for key in sorted(groups, key=lambda k: (k[2], k[0], k[1], k[3])):
-            vals = np.array([float(r["value"]) for r in groups[key]])
-            msgs = np.array([float(r["messages"]) for r in groups[key]])
-            writer.writerow(
-                list(key[:3])
-                + [key[3], key[4], f"{vals.mean():.6f}", f"{vals.std():.6f}", len(vals), f"{msgs.mean():.1f}"]
-            )
+            vals, msgs = (np.array(column, dtype=np.float64) for column in zip(*groups[key]))
+            writer.writerow([*key, f"{vals.mean():.6f}", f"{vals.std():.6f}", len(vals), f"{msgs.mean():.1f}"])

@@ -47,11 +47,11 @@ class PrivacyBudget:
     eps_g: float | None = None
 
     def __post_init__(self):
-        if self.eps_i <= 0:
+        if not self.eps_i > 0:
             raise ValueError(f"eps_i must be positive, got {self.eps_i}")
-        if self.eps_p is not None and self.eps_p <= 0:
+        if self.eps_p is not None and not self.eps_p > 0:
             raise ValueError(f"eps_p must be positive, got {self.eps_p}")
-        if self.eps_g is not None and self.eps_g <= 0:
+        if self.eps_g is not None and not self.eps_g > 0:
             raise ValueError(f"eps_g must be positive, got {self.eps_g}")
 
     def resolved_eps_p(self) -> float:

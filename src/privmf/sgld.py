@@ -43,10 +43,10 @@ class Hyperparams:
         object.__setattr__(self, "lambda_v", np.asarray(self.lambda_v, dtype=np.float64))
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.eta0 <= 0:
-            raise ValueError(f"eta0 must be positive, got {self.eta0}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
+        if not 0 < self.eta0 < np.inf:
+            raise ValueError(f"eta0 must be positive and finite, got {self.eta0}")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError(f"gamma must be non-negative and finite, got {self.gamma}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         for name, lam in (("lambda_u", self.lambda_u), ("lambda_v", self.lambda_v)):

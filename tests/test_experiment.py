@@ -1,8 +1,10 @@
 import csv
 import math
 import re
+from dataclasses import MISSING, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from privmf.cli import main
@@ -106,6 +108,41 @@ class TestConfig:
         cfg = write_config(tmp_path, ratings_file, init_prediction="mean")
         assert load_config(cfg).init_prediction == "mean"
 
+    def test_every_key_loads_to_its_value(self, tmp_path):
+        # every field set away from its default, through the format and
+        # split spellings; together they use every annotation's parser
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text(
+            "dataset = data.csv\nformat = comma\ntask = one-class\nk = 7\neta0 = 0.01\ngamma = 0.5\n"
+            "seed = 9\nnoise = no\neps_i = 2, 0.5\neps_g = inf, 3\neps_p = 6\nz_target = 12.5\n"
+            "iterations = 7\nrepetitions = 3\nbaseline_nonprivate = FALSE\nbaseline_isgld = 8\n"
+            "split = random-holdout\ntest_fraction = 0.3\ndesk_scale = yes\ndesk_users = 50\n"
+            "desk_items = 60\ndesk_min_ratings = 4\nscore_min = 0\nscore_max = 10\n"
+            "per_item_average = 1\ninit_prediction = Mean\noutput = results\n",
+            encoding="utf-8",
+        )
+        expected = ExperimentConfig(
+            dataset="data.csv", fmt="comma", task="one-class", k=7, eta0=0.01, gamma=0.5, seed=9,
+            noise=False, eps_i=[2.0, 0.5], eps_g=[math.inf, 3.0], eps_p=6.0, z_target=12.5,
+            iterations=7, repetitions=3, baseline_nonprivate=False, baseline_isgld=[8.0],
+            split_mode="random-holdout", test_fraction=0.3, desk_scale=True, desk_users=50,
+            desk_items=60, desk_min_ratings=4, score_min=0.0, score_max=10.0,
+            per_item_average=True, init_prediction="mean", output="results",
+        )
+        config = load_config(cfg)
+        assert config == expected
+        # split is not the one-class default either
+        defaults = {f.name: f.default if f.default_factory is MISSING else f.default_factory() for f in fields(config)}
+        assert [name for name, value in defaults.items() if getattr(config, name) == value] == []
+
+    def test_empty_optional_value_is_its_default(self, tmp_path, ratings_file):
+        config = load_config(write_config(tmp_path, ratings_file, k="", eps_p="", z_target=""))
+        assert (config.k, config.eps_p, config.z_target) == (50, None, None)
+
+    def test_unknown_format_rejected_at_load(self, tmp_path, ratings_file):
+        with pytest.raises(ConfigError, match="^unknown format 'tsv'$"):
+            load_config(write_config(tmp_path, ratings_file, format="tsv"))
+
 
 class TestRunExperiments:
     def test_csv_layout_and_determinism(self, tmp_path, ratings_file):
@@ -194,6 +231,36 @@ class TestRunExperiments:
             assert list(csv.reader(fh)) == expected
         assert len(expected) == 1 + 2 * 7 * 2
 
+    @pytest.mark.parametrize(
+        "overrides, runs",
+        [
+            # the iSGLD and non-private baselines, an unbounded and a bounded
+            # eps_g cell per eps_i, over 2 repetitions
+            ({"baseline_isgld": "4", "eps_i": "4,1", "eps_g": "inf,1", "iterations": "2"}, 6),
+            ({"task": "one-class", "k": "2", "eps_i": "4,1", "repetitions": "3", "iterations": "2"}, 3),
+        ],
+    )
+    def test_summary_is_the_curves_averaged_over_repetitions(self, tmp_path, ratings_file, overrides, runs):
+        paths = run_experiments(load_config(write_config(tmp_path, ratings_file, **overrides)))
+        with open(paths["curves"], newline="", encoding="utf-8") as fh:
+            curves = list(csv.DictReader(fh))
+        by_key: dict[tuple, list[dict]] = {}
+        for row in curves:
+            key = (row["budget_eps_I"], row["budget_eps_g"], row["variant"], int(row["t"]), row["metric"])
+            by_key.setdefault(key, []).append(row)
+        # one row per group, by variant, then the eps_I and eps_g labels as text, then round
+        expected = [["budget_eps_I", "budget_eps_g", "variant", "t", "metric", "mean", "std", "reps", "messages_mean"]]
+        for key in sorted(by_key, key=lambda k: (k[2], k[0], k[1], k[3])):
+            values = np.array([float(row["value"]) for row in by_key[key]])
+            messages = np.array([int(row["messages"]) for row in by_key[key]])
+            expected.append([*key[:3], str(key[3]), key[4], f"{values.mean():.6f}", f"{values.std():.6f}",
+                             str(len(values)), f"{messages.mean():.1f}"])
+        with open(paths["summary"], newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == expected
+        reps = int(overrides.get("repetitions", "2"))
+        assert len(expected) - 1 == runs * 2 and len(curves) == reps * runs * 2
+        assert {row[7] for row in expected[1:]} == {str(reps)}
+
 
 class TestCli:
     def test_calibrate_prints_params(self, capsys):
@@ -225,6 +292,16 @@ class TestCli:
             ("iterations", "0", "iterations must be >= 1"),
             ("k", "0", "k must be >= 1"),
             ("eta0", "-1", "eta0 must be positive"),
+            ("eta0", "nan", r"eta0 must be positive and finite, got nan"),
+            ("eta0", "inf", r"eta0 must be positive and finite, got inf"),
+            ("gamma", "nan", r"gamma must be non-negative and finite, got nan"),
+            ("gamma", "inf", r"gamma must be non-negative and finite, got inf"),
+            ("eps_i", "nan", "eps_i must be positive, got nan"),
+            # a value listed twice would run its cells twice; inf and Infinity are one value
+            ("eps_g", "1, 1", r"eps_g entries must be distinct, got \[1.0, 1.0\]"),
+            ("eps_g", "inf, Infinity", r"eps_g entries must be distinct, got \[inf, inf\]"),
+            ("eps_i", "4, 1, 4", "eps_i entries must be distinct"),
+            ("baseline_isgld", "2, 2", "baseline_isgld entries must be distinct"),
             ("test_fraction", "1.5", r"test_fraction must be in \(0,1\)"),
             ("eps_i", "0", "eps_i must be positive"),
             ("eps_g", "-1", "eps_g must be positive"),

@@ -42,3 +42,10 @@ def test_set_up_rounds_and_metrics_leave_numpy_ma_unimported():
                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False", "numpy.ma was imported by set-up, round or metric code"
+
+
+def test_package_root_loads_no_submodule():
+    script = "import sys, privmf; print(privmf.__version__, sorted(m for m in sys.modules if m.startswith('privmf.')))"
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60, check=True)
+    assert run.stdout.split(" ", 1) == ["0.1.0", "[]\n"]
