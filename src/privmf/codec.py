@@ -14,9 +14,11 @@ in one block, with each client's segment of it. A gradient frame has a
 fixed size, 9 + 8k bytes, so a run of them is one packed record array
 ``[u1 type, <u4 item, <u4 k, (k,)<f8 delta]``: ``encode_updates`` fills
 one such array from the round's block and splices the finish frames in
-between the clients' runs of its bytes, and ``decode_updates`` reads each
-run of gradient frames with one ``frombuffer`` back into one block. The
-bytes are those of frame-by-frame ``encode_message``.
+between the clients' runs of its bytes. ``decode_updates`` walks the
+frame type bytes at that stride to find each run of gradient frames, and
+reads each run with one ``frombuffer`` back into one block. The bytes are
+those of frame-by-frame ``encode_message``, and a malformed stream raises
+the ``CodecError`` frame-by-frame decoding raises.
 """
 
 from __future__ import annotations
@@ -111,6 +113,10 @@ def encode_message(msg: Message) -> bytes:
     raise CodecError(f"cannot encode {type(msg).__name__}")
 
 
+def _dimension_error(k: int, session_k: int) -> CodecError:
+    return CodecError(f"gradient dimension {k} does not match session k={session_k}")
+
+
 def _decode_at(data: bytes, offset: int, expect_k: int | None) -> tuple[Message, int]:
     """Decode one frame starting at ``offset``; returns (message, next offset)."""
     remaining = len(data) - offset
@@ -134,7 +140,7 @@ def _decode_at(data: bytes, offset: int, expect_k: int | None) -> tuple[Message,
         _, item_id = _HEAD.unpack_from(data, offset)
         (k,) = _U32.unpack_from(data, offset + _HEAD.size)
         if expect_k is not None and k != expect_k:
-            raise CodecError(f"gradient dimension {k} does not match session k={expect_k}")
+            raise _dimension_error(k, expect_k)
         size = _HEAD.size + _U32.size + 8 * k
         if remaining < size:
             raise CodecError(f"truncated gradient frame: need {size} bytes, have {remaining}")
@@ -192,57 +198,64 @@ def encode_updates(updates: RoundUpdates, handshake: Handshake | None = None) ->
     return b"".join(frames)
 
 
-def _run_length(data: bytes, offset: int, records: np.dtype, k: int) -> int:
-    """How many whole gradient frames of dimension ``k`` follow each other
-    from ``offset`` on; scanned in doubling windows."""
-    n_max = (len(data) - offset) // records.itemsize
-    n, window = 0, 64
-    while n < n_max:
-        m = min(window, n_max - n)
-        block = np.frombuffer(data, records, count=m, offset=offset + n * records.itemsize)
-        ok = (block["type"] == TYPE_GRADIENT) & (block["k"] == k)
-        first_bad = int(ok.argmin())
-        if not ok[first_bad]:
-            return n + first_bad
-        n, window = n + m, 2 * window
-    return n
-
-
 def decode_updates(data: bytes, k: int, n_items: int) -> RoundUpdates:
     """Regroup a round's frames into a ``RoundUpdates``, one client segment
     per finish frame.
 
-    A first pass over the frame headers finds each run of gradient frames;
-    the frame that ends a run is decoded on its own, so a malformed one
-    raises the same ``CodecError`` as frame-by-frame decoding. The runs are
-    then copied into one item array and one delta block. Rejects a
-    handshake that differs from the session's ``(k, n_items)`` and gradient
-    frames that no finish frame closes.
+    One walk over the frame type bytes steps over each run of gradient
+    frames at their fixed size, 9 + 8k bytes; the frame that ends a run is
+    decoded on its own, so a malformed one raises the same ``CodecError``
+    as frame-by-frame decoding. The runs are then copied into one item
+    array and one delta block, and their ``k`` fields checked: a frame of
+    another dimension raises its ``CodecError`` first, before any error
+    found further on. Rejects a handshake that differs from the session's
+    ``(k, n_items)`` and gradient frames that no finish frame closes.
     """
     records = _gradient_dtype(k)
+    size, end = records.itemsize, len(data)
+    last = end - size  # the last offset a whole gradient frame can start at
     runs, offsets, clients = [], [0], []
     offset, pending = 0, 0
-    while offset < len(data):
-        n = _run_length(data, offset, records, k)
-        if n:
-            runs.append((offset, n))
-            offset += n * records.itemsize
-            pending += n
-            if offset == len(data):
-                break
-        msg, offset = _decode_at(data, offset, k)
-        if isinstance(msg, FinishMessage):
-            offsets.append(offsets[-1] + pending)
-            clients.append(msg.client_id)
-            pending = 0
-        elif (msg.k, msg.n_items) != (k, n_items):
-            raise CodecError(f"handshake mismatch: {msg} vs session ({k}, {n_items})")
+    try:
+        while offset < end:
+            start = offset
+            while offset <= last and data[offset] == TYPE_GRADIENT:
+                offset += size
+            if offset > start:
+                runs.append((start, (offset - start) // size))
+                pending += runs[-1][1]
+                if offset == end:
+                    break
+            msg, offset = _decode_at(data, offset, k)
+            if isinstance(msg, FinishMessage):
+                offsets.append(offsets[-1] + pending)
+                clients.append(msg.client_id)
+                pending = 0
+            elif (msg.k, msg.n_items) != (k, n_items):
+                raise CodecError(f"handshake mismatch: {msg} vs session ({k}, {n_items})")
+    except CodecError:
+        # a frame of another dimension walked over earlier comes first
+        _read_runs(data, runs, records)
+        raise
+    items, deltas = _read_runs(data, runs, records)
     if pending:
         raise CodecError(f"{pending} gradient frame(s) without a finish frame")
-    items, deltas = np.empty(offsets[-1], dtype=np.int64), np.empty((offsets[-1], k))
-    at = 0
-    for offset, n in runs:
-        frames = np.frombuffer(data, records, count=n, offset=offset)
-        items[at : at + n], deltas[at : at + n] = frames["item"], frames["delta"]
-        at += n
     return RoundUpdates(clients, offsets, items, deltas)
+
+
+def _read_runs(data: bytes, runs, records: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The item ids and delta rows of the ``(offset, count)`` runs of
+    gradient frames, in order; the first frame whose ``k`` field is not the
+    runs' dimension raises ``CodecError``."""
+    n, k = sum(count for _, count in runs), records["delta"].shape[0]
+    items, dims, deltas = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.uint32), np.empty((n, k))
+    at = 0
+    for offset, count in runs:
+        frames = np.frombuffer(data, records, count=count, offset=offset)
+        items[at : at + count], dims[at : at + count] = frames["item"], frames["k"]
+        deltas[at : at + count] = frames["delta"]
+        at += count
+    wrong = dims != k
+    if wrong.any():
+        raise _dimension_error(int(dims[wrong.argmax()]), k)
+    return items, deltas

@@ -93,8 +93,9 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ConfigError(f"{name} entries must be distinct, got {values}")
-        try:  # the checks of k, eta0, gamma and seed, and of every budget cell
-            Hyperparams.with_gamma_priors(self.k, self.eta0, self.gamma, self.seed)
+        try:  # the checks of k, eta0, gamma, seed and init_prediction, and of every budget cell
+            init = 0.0 if self.init_prediction == "mean" else self.init_prediction
+            Hyperparams.with_gamma_priors(self.k, self.eta0, self.gamma, self.seed, init_prediction=init)
             list(_runs(self))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None

@@ -20,6 +20,15 @@ def rmse(test: RatingDataset, model: FactorModel) -> float:
 _AUC_BLOCK = 1 << 18
 
 
+def _user_scores(model: FactorModel, users: np.ndarray) -> np.ndarray:
+    """Every item's score for each of ``users``, one row per user, as one
+    batched gemv: a ``matmul`` of ``v`` with each user's row as a ``(k, 1)``
+    column, which numpy runs as one gemv per user, so each row is that
+    user's own matvec ``v @ u``. One gemm of the stacked user rows differs
+    in the last bits and can flip ties."""
+    return np.matmul(model.v, model.u[users][:, :, None])[..., 0]
+
+
 def auc(test: RatingDataset, train: RatingDataset, model: FactorModel) -> float:
     """Leave-one-out ranking quality.
 
@@ -28,9 +37,8 @@ def auc(test: RatingDataset, train: RatingDataset, model: FactorModel) -> float:
     ranked strictly below the positive, ties counting one half. A held-out
     rating with no such item is skipped; if every one is, ``ValueError``.
 
-    Blocks of test users are scored at once, one row per test row in
-    ``test.order``. Each user's scores are its own matvec: one product of
-    the stacked user rows differs in the last bits and can flip ties.
+    Blocks of test users are scored at once (``_user_scores``), one row
+    per test row in ``test.order``.
     """
     users = np.array(test.active_users(), dtype=np.int64)
     counts = np.diff(test.indptr)[users]
@@ -38,7 +46,7 @@ def auc(test: RatingDataset, train: RatingDataset, model: FactorModel) -> float:
     ratios = []
     for lo in range(0, len(users), per_block):
         block = users[lo : lo + per_block]
-        scores = np.stack([model.v @ model.u[user] for user in block.tolist()])
+        scores = _user_scores(model, block)
         local = np.full(train.n_users, -1)  # user id -> block position, -1 outside
         local[block] = np.arange(len(block))
         known = local[train.users]

@@ -122,8 +122,7 @@ class Population:
         items, ratings = train.items[train.order], train.ratings[train.order]
         self.bits_prime = np.zeros((m, train.n_items), dtype=bool)
         rr = np.empty((m, 5))
-        keys = [(hp.seed, TAG_CLIENT_INIT, i) for i in self.ids.tolist()]
-        rngs = [None] * m if budget is None else derive_rngs(keys)
+        rngs = [None] * m if budget is None else derive_rngs(self._stream_keys(TAG_CLIENT_INIT))
         starts = (np.cumsum(self.h) - self.h).tolist()
         for i, (client, rng0, a, h) in enumerate(zip(self.ids.tolist(), rngs, starts, self.h.tolist())):
             state = client_init(client, items[a : a + h], train.n_items, budget, z_target, rng0)
@@ -140,6 +139,15 @@ class Population:
     def __len__(self) -> int:
         return len(self.ids)
 
+    def _stream_keys(self, tag: int, *rest: int) -> np.ndarray:
+        """Every client's stream key ``(hp.seed, tag, client id, *rest)``,
+        one row each: int64, or Python ints where a part does not fit."""
+        head = (self.hp.seed, tag, 0, *rest)
+        keys = np.empty((len(self.ids), len(head)), dtype=np.int64 if max(head) < 2**63 else object)
+        keys[:] = head
+        keys[:, 2] = self.ids
+        return keys
+
     def record(self, bounds: fakegrad.AlphaBounds) -> None:
         """Enter one round's fake-error bounds, one per client, into the ledger."""
         self.clamped_rounds += bounds.clamped
@@ -152,11 +160,12 @@ class Population:
         """Each client's round-``t`` stream, and all the send sets in one
         array with each client's offset into it.
 
-        The round streams are derived in one ``derive_rngs`` call. A block of
-        clients draws its ``randresp.irr`` uniforms ``u`` client by client,
-        and two compares, ``(u < q) & (bits_prime | (u < p))``, turn them into
-        send sets. That is ``u < where(bits_prime, q, p)`` while ``p <= q``,
-        which every client has: ``calibrate`` keeps ``q* >= p*``, so
+        The round streams are derived in one ``derive_rngs`` call, from one
+        key array. A block of clients draws its ``randresp.irr`` uniforms
+        ``u`` client by client, and two compares,
+        ``(u < q) & (bits_prime | (u < p))``, turn them into send sets. That
+        is ``u < where(bits_prime, q, p)`` while ``p <= q``, which every
+        client has: ``calibrate`` keeps ``q* >= p*``, so
         ``q - p = (q* - p*) / (1 - f) >= 0``, and no budget sets ``p = 0``,
         ``q = 1``. Blocks hold ~``_SEND_BLOCK`` uniforms, so no round holds a
         float per (client, item).
@@ -166,7 +175,7 @@ class Population:
         m, n_items = self.bits_prime.shape
         per_block = max(1, _SEND_BLOCK // n_items)
         uniforms = np.empty((min(per_block, m), n_items))
-        rngs = derive_rngs([(self.hp.seed, TAG_CLIENT_ROUND, i, t) for i in self.ids.tolist()])
+        rngs = derive_rngs(self._stream_keys(TAG_CLIENT_ROUND, t))
         sent, counts = [], []
         for lo in range(0, m, per_block):
             hi = min(lo + per_block, m)
@@ -256,8 +265,7 @@ def population_iteration(pop: Population, v_snapshot: np.ndarray, t: int) -> Rou
         errs, du[lo:hi] = user_pass(pop.u[lo:hi], v_snapshot, rows, eta, hp, user_noise)
         del user_noise
         e[a:b][sent_rated] = errs[row[sent_rated]]
-        mu[lo:hi] = rows.per_user(errs, lambda block: block.mean(axis=1))
-        sigma[lo:hi] = rows.per_user(errs, lambda block: block.std(axis=1))
+        mu[lo:hi], sigma[lo:hi] = rows.moments(errs)
     e[~rated], bounds = fakegrad.fake_error_rows(mu, sigma, eps_g, n_fake, uniforms[: fake_at[-1]])
     pop.record(bounds)
     for lo, hi, rows in pop.chunks:

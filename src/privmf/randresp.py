@@ -38,8 +38,10 @@ class CalibrationError(ValueError):
 class PrivacyBudget:
     """Per-round privacy budgets.
 
-    ``eps_p`` defaults to 2 * eps_i when unset. ``eps_g`` bounds the fake
-    errors sent for unrated items; ``None`` leaves them unbounded.
+    ``eps_i`` and ``eps_p`` are positive and finite: an infinite budget
+    would calibrate no perturbation at all. ``eps_p`` defaults to 2 * eps_i
+    when unset. ``eps_g`` bounds the fake errors sent for unrated items;
+    ``None`` leaves them unbounded.
     """
 
     eps_i: float
@@ -47,10 +49,13 @@ class PrivacyBudget:
     eps_g: float | None = None
 
     def __post_init__(self):
-        if not self.eps_i > 0:
-            raise ValueError(f"eps_i must be positive, got {self.eps_i}")
-        if self.eps_p is not None and not self.eps_p > 0:
-            raise ValueError(f"eps_p must be positive, got {self.eps_p}")
+        for name, eps in (("eps_i", self.eps_i), ("eps_p", self.eps_p)):
+            if name == "eps_p" and eps is None:
+                continue
+            if not eps > 0:
+                raise ValueError(f"{name} must be positive, got {eps}")
+            if not eps < math.inf:
+                raise ValueError(f"{name} must be finite, got {eps}")
         if self.eps_g is not None and not self.eps_g > 0:
             raise ValueError(f"eps_g must be positive, got {self.eps_g}")
 
@@ -81,7 +86,7 @@ def solve_f(eps_p: float, h: int) -> float:
     """Permanent-stage flip strength achieving budget eps_p for h rated items."""
     if h < 1:
         raise ValueError(f"h must be >= 1 (cold users cannot be calibrated), got {h}")
-    if eps_p <= 0:
+    if not eps_p > 0:
         raise ValueError(f"eps_p must be positive, got {eps_p}")
     return 2.0 / (1.0 + math.exp(eps_p / (2.0 * h)))
 
@@ -138,7 +143,8 @@ def calibrate(
     Raises CalibrationError, naming the violated bound, when the inversion
     leaves [0, 1].
     """
-    if eps_i <= 0:
+    # every range check is written so that NaN fails it
+    if not eps_i > 0:
         raise CalibrationError(f"eps_i={eps_i} violates eps_i > 0")
     if h < 1:
         raise CalibrationError(f"h={h} violates h >= 1")
@@ -147,7 +153,7 @@ def calibrate(
     if not (0.0 < z_target < n_items):
         raise CalibrationError(f"z_target={z_target} violates 0 < z_target < n_items={n_items}")
     eps_p_val = 2.0 * eps_i if eps_p is None else eps_p
-    if eps_p_val <= 0:
+    if not eps_p_val > 0:
         raise CalibrationError(f"eps_p={eps_p_val} violates eps_p > 0")
 
     rm1 = math.expm1(eps_i / h)  # r - 1
@@ -168,7 +174,7 @@ def calibrate(
     p = (a * p_star - b * q_star) / det
     q = (a * q_star - b * p_star) / det
     for name, v in (("p", p), ("q", q)):
-        if v < -1e-12 or v > 1.0 + 1e-12:
+        if not -1e-12 <= v <= 1.0 + 1e-12:
             raise CalibrationError(f"inverted {name}={v:.6g} violates 0 <= {name} <= 1")
     p = min(max(p, 0.0), 1.0)
     q = min(max(q, 0.0), 1.0)

@@ -11,7 +11,9 @@ A key's stream is ``np.random.default_rng(np.random.SeedSequence(key))``.
 builds the same streams for many keys at once, bit for bit: it runs
 ``SeedSequence``'s entropy hash and ``generate_state`` as uint32 array
 arithmetic over all the keys, then seeds one ``PCG64`` per key from its
-four state words. Only the seeding differs: such a generator's
+four state words. Keys given as one integer array, one key per row, with
+every part below 2**32, go to the hash as they are, with no per-key
+Python step. Only the seeding differs: such a generator's
 ``bit_generator.seed_seq`` is not a ``SeedSequence``, so it cannot
 ``spawn()``.
 
@@ -66,11 +68,17 @@ def derive_rng(*key: int) -> np.random.Generator:
 def derive_rngs(keys) -> list[np.random.Generator]:
     """``[derive_rng(*key) for key in keys]``, bit for bit, in one pass.
 
-    Keys are grouped by their entropy length in uint32 words, and each
-    group's ``SeedSequence`` hashes run as array operations over its keys.
-    The array pass has a fixed cost, ~0.1 ms, so a single key is cheaper
-    through ``derive_rng``.
+    ``keys`` is a sequence of key tuples or an ``(n, p)`` integer array, one
+    key per row. An integer array whose every part is below 2**32 is
+    hashed straight from its words; other keys are grouped by their
+    entropy length in uint32 words, and each group's ``SeedSequence``
+    hashes run as array operations over its keys. The array pass has a
+    fixed cost, ~0.1 ms, so a single key is cheaper through ``derive_rng``.
     """
+    if isinstance(keys, np.ndarray):
+        if keys.ndim == 2 and keys.dtype.kind in "iu" and keys.size and 0 <= keys.min() <= keys.max() <= _MASK32:
+            return _generators(_pcg64_states(keys.astype(np.uint32)))
+        keys = keys.tolist()
     entropy = [[operator.index(p) for p in key] for key in keys]
     flat = [p for parts in entropy for p in parts]
     if flat and not 0 <= min(flat) <= max(flat) <= _MASK32:
@@ -83,6 +91,11 @@ def derive_rngs(keys) -> list[np.random.Generator]:
     for n_words, at in groups.items():
         words = np.array([entropy[i] for i in at], dtype=np.uint32).reshape(len(at), n_words)
         states[at] = _pcg64_states(words)
+    return _generators(states)
+
+
+def _generators(states: np.ndarray) -> list[np.random.Generator]:
+    """One ``PCG64`` generator per row of four uint64 state words."""
     return [np.random.Generator(np.random.PCG64(_StateWords(row))) for row in states]
 
 

@@ -49,6 +49,8 @@ class Hyperparams:
             raise ValueError(f"gamma must be non-negative and finite, got {self.gamma}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not -np.inf < self.init_prediction < np.inf:
+            raise ValueError(f"init_prediction must be finite, got {self.init_prediction}")
         for name, lam in (("lambda_u", self.lambda_u), ("lambda_v", self.lambda_v)):
             if lam.shape != (self.k,):
                 raise ValueError(f"{name} must have shape ({self.k},), got {lam.shape}")
@@ -221,6 +223,18 @@ class UserRows:
         for users, lo, h in self.groups:
             out[users] = reduce(values[lo : lo + len(users) * h].reshape(len(users), h, *values.shape[1:]))
         return out
+
+    def moments(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each user's mean and population std of its rows' 1-D ``values``,
+        bit for bit ``per_user`` of ``block.mean(axis=1)`` and
+        ``block.std(axis=1)``, which numpy computes as a sum over ``h``, and
+        as the square root of the mean squared deviation from that mean: here
+        one sum per group each, the rest once over all the rows and users."""
+        mu = self.per_user(values, lambda block: block.sum(axis=1)) / self.h
+        dev = values - mu[self.owner]
+        np.square(dev, out=dev)
+        sigma = self.per_user(dev, lambda block: block.sum(axis=1)) / self.h
+        return mu, np.sqrt(sigma, out=sigma)
 
     def locate(self, users: np.ndarray, items: np.ndarray, n_items: int) -> tuple[np.ndarray, np.ndarray]:
         """Row of each ``(user, item)`` pair, and whether the user rated it."""

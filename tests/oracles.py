@@ -138,6 +138,23 @@ def bpr_errors(x: float) -> tuple[float, float]:
     return -s, s
 
 
+def auc_per_pair(test: RatingDataset, train: RatingDataset, model) -> float:
+    """``metrics.auc`` one held-out rating at a time: each test user's scores
+    are its own matvec ``v @ u``, and each pair's negatives one mask."""
+    ratios = []
+    for user, pairs in sorted(test.per_user.items()):
+        known = [item for item, _ in train.per_user.get(user, [])]
+        scores = model.v @ model.u[user]
+        for pos_item, _ in pairs:
+            mask = np.ones(test.n_items, dtype=bool)
+            mask[known] = False
+            mask[pos_item] = False
+            neg, pos = scores[mask], scores[pos_item]
+            if neg.size:
+                ratios.append((np.sum(neg < pos) + 0.5 * np.sum(neg == pos)) / neg.size)
+    return float(np.mean(ratios))
+
+
 def decode_message(data: bytes, expect_k: int | None = None) -> tuple[Message, int]:
     """Decode one frame from the head of ``data``; returns (message, bytes consumed)."""
     return _decode_at(data, 0, expect_k)

@@ -276,3 +276,57 @@ class TestErrors:
         data = encode_updates(sample_updates()) + encode_message(GradientMessage(1, np.zeros(3)))
         with pytest.raises(CodecError, match="without a finish frame"):
             decode_updates(data, 3, 10)
+
+
+def frame_starts(updates, handshake=None):
+    """The offset of every frame of ``encode_updates(updates, handshake)``
+    and whether it is a gradient frame."""
+    size, at, starts = 9 + 8 * updates.deltas.shape[1], 0, []
+    if handshake is not None:
+        at, starts = 9, [(0, False)]
+    for _, ids, _ in segments(updates):
+        starts += [(at + j * size, True) for j in range(len(ids))]
+        at += len(ids) * size
+        starts.append((at, False))
+        at += 5
+    return starts
+
+
+@st.composite
+def corrupted_rounds(draw):
+    """A multi-client round's bytes with one frame's type byte or ``k``
+    field overwritten, or cut anywhere."""
+    k, updates = draw(update_lists())
+    data = bytearray(encode_updates(updates, Handshake(k, 10)))
+    starts = frame_starts(updates, Handshake(k, 10))
+    gradients = [at for at, gradient in starts if gradient]
+    how = draw(st.sampled_from(["type", "k", "cut"] if gradients else ["type", "cut"]))
+    if how == "type":
+        at, _ = draw(st.sampled_from(starts))
+        data[at] = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 255)))
+    elif how == "k":
+        at = draw(st.sampled_from(gradients))
+        data[at + 5 : at + 9] = draw(st.integers(0, 2 * k + 2)).to_bytes(4, "little")
+    else:
+        del data[draw(st.integers(0, len(data))) :]
+    return k, bytes(data)
+
+
+class TestCorruption:
+    @settings(max_examples=200, deadline=None)
+    @given(case=corrupted_rounds())
+    def test_corrupted_round_fails_like_frame_by_frame(self, case):
+        k, data = case
+        assert_same_decoding(data, k, 10)
+
+    def test_wrong_dimension_before_an_unknown_type_byte(self):
+        # client 0's run holds a frame of another k, and client 2's run ends
+        # at an unknown type byte: frame by frame, the dimension comes first
+        updates = round_of([(c, np.arange(4), np.ones((4, 3))) for c in range(3)], 3)
+        data = bytearray(encode_updates(updates))
+        starts = [at for at, gradient in frame_starts(updates) if gradient]
+        data[starts[1] + 5 : starts[1] + 9] = (2).to_bytes(4, "little")
+        data[starts[10]] = 0x7F
+        assert_same_decoding(bytes(data), 3, 10)
+        with pytest.raises(CodecError, match="gradient dimension 2 does not match session k=3"):
+            decode_updates(bytes(data), 3, 10)

@@ -328,6 +328,14 @@ class TestCli:
             # the split is checked before the train mean is taken
             ("init_prediction", {"init_prediction": "mean", "test_fraction": "0.999"},
              "^error: no clients with ratings\n$"),
+            # an infinite budget would calibrate no perturbation: rejected at load
+            ("eps_i", "inf", "^error: eps_i must be finite, got inf\n$"),
+            ("eps_i", "4, inf", "^error: eps_i must be finite, got inf\n$"),
+            ("eps_p", "inf", "^error: eps_p must be finite, got inf\n$"),
+            ("eps_p", "nan", "^error: eps_p must be positive, got nan\n$"),
+            ("init_prediction", "nan", "^error: init_prediction must be finite, got nan\n$"),
+            ("init_prediction", "inf", "^error: init_prediction must be finite, got inf\n$"),
+            ("init_prediction", "-inf", "^error: init_prediction must be finite, got -inf\n$"),
         ],
     )
     def test_rejected_config_leaves_the_last_results(self, tmp_path, ratings_file, capsys, key, value, error):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import build_dataset
+from oracles import auc_per_pair, build_dataset
+from privmf import metrics
 from privmf.data import RatingTriple, synthetic_dataset, SplitSpec, split
 from privmf.metrics import auc, isgld_perturb, rmse
 from privmf.sgld import FactorModel
@@ -75,18 +76,37 @@ class TestAuc:
     )
     def test_matches_per_pair_mask_loop(self, case):
         test, train, model = auc_case(case)
-        expected = []
-        for user, pairs in sorted(test.per_user.items()):
-            known = {item for item, _ in train.per_user.get(user, [])}
-            scores = model.v @ model.u[user]
-            for pos_item, _ in pairs:
-                mask = np.ones(test.n_items, dtype=bool)
-                mask[list(known)] = False
-                mask[pos_item] = False
-                neg, pos = scores[mask], scores[pos_item]
-                if neg.size:
-                    expected.append((np.sum(neg < pos) + 0.5 * np.sum(neg == pos)) / neg.size)
-        assert auc(test, train, model) == float(np.mean(expected))
+        assert auc(test, train, model) == auc_per_pair(test, train, model)
+
+    @pytest.mark.parametrize("k", [1, 3, 10, 50])
+    @pytest.mark.parametrize("users_per_block", [1, 3, 7])
+    def test_batched_scores_are_per_user_matvecs(self, monkeypatch, k, users_per_block):
+        # integer factors tie often; float item rows repeated four times tie
+        # exactly only where every user's scores of them round alike, which a
+        # product of the stacked user rows can break in the last bits
+        ds = synthetic_dataset(45, 120, seed=k, mean_ratings_per_user=6)
+        train, test = split(ds, SplitSpec("random-holdout", 0.3, seed=k))
+        rng = np.random.default_rng(k)
+        integer = FactorModel(rng.integers(-2, 3, size=(45, k)).astype(float),
+                              rng.integers(-2, 3, size=(120, k)).astype(float))
+        floats = FactorModel(rng.normal(size=(45, k)), np.repeat(rng.normal(size=(30, k)), 4, axis=0))
+        counts = np.diff(test.indptr)
+        # blocks of ``users_per_block`` test users, an odd size, the last one shorter
+        monkeypatch.setattr(metrics, "_AUC_BLOCK", users_per_block * test.n_items * int(counts.max()))
+        for model in (integer, floats):
+            assert auc(test, train, model) == auc_per_pair(test, train, model)
+
+    @pytest.mark.parametrize("k", [1, 3, 10, 50])
+    @pytest.mark.parametrize("n_users", [1, 3, 7, 33])
+    def test_user_scores_equal_per_user_matvecs(self, k, n_users):
+        rng = np.random.default_rng(k * 100 + n_users)
+        users = rng.integers(0, 40, size=n_users)
+        for model in (
+            FactorModel(rng.normal(size=(40, k)), rng.normal(size=(1682, k))),
+            FactorModel(rng.integers(-2, 3, size=(40, k)).astype(float), rng.integers(-2, 3, size=(97, k)).astype(float)),
+        ):
+            expected = np.stack([model.v @ model.u[user] for user in users.tolist()])
+            assert np.array_equal(metrics._user_scores(model, users).view(np.uint64), expected.view(np.uint64))
 
 
 def auc_case(case):

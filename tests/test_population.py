@@ -30,7 +30,7 @@ from privmf import bpr, fakegrad, protocol, sgld
 from privmf.data import RatingTriple, synthetic_dataset
 from privmf.protocol import Population, client_init, client_iteration, population_iteration
 from privmf.randresp import PrivacyBudget
-from privmf.rng import TAG_CLIENT_INIT, derive_rng
+from privmf.rng import TAG_CLIENT_INIT, TAG_CLIENT_ROUND, derive_rng
 from privmf.sgld import Hyperparams, UserRows, init_model, learning_rate, prediction_errors
 
 _inv_cdf = statistics.NormalDist().inv_cdf
@@ -395,6 +395,21 @@ def test_run_fixed_blocks_are_read_only():
         assert_read_only(rows)
 
 
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_moments_are_each_users_mean_and_std(scale):
+    # counts past numpy's pairwise-sum blocks of 8 and 128, several users per count
+    rng = np.random.default_rng(5)
+    counts = np.concatenate([rng.integers(1, 300, 40), [1, 1, 8, 8, 129, 129]])
+    rng.shuffle(counts)
+    items = np.concatenate([np.arange(h) for h in counts.tolist()])
+    rows = UserRows(items, counts)
+    values = rng.normal(size=len(items)) * scale + scale
+    mu, sigma = rows.moments(values)
+    for i in range(len(counts)):
+        own = values[rows.start[i] : rows.start[i] + counts[i]]
+        assert (mu[i], sigma[i]) == (own.mean(), own.std())
+
+
 def test_rated_chunks_close_once_they_hold_the_chunk_rows():
     counts = np.array([2, 2, 3, 1, 4])
     items = np.concatenate([np.arange(h) for h in counts.tolist()])
@@ -436,6 +451,22 @@ def test_send_sets_do_not_depend_on_the_block_size():
         runs.append((items, at, [rng.random() for rng in rngs]))
     for items, at, next_draws in runs[1:]:
         assert np.array_equal(items, runs[0][0]) and at == runs[0][1] and next_draws == runs[0][2]
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**63 - 1, 2**63, 2**64 + 3])
+def test_stream_keys_of_any_seed(seed):
+    # a population derives its streams from one key array, whatever the seed's width
+    ds = synthetic_dataset(12, 30, seed=1, mean_ratings_per_user=5)
+    hp = Hyperparams(3, 0.1, 0.6, np.full(3, 0.01), np.full(3, 0.01), seed)
+    pop = Population(ds, init_model(ds.n_users, ds.n_items, hp).u, hp, PrivacyBudget(eps_i=1.0))
+    rngs, _, _ = pop.send_sets(3)
+    for i, (client, rng) in enumerate(zip(pop.ids.tolist(), rngs)):
+        expected = derive_rng(seed, TAG_CLIENT_ROUND, client, 3)
+        expected.random(ds.n_items)  # the send-set uniforms
+        assert rng.random() == expected.random()
+        state = client_init(client, ds.user_items(client)[0], ds.n_items, pop.budget, len(ds) / ds.n_users,
+                            derive_rng(seed, TAG_CLIENT_INIT, client))
+        assert np.array_equal(pop.bits_prime[i], state.bits_prime)
 
 
 @pytest.mark.parametrize("task, eps_g", [("numerical", 0.01), ("numerical", 40.0), ("one-class", None)])

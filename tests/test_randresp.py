@@ -167,6 +167,20 @@ class TestCalibrate:
         with pytest.raises(CalibrationError, match="eps_i"):
             calibrate(-1.0, 10, 100, 5.0)
 
+    @pytest.mark.parametrize(
+        "eps_i, eps_p, z_target, match",
+        [
+            (math.nan, None, 5.0, "eps_i=nan violates"),
+            (1.0, math.nan, 5.0, "eps_p=nan violates"),
+            (1.0, None, math.nan, "z_target=nan violates"),
+            # an infinite eps_i puts NaN into the inverted p and q
+            (math.inf, None, 5.0, "inverted p=nan violates"),
+        ],
+    )
+    def test_nan_fails_every_range_check(self, eps_i, eps_p, z_target, match):
+        with pytest.raises(CalibrationError, match=match):
+            calibrate(eps_i, 10, 100, z_target, eps_p=eps_p)
+
 
 class TestSamplers:
     def test_prr_identity_at_zero(self):
@@ -279,3 +293,8 @@ class TestPrivacyBudget:
             PrivacyBudget(eps_i=0.0)
         with pytest.raises(ValueError):
             PrivacyBudget(eps_i=1.0, eps_g=-1.0)
+
+    @pytest.mark.parametrize("eps_i, eps_p", [(math.inf, None), (1.0, math.inf), (math.nan, None), (1.0, math.nan)])
+    def test_rejects_unbounded_and_nan(self, eps_i, eps_p):
+        with pytest.raises(ValueError, match="must be finite|must be positive"):
+            PrivacyBudget(eps_i=eps_i, eps_p=eps_p)

@@ -67,6 +67,42 @@ def test_empty_batch():
     assert derive_rngs([]) == []
 
 
+def assert_reference_streams_of(keys, tuples):
+    rngs = derive_rngs(keys)
+    assert len(rngs) == len(tuples)
+    for key, rng in zip(tuples, rngs):
+        assert rng.bit_generator.state == reference(key).bit_generator.state, key
+
+
+@pytest.mark.parametrize(
+    "dtype, seed",
+    # every part one word, hashed straight from the array; then seeds of
+    # several words, and parts beyond int64, which take the per-key path
+    [(np.int64, 7), (np.uint32, 2**32 - 1), (np.int64, 2**40), (np.uint64, 2**64 - 1), (object, 2**70)],
+)
+def test_key_array_rows_are_keys(dtype, seed):
+    keys = np.empty((150, 4), dtype=dtype)
+    keys[:] = (seed, TAG_CLIENT_ROUND, 0, 25)
+    keys[:, 2] = np.arange(150)
+    assert_reference_streams_of(keys, [(seed, TAG_CLIENT_ROUND, i, 25) for i in range(150)])
+
+
+def test_key_array_of_every_width():
+    for length in range(1, 8):
+        keys = np.random.default_rng(length).integers(0, 2**32, size=(20, length))
+        assert_reference_streams_of(keys, [tuple(row) for row in keys.tolist()])
+
+
+def test_empty_key_array():
+    assert derive_rngs(np.empty((0, 4), dtype=np.int64)) == []
+
+
+def test_negative_part_of_a_key_array_raises():
+    keys = np.array([[7, 4, 3], [7, 4, -1]])
+    with pytest.raises(ValueError, match="rng key parts must be non-negative"):
+        derive_rngs(keys)
+
+
 def test_matches_derive_rng_and_cannot_spawn():
     (rng,) = derive_rngs([(3, 1, 4)])
     assert rng.random() == derive_rng(3, 1, 4).random()
