@@ -150,11 +150,10 @@ def population_iteration(pop, v_snapshot: np.ndarray, t: int) -> RoundUpdates:
         negative = ~positive
         partner[negative] = rated.items[rated.start[rows.owner[negative]] + draws[negative]]
         u = pop.u[lo:hi]
-        du, d_own = bpr_step(
-            u[rows.owner], v_snapshot[rows.items], v_snapshot[partner], positive, eta, hp, noise
-        )
+        du, d_own = bpr_step(u.take(rows.owner, axis=0), v_snapshot.take(rows.items, axis=0),
+                             v_snapshot.take(partner, axis=0), positive, eta, hp, noise)
         del noise
-        sums = rows.per_user(du, lambda block: block.sum(axis=1))
+        sums = rows.sums(du)
         del du  # freed before the delta write
         # row r, the j-th of its client's, goes to that client's segment at j
         segment = np.cumsum(rows.h) - rows.h

@@ -208,8 +208,8 @@ def decode_updates(data: bytes, k: int, n_items: int) -> RoundUpdates:
     as frame-by-frame decoding. The runs are then copied into one item
     array and one delta block, and their ``k`` fields checked: a frame of
     another dimension raises its ``CodecError`` first, before any error
-    found further on. Rejects a handshake that differs from the session's
-    ``(k, n_items)`` and gradient frames that no finish frame closes.
+    found further on. Rejects a handshake past the first frame or off the
+    session's ``(k, n_items)``, and gradient frames no finish frame closes.
     """
     records = _gradient_dtype(k)
     size, end = records.itemsize, len(data)
@@ -226,11 +226,14 @@ def decode_updates(data: bytes, k: int, n_items: int) -> RoundUpdates:
                 pending += runs[-1][1]
                 if offset == end:
                     break
+            at = offset
             msg, offset = _decode_at(data, offset, k)
             if isinstance(msg, FinishMessage):
                 offsets.append(offsets[-1] + pending)
                 clients.append(msg.client_id)
                 pending = 0
+            elif at:
+                raise CodecError(f"{msg} is not the round's first frame")
             elif (msg.k, msg.n_items) != (k, n_items):
                 raise CodecError(f"handshake mismatch: {msg} vs session ({k}, {n_items})")
     except CodecError:

@@ -122,7 +122,7 @@ class Population:
         items, ratings = train.items[train.order], train.ratings[train.order]
         self.bits_prime = np.zeros((m, train.n_items), dtype=bool)
         rr = np.empty((m, 5))
-        rngs = [None] * m if budget is None else derive_rngs(self._stream_keys(TAG_CLIENT_INIT))
+        rngs = [None] * m if budget is None else derive_rngs(hp.seed, TAG_CLIENT_INIT, self.ids)
         starts = (np.cumsum(self.h) - self.h).tolist()
         for i, (client, rng0, a, h) in enumerate(zip(self.ids.tolist(), rngs, starts, self.h.tolist())):
             state = client_init(client, items[a : a + h], train.n_items, budget, z_target, rng0)
@@ -139,15 +139,6 @@ class Population:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def _stream_keys(self, tag: int, *rest: int) -> np.ndarray:
-        """Every client's stream key ``(hp.seed, tag, client id, *rest)``,
-        one row each: int64, or Python ints where a part does not fit."""
-        head = (self.hp.seed, tag, 0, *rest)
-        keys = np.empty((len(self.ids), len(head)), dtype=np.int64 if max(head) < 2**63 else object)
-        keys[:] = head
-        keys[:, 2] = self.ids
-        return keys
-
     def record(self, bounds: fakegrad.AlphaBounds) -> None:
         """Enter one round's fake-error bounds, one per client, into the ledger."""
         self.clamped_rounds += bounds.clamped
@@ -160,9 +151,9 @@ class Population:
         """Each client's round-``t`` stream, and all the send sets in one
         array with each client's offset into it.
 
-        The round streams are derived in one ``derive_rngs`` call, from one
-        key array. A block of clients draws its ``randresp.irr`` uniforms
-        ``u`` client by client, and two compares,
+        The round streams are derived in one ``derive_rngs`` call. A block
+        of clients draws its ``randresp.irr`` uniforms ``u`` client by
+        client, and two compares,
         ``(u < q) & (bits_prime | (u < p))``, turn them into send sets. That
         is ``u < where(bits_prime, q, p)`` while ``p <= q``, which every
         client has: ``calibrate`` keeps ``q* >= p*``, so
@@ -175,7 +166,7 @@ class Population:
         m, n_items = self.bits_prime.shape
         per_block = max(1, _SEND_BLOCK // n_items)
         uniforms = np.empty((min(per_block, m), n_items))
-        rngs = derive_rngs(self._stream_keys(TAG_CLIENT_ROUND, t))
+        rngs = derive_rngs(self.hp.seed, TAG_CLIENT_ROUND, self.ids, t)
         sent, counts = [], []
         for lo in range(0, m, per_block):
             hi = min(lo + per_block, m)
@@ -271,7 +262,7 @@ def population_iteration(pop: Population, v_snapshot: np.ndarray, t: int) -> Rou
     for lo, hi, rows in pop.chunks:
         a, b = at[lo], at[hi]
         owner = lo + np.repeat(np.arange(hi - lo), np.diff(at[lo : hi + 1]))
-        out = item_pass(v_snapshot, e[a:b], pop.u[owner], items[a:b], eta, hp,
+        out = item_pass(v_snapshot, e[a:b], pop.u.take(owner, axis=0), items[a:b], eta, hp,
                         deltas[a:b] if noise else None)
         if not noise:
             deltas[a:b] = out

@@ -88,7 +88,10 @@ def solve_f(eps_p: float, h: int) -> float:
         raise ValueError(f"h must be >= 1 (cold users cannot be calibrated), got {h}")
     if not eps_p > 0:
         raise ValueError(f"eps_p must be positive, got {eps_p}")
-    return 2.0 / (1.0 + math.exp(eps_p / (2.0 * h)))
+    try:
+        return 2.0 / (1.0 + math.exp(eps_p / (2.0 * h)))
+    except OverflowError:
+        raise CalibrationError(f"eps_p={eps_p:.6g}, h={h} violates exp(eps_p/(2h)) <= DBL_MAX") from None
 
 
 def epsilon_p_of(f: float, h: int) -> float:
@@ -140,8 +143,8 @@ def calibrate(
     1 - q* = (1 - p*) / (1 + (r - 1) p*), free of the cancellation of
     subtracting a q* near 1. f comes from eps_p (default 2 * eps_i), and
     (p, q) are recovered by inverting the composite-probability relations.
-    Raises CalibrationError, naming the violated bound, when the inversion
-    leaves [0, 1].
+    Raises CalibrationError, naming the violated bound, when a result
+    leaves the range of a double or the inversion leaves [0, 1].
     """
     # every range check is written so that NaN fails it
     if not eps_i > 0:
@@ -156,7 +159,10 @@ def calibrate(
     if not eps_p_val > 0:
         raise CalibrationError(f"eps_p={eps_p_val} violates eps_p > 0")
 
-    rm1 = math.expm1(eps_i / h)  # r - 1
+    try:
+        rm1 = math.expm1(eps_i / h)  # r - 1
+    except OverflowError:
+        raise CalibrationError(f"eps_i={eps_i:.6g}, h={h} violates exp(eps_i/h) <= DBL_MAX") from None
     a = (n_items - h) * rm1
     b = h * (1.0 + rm1) + (n_items - h) - z_target * rm1
     root = math.sqrt(b * b + 4.0 * a * z_target)
@@ -176,6 +182,9 @@ def calibrate(
     for name, v in (("p", p), ("q", q)):
         if not -1e-12 <= v <= 1.0 + 1e-12:
             raise CalibrationError(f"inverted {name}={v:.6g} violates 0 <= {name} <= 1")
+    # b * b can overflow, or p* underflow, well inside the range of exp
+    if not (0.0 < p_star < 1.0 and 0.0 < one_minus_q_star):
+        raise CalibrationError(f"p*={p_star:.6g}, 1-q*={one_minus_q_star:.6g} violate 0 < p* < 1, 1-q* > 0")
     p = min(max(p, 0.0), 1.0)
     q = min(max(q, 0.0), 1.0)
 

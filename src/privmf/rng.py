@@ -8,12 +8,11 @@ generator state.
 
 A key's stream is ``np.random.default_rng(np.random.SeedSequence(key))``.
 ``derive_rng`` builds it that way, one key at a time. ``derive_rngs``
-builds the same streams for many keys at once, bit for bit: it runs
-``SeedSequence``'s entropy hash and ``generate_state`` as uint32 array
-arithmetic over all the keys, then seeds one ``PCG64`` per key from its
-four state words. Keys given as one integer array, one key per row, with
-every part below 2**32, go to the hash as they are, with no per-key
-Python step. Only the seeding differs: such a generator's
+builds the streams of one population, ``(seed, tag, id, *rest)`` for
+each id of an array, at once, bit for bit: it runs ``SeedSequence``'s
+entropy hash and ``generate_state`` as uint32 array arithmetic over all
+the keys, with no per-key Python step, then seeds one ``PCG64`` per key
+from its four state words. Only the seeding differs: such a generator's
 ``bit_generator.seed_seq`` is not a ``SeedSequence``, so it cannot
 ``spawn()``.
 
@@ -65,33 +64,25 @@ def derive_rng(*key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(_key_parts(key)))
 
 
-def derive_rngs(keys) -> list[np.random.Generator]:
-    """``[derive_rng(*key) for key in keys]``, bit for bit, in one pass.
+def derive_rngs(seed: int, tag: int, ids, *rest: int) -> list[np.random.Generator]:
+    """``[derive_rng(seed, tag, i, *rest) for i in ids]``, bit for bit, in one pass.
 
-    ``keys`` is a sequence of key tuples or an ``(n, p)`` integer array, one
-    key per row. An integer array whose every part is below 2**32 is
-    hashed straight from its words; other keys are grouped by their
-    entropy length in uint32 words, and each group's ``SeedSequence``
-    hashes run as array operations over its keys. The array pass has a
-    fixed cost, ~0.1 ms, so a single key is cheaper through ``derive_rng``.
+    An id is one entropy word: an id that is not an integer in
+    ``[0, 2**32)`` raises ValueError, as does a negative part. The words
+    of ``seed`` and ``tag``, then each id's word, then the words of
+    ``rest`` fill one uint32 block, one key per row, whose
+    ``SeedSequence`` hashes run as array operations over the rows. The pass has a fixed cost, ~0.1 ms, so a single key is
+    cheaper through ``derive_rng``.
     """
-    if isinstance(keys, np.ndarray):
-        if keys.ndim == 2 and keys.dtype.kind in "iu" and keys.size and 0 <= keys.min() <= keys.max() <= _MASK32:
-            return _generators(_pcg64_states(keys.astype(np.uint32)))
-        keys = keys.tolist()
-    entropy = [[operator.index(p) for p in key] for key in keys]
-    flat = [p for parts in entropy for p in parts]
-    if flat and not 0 <= min(flat) <= max(flat) <= _MASK32:
-        # a negative part, or a part of several words
-        entropy = [_entropy_words(_key_parts(parts)) for parts in entropy]
-    groups: dict[int, list[int]] = {}
-    for i, words in enumerate(entropy):
-        groups.setdefault(len(words), []).append(i)
-    states = np.empty((len(entropy), 4), dtype=np.uint64)
-    for n_words, at in groups.items():
-        words = np.array([entropy[i] for i in at], dtype=np.uint32).reshape(len(at), n_words)
-        states[at] = _pcg64_states(words)
-    return _generators(states)
+    parts = _key_parts((seed, tag, *rest))
+    head, tail = _entropy_words(parts[:2]), _entropy_words(parts[2:])
+    ids = np.asarray(ids)
+    if ids.size and not (ids.dtype.kind in "iu" and 0 <= ids.min() <= ids.max() <= _MASK32):
+        raise ValueError(f"ids must be integers in [0, 2**32), got {ids.dtype} {ids.min()} to {ids.max()}")
+    words = np.empty((len(ids), len(head) + 1 + len(tail)), dtype=np.uint32)
+    words[:] = [*head, 0, *tail]
+    words[:, len(head)] = ids
+    return _generators(_pcg64_states(words))
 
 
 def _generators(states: np.ndarray) -> list[np.random.Generator]:

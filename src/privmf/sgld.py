@@ -186,8 +186,8 @@ class UserRows:
 
     Users are laid out in ascending ``(h, position)`` order, each user's
     rows in its item order, so the users with one row count form one
-    contiguous ``(m, h)`` block. A per-user reduction reshapes each block
-    to ``(m, h, ...)`` and reduces axis 1, which sums every user's rows as
+    contiguous ``(m, h)`` block. ``sums`` reshapes each block to
+    ``(m, h, ...)`` and reduces axis 1, which sums every user's rows as
     numpy sums that user's own ``(h, ...)`` rows over axis 0; padding to a
     common length would not. A layout's arrays are read-only.
     """
@@ -216,24 +216,27 @@ class UserRows:
             (order[a:b], int(ends[a] - counts[a]), int(counts[a])) for a, b in zip(edges, edges[1:])
         ]
 
-    def per_user(self, values: np.ndarray, reduce) -> np.ndarray:
-        """``reduce`` of each group's ``(m, h, ...)`` view of the row
-        ``values``, one result row per user, in user order."""
-        out = np.empty((len(self.h),) + values.shape[1:])
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Each user's sum of its rows of ``values``, one row per user, in
+        user order: each group's ``(m, h, ...)`` view reduced over axis 1
+        into its slice of a block in layout order, then one gather."""
+        shape = values.shape[1:]
+        block = np.empty((len(self.h), *shape))
         for users, lo, h in self.groups:
-            out[users] = reduce(values[lo : lo + len(users) * h].reshape(len(users), h, *values.shape[1:]))
-        return out
+            at, m = self._rank[users[0]], len(users)
+            np.add.reduce(values[lo : lo + m * h].reshape(m, h, *shape), axis=1, out=block[at : at + m])
+        return block.take(self._rank, axis=0)
 
     def moments(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each user's mean and population std of its rows' 1-D ``values``,
-        bit for bit ``per_user`` of ``block.mean(axis=1)`` and
-        ``block.std(axis=1)``, which numpy computes as a sum over ``h``, and
-        as the square root of the mean squared deviation from that mean: here
-        one sum per group each, the rest once over all the rows and users."""
-        mu = self.per_user(values, lambda block: block.sum(axis=1)) / self.h
+        bit for bit ``block.mean(axis=1)`` and ``block.std(axis=1)`` of each
+        group, which numpy computes as a sum over ``h``, and as the square
+        root of the mean squared deviation from that mean: here one ``sums``
+        each, the rest once over all the rows and users."""
+        mu = self.sums(values) / self.h
         dev = values - mu[self.owner]
         np.square(dev, out=dev)
-        sigma = self.per_user(dev, lambda block: block.sum(axis=1)) / self.h
+        sigma = self.sums(dev) / self.h
         return mu, np.sqrt(sigma, out=sigma)
 
     def locate(self, users: np.ndarray, items: np.ndarray, n_items: int) -> tuple[np.ndarray, np.ndarray]:
@@ -275,13 +278,13 @@ def user_pass(
     ``noise`` block, one row per rated row, when SGLD noise is on.
 
     ``np.vecdot`` of gathered rows rounds each error as one user's
-    ``prediction_errors`` does, and ``UserRows.per_user`` sums each user's
+    ``prediction_errors`` does, and ``UserRows.sums`` sums each user's
     deltas as ``user_step(...).sum(axis=0)`` does.
     """
-    v_rows, u_rows = v[rows.items], u[rows.owner]
+    v_rows, u_rows = v.take(rows.items, axis=0), u.take(rows.owner, axis=0)
     errs = rows.ratings - np.vecdot(v_rows, u_rows)
     deltas = _step(u_rows, errs, v_rows, hp.lambda_u, eta_t, noise)
-    return errs, rows.per_user(deltas, lambda block: block.sum(axis=1))
+    return errs, rows.sums(deltas)
 
 
 def item_pass(
@@ -291,7 +294,7 @@ def item_pass(
     """Item deltas, one per ``(item, error, user row)``, written over the
     pre-drawn ``noise`` block when SGLD noise is on, else over ``u_rows``,
     which is scratch."""
-    return _step(v[items], e, u_rows, hp.lambda_v, eta_t, noise)
+    return _step(v.take(items, axis=0), e, u_rows, hp.lambda_v, eta_t, noise)
 
 
 def reduce_item_deltas(item_ids, deltas, n_items: int) -> tuple[np.ndarray, np.ndarray]:

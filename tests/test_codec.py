@@ -138,13 +138,15 @@ def frame_by_frame(updates, handshake=None):
 def decode_frame_by_frame(data, k, n_items):
     """The per-frame decoder the batch decoder must agree with, errors included."""
     updates, ids, rows = [], [], []
-    for msg in iter_messages(data, expect_k=k):
+    for i, msg in enumerate(iter_messages(data, expect_k=k)):
         if isinstance(msg, GradientMessage):
             ids.append(msg.item_id)
             rows.append(msg.delta)
         elif isinstance(msg, FinishMessage):
             updates.append((msg.client_id, ids, rows))
             ids, rows = [], []
+        elif i:
+            raise CodecError(f"{msg} is not the round's first frame")
         elif (msg.k, msg.n_items) != (k, n_items):
             raise CodecError(f"handshake mismatch: {msg} vs session ({k}, {n_items})")
     if ids:
@@ -206,6 +208,19 @@ class TestBatchErrors:
         assert_same_decoding(data, 3, 10)
         with pytest.raises(CodecError, match="unknown frame type byte 0x7f"):
             decode_updates(data, 3, 10)
+
+    def test_handshake_only_as_the_first_frame(self):
+        handshake = encode_message(Handshake(3, 10))
+        finish = encode_message(FinishMessage(0))
+        assert decode_updates(handshake + self.rows(2) + finish, 3, 10).offsets.tolist() == [0, 2]
+        misplaced = r"^Handshake\(k=3, n_items=10\) is not the round's first frame$"
+        # spliced between a client's gradient frames and its finish frame,
+        # after a finish frame, or twice at the start
+        for data in (self.rows(2) + handshake + finish, handshake + self.rows(2) + handshake + finish,
+                     handshake + self.rows(2) + finish + handshake, handshake + handshake + finish):
+            assert_same_decoding(data, 3, 10)
+            with pytest.raises(CodecError, match=misplaced):
+                decode_updates(data, 3, 10)
 
     @pytest.mark.parametrize("bad", [-1, 2**32])
     def test_item_id_outside_u32(self, bad):

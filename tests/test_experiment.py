@@ -276,6 +276,14 @@ class TestCli:
         assert rc == 1
         assert "violates" in capsys.readouterr().err
 
+    def test_a_budget_past_the_double_range_is_one_line(self, tmp_path, ratings_file, capsys):
+        # exp(eps_i / h) overflows a double for the clients with h <= 7
+        cfg = write_config(tmp_path, ratings_file, eps_i="5000", iterations="2", repetitions="1")
+        assert main(["run", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"error: client \d+: .* violates? .*\n", captured.err)
+        assert not (tmp_path / "out" / "curves.csv").exists()
+
     def test_run_and_attack(self, tmp_path, ratings_file, capsys):
         cfg = write_config(tmp_path, ratings_file, iterations="2", repetitions="1")
         assert main(["run", "--config", str(cfg)]) == 0

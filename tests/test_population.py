@@ -410,6 +410,28 @@ def test_moments_are_each_users_mean_and_std(scale):
         assert (mu[i], sigma[i]) == (own.mean(), own.std())
 
 
+@pytest.mark.parametrize("k", [1, 2, 10, 50])
+def test_sums_are_each_users_own_row_sums(k):
+    # users with no rows, counts past numpy's pairwise-sum blocks of 8 and
+    # 128, and users whose rows are all -0.0, whose sum keeps its sign
+    rng = np.random.default_rng(k)
+    counts = np.concatenate([rng.integers(0, 300, 40), [0, 0, 1, 1, 8, 8, 129, 129, 3]])
+    rng.shuffle(counts)
+    items = np.concatenate([np.arange(h) for h in counts.tolist()])
+    rows = UserRows(items, counts)
+    values = rng.normal(size=(len(items), k)) * 10.0 ** rng.integers(-8, 9, size=(len(items), 1))
+    zeros = rows.owner == np.flatnonzero(counts == 3)[0]
+    values[zeros] = -0.0
+    sums = rows.sums(values)
+    assert sums.shape == (len(counts), k)
+    for i in range(len(counts)):
+        own = values[rows.start[i] : rows.start[i] + counts[i]]
+        assert np.array_equal(bits(sums[i]), bits(own.sum(axis=0))), i
+    # 1-D values: one sum per user
+    own = [values[rows.start[i] : rows.start[i] + counts[i], 0].sum() for i in range(len(counts))]
+    assert np.array_equal(bits(rows.sums(values[:, 0])), bits(own))
+
+
 def test_rated_chunks_close_once_they_hold_the_chunk_rows():
     counts = np.array([2, 2, 3, 1, 4])
     items = np.concatenate([np.arange(h) for h in counts.tolist()])
@@ -424,7 +446,7 @@ def test_a_population_without_budget_derives_no_init_stream(monkeypatch):
     hp = Hyperparams(3, 0.1, 0.6, np.full(3, 0.01), np.full(3, 0.01), 0)
     u0 = init_model(ds.n_users, ds.n_items, hp).u
     derived, derive = [], protocol.derive_rngs
-    monkeypatch.setattr(protocol, "derive_rngs", lambda keys: derived.append(keys) or derive(keys))
+    monkeypatch.setattr(protocol, "derive_rngs", lambda *key: derived.append(key) or derive(*key))
     pop = Population(ds, u0, hp, None)
     assert derived == []
     # the arrays of a build that handed each client its init stream
@@ -436,7 +458,8 @@ def test_a_population_without_budget_derives_no_init_stream(monkeypatch):
             state.rr.p, state.rr.q, state.rr.p_star, state.rr.q_star, state.rr.one_minus_q_star)
     # a private build derives one per client
     Population(ds, u0, hp, PrivacyBudget(eps_i=1.0))
-    assert [key[2] for keys in derived for key in keys] == pop.ids.tolist()
+    (seed, tag, ids), = derived
+    assert (seed, tag, ids.tolist()) == (hp.seed, TAG_CLIENT_INIT, pop.ids.tolist())
 
 
 def test_send_sets_do_not_depend_on_the_block_size():
@@ -455,7 +478,7 @@ def test_send_sets_do_not_depend_on_the_block_size():
 
 @pytest.mark.parametrize("seed", [0, 2**32, 2**63 - 1, 2**63, 2**64 + 3])
 def test_stream_keys_of_any_seed(seed):
-    # a population derives its streams from one key array, whatever the seed's width
+    # a population derives its streams in one pass, whatever the seed's width
     ds = synthetic_dataset(12, 30, seed=1, mean_ratings_per_user=5)
     hp = Hyperparams(3, 0.1, 0.6, np.full(3, 0.01), np.full(3, 0.01), seed)
     pop = Population(ds, init_model(ds.n_users, ds.n_items, hp).u, hp, PrivacyBudget(eps_i=1.0))

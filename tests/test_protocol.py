@@ -30,7 +30,7 @@ from privmf.protocol import (
     server_end_round,
     server_round,
 )
-from privmf.randresp import PrivacyBudget, irr, solve_f
+from privmf.randresp import CalibrationError, PrivacyBudget, irr, solve_f
 from privmf.rng import TAG_CLIENT_INIT, TAG_CLIENT_ROUND, derive_rng
 from privmf.sgld import (
     Hyperparams,
@@ -404,6 +404,16 @@ class TestOracleEquivalence:
 
 
 class TestRunTraining:
+    def test_a_budget_past_the_double_range_fails_closed(self):
+        # eps_i / h ~ 417: the quadratic's b * b overflowed, every client
+        # calibrated p* = q* = 0, and the "private" run sent nothing
+        triples = [RatingTriple(i, (i + j) % 18, 3.0) for i in range(5) for j in range(12)]
+        ds = build_dataset(triples, 5, 18)
+        with pytest.raises(CalibrationError, match=r"^client 0: p\*=0, 1-q\*=1 violate"):
+            run_training(ds, make_hp(), 3, budget=PrivacyBudget(eps_i=5000.0), z_target=4.5)
+        result = run_training(ds, make_hp(), 3, budget=PrivacyBudget(eps_i=4.0), z_target=4.5)
+        assert all(record.messages > 0 for record in result.curve)
+
     def test_deterministic_with_fixed_seed(self):
         ds = synthetic_dataset(10, 14, seed=6, mean_ratings_per_user=4)
         hp = make_hp(k=2, eta0=0.1, seed=11, noise=True)

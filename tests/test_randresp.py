@@ -21,6 +21,9 @@ from privmf.randresp import (
 )
 from privmf.rng import derive_rng
 
+# any budget in (0, 1e308], uniform and log-uniform
+ANY_EPS = st.floats(0.0, 1e308, exclude_min=True) | st.floats(-300.0, 308.0).map(lambda x: 10.0**x)
+
 
 class TestSolveF:
     def test_known_inversion(self):
@@ -41,6 +44,10 @@ class TestSolveF:
     def test_cold_user_rejected(self):
         with pytest.raises(ValueError):
             solve_f(1.0, 0)
+
+    def test_overflowing_exp_is_a_calibration_error(self):
+        with pytest.raises(CalibrationError, match=r"^eps_p=3000, h=1 violates exp\(eps_p/\(2h\)\) <= DBL"):
+            solve_f(3000.0, 1)
 
 
 class TestEpsilonOf:
@@ -158,6 +165,40 @@ class TestCalibrate:
         except CalibrationError:
             return
         assert 0.0 <= params.p <= params.q <= 1.0
+
+    def test_overflowing_exp_is_a_calibration_error(self):
+        with pytest.raises(CalibrationError, match=r"^eps_i=2000, h=1 violates exp\(eps_i/h\) <= DBL_MAX$"):
+            calibrate(2000.0, 1, 100, 10.0)
+        # eps_i within exp's range, but eps_p = 2 eps_i / h beyond it
+        with pytest.raises(CalibrationError, match=r"exp\(eps_p/\(2h\)\)"):
+            calibrate(1.0, 1, 100, 10.0, eps_p=2000.0)
+
+    def test_overflowing_quadratic_is_a_calibration_error(self):
+        # z_target < h and eps_i / h above ~355: b * b overflows, so p* and
+        # q* came out 0 and the client sent nothing, with no warning
+        with pytest.raises(CalibrationError, match=r"^p\*=0, 1-q\*=1 violate 0 < p\* < 1, 1-q\* > 0$"):
+            calibrate(5000.0, 12, 18, 4.5)
+        assert calibrate(4.0, 12, 18, 4.5).p_star > 0
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        eps_i=ANY_EPS,
+        eps_p=st.none() | ANY_EPS,
+        n_items=st.integers(1, 10**6),
+        h_share=st.floats(0.0, 1.0),
+        z_share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_any_budget_calibrates_or_fails_closed(self, eps_i, eps_p, n_items, h_share, z_share):
+        # only CalibrationError escapes, and a success is a usable response
+        h = max(1, round(h_share * n_items))
+        try:
+            params = calibrate(eps_i, h, n_items, z_share * n_items, eps_p=eps_p)
+        except CalibrationError:
+            return
+        values = (params.f, params.p, params.q, params.p_star, params.q_star, params.one_minus_q_star)
+        assert all(math.isfinite(v) for v in values)
+        assert 0.0 <= params.p <= params.q <= 1.0
+        assert 0.0 < params.p_star < 1.0 and 0.0 < params.one_minus_q_star
 
     def test_impossible_targets_named(self):
         with pytest.raises(CalibrationError, match="z_target"):

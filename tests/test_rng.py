@@ -10,120 +10,90 @@ from privmf.sgld import Hyperparams
 
 # one word each up to 2**32 - 1, then two words, then three
 PARTS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5]
+# ids are one word each
+IDS = [0, 1, 7, 2**31 - 1, 2**32 - 2, 2**32 - 1]
 
 
 def reference(key):
     return np.random.default_rng(np.random.SeedSequence(list(key)))
 
 
-def assert_reference_streams(keys):
-    rngs = derive_rngs(keys)
-    assert len(rngs) == len(keys)
-    for key, rng in zip(keys, rngs):
+def assert_reference_streams(seed, tag, ids, *rest):
+    rngs = derive_rngs(seed, tag, ids, *rest)
+    assert len(rngs) == len(ids)
+    for i, rng in zip(np.asarray(ids).tolist(), rngs):
+        key = (seed, tag, i, *rest)
         expected = reference(key)
         assert rng.bit_generator.state == expected.bit_generator.state, key
         assert np.array_equal(rng.random(5), expected.random(5)), key
 
 
-@pytest.mark.parametrize("length", range(1, 8))
-def test_every_part_at_every_position(length):
-    # key i holds PARTS[i], PARTS[i + 1], ... cyclically, so every part sits
-    # at every position, beside parts of other word counts
-    keys = [tuple(PARTS[(i + j) % len(PARTS)] for j in range(length)) for i in range(len(PARTS))]
-    assert_reference_streams(keys)
+@pytest.mark.parametrize("n_rest", range(4))
+def test_every_width_of_seed_tag_and_rest(n_rest):
+    # every part at the seed, the tag and each rest position, beside parts
+    # of other word counts: fewer entropy words than the pool is zero-padded
+    for i, seed in enumerate(PARTS):
+        for j, tag in enumerate(PARTS):
+            rest = [PARTS[(i + j + r) % len(PARTS)] for r in range(n_rest)]
+            assert_reference_streams(seed, tag, np.array(IDS), *rest)
 
 
-@pytest.mark.parametrize("length", range(1, 8))
-def test_one_word_parts(length):
-    # every part one word: fewer entropy words than the pool is zero-padded
-    rng = np.random.default_rng(length)
-    keys = [tuple(rng.integers(0, 2**32, size=length).tolist()) for _ in range(20)]
-    assert_reference_streams([(0,) * length, (2**32 - 1,) * length, *keys])
-
-
-def test_mixed_word_counts_in_one_batch():
-    keys = [
-        (7,),
-        (7, 2**32),
-        (2**64 + 5, 0, 3),
-        (1, 2, 3, 4, 5),
-        (0,),
-        (2**32 - 1, 2**64 + 5, 2**32, 1, 0, 2**31 - 1, 9),
-        (7, 5, 0, 1),
-    ]
-    assert_reference_streams(keys)
+@pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.uint64, np.int32])
+def test_id_arrays_of_any_integer_dtype(dtype):
+    high = min(np.iinfo(dtype).max, 2**32 - 1)
+    ids = np.random.default_rng(3).integers(0, high, size=20, endpoint=True, dtype=dtype)
+    assert_reference_streams(7, 4, ids, 25)
+    assert_reference_streams(2**40, 4, ids)
 
 
 def test_round_keys_of_a_population():
-    keys = [(seed, TAG_CLIENT_ROUND, client, t) for seed in (7, 2**40) for client in range(150) for t in (1, 25)]
-    assert_reference_streams(keys)
+    for seed in (7, 2**40):
+        for t in (1, 25):
+            assert_reference_streams(seed, TAG_CLIENT_ROUND, np.arange(150), t)
 
 
 def test_numpy_integer_parts():
-    assert_reference_streams([(np.int64(7), np.uint32(5), np.uint64(2**63), True)])
+    assert_reference_streams(np.int64(7), np.uint32(5), [3, 4], np.uint64(2**63), True)
 
 
-def test_empty_batch():
-    assert derive_rngs([]) == []
-
-
-def assert_reference_streams_of(keys, tuples):
-    rngs = derive_rngs(keys)
-    assert len(rngs) == len(tuples)
-    for key, rng in zip(tuples, rngs):
-        assert rng.bit_generator.state == reference(key).bit_generator.state, key
-
-
-@pytest.mark.parametrize(
-    "dtype, seed",
-    # every part one word, hashed straight from the array; then seeds of
-    # several words, and parts beyond int64, which take the per-key path
-    [(np.int64, 7), (np.uint32, 2**32 - 1), (np.int64, 2**40), (np.uint64, 2**64 - 1), (object, 2**70)],
-)
-def test_key_array_rows_are_keys(dtype, seed):
-    keys = np.empty((150, 4), dtype=dtype)
-    keys[:] = (seed, TAG_CLIENT_ROUND, 0, 25)
-    keys[:, 2] = np.arange(150)
-    assert_reference_streams_of(keys, [(seed, TAG_CLIENT_ROUND, i, 25) for i in range(150)])
-
-
-def test_key_array_of_every_width():
-    for length in range(1, 8):
-        keys = np.random.default_rng(length).integers(0, 2**32, size=(20, length))
-        assert_reference_streams_of(keys, [tuple(row) for row in keys.tolist()])
-
-
-def test_empty_key_array():
-    assert derive_rngs(np.empty((0, 4), dtype=np.int64)) == []
-
-
-def test_negative_part_of_a_key_array_raises():
-    keys = np.array([[7, 4, 3], [7, 4, -1]])
-    with pytest.raises(ValueError, match="rng key parts must be non-negative"):
-        derive_rngs(keys)
+def test_empty_ids():
+    assert derive_rngs(7, TAG_CLIENT_ROUND, np.empty(0, dtype=np.int64), 3) == []
 
 
 def test_matches_derive_rng_and_cannot_spawn():
-    (rng,) = derive_rngs([(3, 1, 4)])
+    (rng,) = derive_rngs(3, 1, [4])
     assert rng.random() == derive_rng(3, 1, 4).random()
     with pytest.raises(TypeError):
         rng.spawn(1)
 
 
-@pytest.mark.parametrize("keys", [[(1, 2), (3, -1)], [(-(2**40),)]])
-def test_negative_part_raises(keys):
+@pytest.mark.parametrize("ids", [[3, -1], [2**32], np.array([5, 2**32], dtype=np.uint64), [2**70]])
+def test_id_outside_one_word_raises(ids):
+    with pytest.raises(ValueError, match=r"ids must be integers in \[0, 2\*\*32\)"):
+        derive_rngs(7, 4, ids)
+
+
+@pytest.mark.parametrize("key", [(-1, 4), (7, -(2**40)), (7, 4, 3, -1)])
+def test_negative_part_raises(key):
     with pytest.raises(ValueError, match="rng key parts must be non-negative"):
-        derive_rngs(keys)
+        derive_rngs(*key[:2], [0, 1], *key[2:])
     with pytest.raises(ValueError, match="rng key parts must be non-negative"):
-        derive_rng(*keys[-1])
+        derive_rng(*key)
 
 
 @pytest.mark.parametrize("part", [7.5, 7.0, np.float64(3.0), "7"])
 def test_non_integral_part_raises(part):
     with pytest.raises(TypeError):
-        derive_rngs([(1, 2), (3, part)])
+        derive_rngs(3, part, [1, 2])
+    with pytest.raises(TypeError):
+        derive_rngs(3, 4, [1, 2], part)
     with pytest.raises(TypeError):
         derive_rng(3, part)
+
+
+def test_non_integral_ids_raise():
+    with pytest.raises(ValueError, match=r"ids must be integers in \[0, 2\*\*32\), got float64 1.0 to 2.0"):
+        derive_rngs(3, 4, np.array([1.0, 2.0]))
 
 
 def test_fractional_seed_is_not_truncated():
